@@ -12,7 +12,6 @@ from .evaluation import (
     RiskBoundReport,
     RiskEstimate,
     bias_variance,
-    capped_sketch_rows,
     classic_pcr_risk_bound,
     exact_risk,
     excess_risk_mc,
@@ -50,7 +49,6 @@ from .sketch import (
     GramErrorReport,
     SubgaussianSketch,
     TensorSketch,
-    TouchCounter,
     apply_left,
     gen_countsketch,
     gen_subgaussian,

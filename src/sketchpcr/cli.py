@@ -329,7 +329,8 @@ def _verify_checks(args):
                    abs(bias + var - mc.mean), 3 * mc.std_error))
 
     eps, delta = 0.25, 0.1
-    rows = ev.capped_sketch_rows(eps, delta, stable_rank(a), n, const=args.const_c)
+    rows = sketch.sketch_rows_for_gram("subgaussian", stable_rank(a), eps, delta,
+                                       const=args.const_c)
     fails = 0
     n_draws = 200
     for i in range(n_draws):
@@ -385,39 +386,19 @@ def cmd_sweep(args):
 def _stream_rows(args):
     """Yield (row, b_entry) pairs one at a time from the input file."""
     if args.data.endswith(".csv"):
-        dims = None
-        with open(args.data, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                fields = line.split(",")
-                if dims is None:
-                    try:
-                        [float(tok) for tok in fields]
-                    except ValueError:
-                        continue  # header
-                    dims = len(fields) - 1
-                row = [data_io._parse_float(tok, f"{args.data}:{lineno}:col {j + 1}")
-                       for j, tok in enumerate(fields)]
-                if len(row) != dims + 1:
-                    raise data_io.DataFormatError(f"{args.data}:{lineno}: ragged row")
-                yield np.asarray(row[:-1]), row[-1]
-    else:
-        if not args.dims:
-            raise CliError("streaming svmlight input needs --dims")
-        with open(args.data, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                label = data_io._parse_float(parts[0], f"{args.data}:{lineno}:label")
-                row = np.zeros(args.dims)
-                for tok in parts[1:]:
-                    idx_s, val_s = tok.split(":")
-                    row[int(idx_s) - 1] = float(val_s)
-                yield row, label
+        for _, values in data_io.csv_rows(args.data):
+            yield np.asarray(values[:-1]), values[-1]
+        return
+    if args.dims is None or args.dims < 1:
+        raise CliError("streaming svmlight input needs --dims >= 1")
+    for lineno, label, cols, values in data_io.svmlight_rows(args.data):
+        if cols and cols[-1] >= args.dims:
+            raise data_io.DataFormatError(
+                f"{args.data}:{lineno}: index {cols[-1] + 1} exceeds --dims {args.dims}"
+            )
+        row = np.zeros(args.dims)
+        row[cols] = values
+        yield row, label
 
 
 def cmd_stream(args):
@@ -455,8 +436,10 @@ def cmd_kernel(args):
     rank = args.rank or k_list[0]
     t0 = time.perf_counter()
     if args.mode == "exact":
-        model = kpcr.fit_exact(a, b, rank, kpcr.KernelSpec(args.degree, args.offset))
-        preds = kpcr.kernel_matrix(a, model.spec) @ model.alpha
+        spec = kpcr.KernelSpec(args.degree, args.offset)
+        k_mat = kpcr.kernel_matrix(a, spec)
+        model = kpcr.exact_kernel_pcr(k_mat, b, rank, train=a, spec=spec)
+        preds = k_mat @ model.alpha
     else:
         if not args.sketch_cols:
             raise CliError("sketched kernel mode needs --sketch-cols")

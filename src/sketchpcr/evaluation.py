@@ -24,9 +24,6 @@ from .linalg import (
     subspace_distance,
     thin_svd,
 )
-from .sketch import sketch_rows_for_gram, DEFAULT_GRAM_CONST
-
-MC_CAP_FACTOR = 4  # desk-scale ceiling: sketch rows <= 4x the sketched dimension
 
 
 @dataclass(frozen=True)
@@ -237,9 +234,7 @@ def risk_bound_check(model: FixedDesignModel, k, kind, params=None) -> RiskBound
 # Converting a target subspace accuracy nu into sketch sizes. The Gram
 # tolerance eps below which the Davis-Kahan chain delivers nu follows
 # the sketching guarantees; the row counts then come from
-# sketch_rows_for_gram. At desk scale those counts exceed the matrix
-# dimensions, so Monte Carlo helpers cap them at a small multiple of
-# the sketched dimension (the conclusions are what the suite verifies).
+# sketch.sketch_rows_for_gram.
 
 def left_gram_eps(nu, gap):
     z = nu / math.sqrt(1.0 + nu**2)
@@ -259,15 +254,3 @@ def twosided_gram_eps(nu, gap_a, gap_c=None):
     w = half / math.sqrt(1.0 + half**2)
     eps_s = gap_c * w / (1.0 + w)
     return eps_g, eps_s
-
-
-def capped_sketch_rows(eps, delta, stable_rank, in_dim, kind="subgaussian",
-                       const=DEFAULT_GRAM_CONST, cap_factor=MC_CAP_FACTOR):
-    """Gram-property row count, clamped to cap_factor * in_dim.
-
-    Beyond a small multiple of the sketched dimension the exact
-    computation is cheaper than the sketch, so desk-scale experiments
-    stop there.
-    """
-    rows = sketch_rows_for_gram(kind, stable_rank, eps, delta, const=const)
-    return int(min(rows, cap_factor * in_dim))

@@ -1,9 +1,11 @@
 """Dataset ingestion: dense CSV and sparse svmlight files.
 
-Both loaders reject malformed input with the offending position in the
-error message instead of guessing. The svmlight writer uses shortest
-round-trip float formatting, so write-then-read reproduces values
-bit-for-bit.
+One row iterator per format (:func:`csv_rows`, :func:`svmlight_rows`)
+parses and validates each line; the loaders and the streaming CLI both
+read through them. Malformed input is rejected with the offending
+position in the error message instead of guessing. The svmlight writer
+uses shortest round-trip float formatting, so write-then-read
+reproduces values bit-for-bit.
 """
 
 from __future__ import annotations
@@ -28,85 +30,112 @@ def _parse_float(token, where):
     return value
 
 
-def load_dense_csv(path):
-    """Read a dense CSV whose last column is the response.
-
-    Returns (A, b). A leading header row is skipped when any of its
-    fields fails to parse as a number. Ragged rows and NaN/Inf entries
-    are rejected with their location.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
-    if not lines:
-        raise DataFormatError(f"{path}: file is empty")
-
-    first_fields = lines[0][1].split(",")
-    start = 0
+def _parse_row(fields, path, lineno):
+    """Floats of one row's fields; a bad field is reported with its column."""
     try:
-        for tok in first_fields:
-            float(tok)
+        values = [float(tok) for tok in fields]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        start = 1
-    data = lines[start:]
-    if not data:
-        raise DataFormatError(f"{path}: no data rows after the header")
-
-    width = len(data[0][1].split(","))
-    if width < 2:
-        raise DataFormatError(f"{path}:{data[0][0]}: need at least two columns")
-    rows = []
-    for lineno, ln in data:
-        fields = ln.split(",")
-        if len(fields) != width:
-            raise DataFormatError(
-                f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {width})"
-            )
-        rows.append([
-            _parse_float(tok, f"{path}:{lineno}:col {j + 1}")
-            for j, tok in enumerate(fields)
-        ])
-    arr = np.asarray(rows, dtype=float)
-    return arr[:, :-1], arr[:, -1]
+        pass
+    for j, tok in enumerate(fields):
+        _parse_float(tok, f"{path}:{lineno}:col {j + 1}")  # raises at the bad field
 
 
-def load_svmlight(path, center_response=False):
-    """Read an svmlight/libsvm file: ``label idx:val idx:val ...`` per line.
+def csv_rows(path):
+    """Yield (line number, values) for each data row of a dense CSV.
 
-    Indices are 1-based and must be strictly increasing within a line.
-    Returns (csr_matrix, labels); labels are mean-centered when asked.
+    A leading header row is skipped when any of its fields fails to parse
+    as a number. Blank lines are ignored. Ragged rows, rows of fewer than
+    two fields and NaN/Inf entries are rejected with their location.
     """
-    labels = []
-    data, indices, indptr = [], [], [0]
-    n_features = 0
+    first, width = True, None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if first:
+                first = False
+                try:
+                    [float(tok) for tok in fields]
+                except ValueError:
+                    continue  # header row
+            if width is None:
+                width = len(fields)
+                if width < 2:
+                    raise DataFormatError(f"{path}:{lineno}: need at least two columns")
+            elif len(fields) != width:
+                raise DataFormatError(
+                    f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {width})"
+                )
+            yield lineno, _parse_row(fields, path, lineno)
+
+
+def svmlight_rows(path):
+    """Yield (line number, label, columns, values) per svmlight line.
+
+    Lines read ``label idx:val idx:val ...``; ``#`` starts a comment.
+    Indices are 1-based and must be strictly increasing within a line;
+    the yielded columns are 0-based.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
-            labels.append(_parse_float(parts[0], f"{path}:{lineno}:label"))
+            label = _parse_float(parts[0], f"{path}:{lineno}:label")
+            cols, values = [], []
             prev = 0
             for tok in parts[1:]:
                 where = f"{path}:{lineno}: pair {tok!r}"
-                pieces = tok.split(":")
-                if len(pieces) != 2:
-                    raise DataFormatError(f"{where}: expected index:value")
                 try:
-                    idx = int(pieces[0])
+                    idx_s, value_s = tok.split(":")
+                    idx = int(idx_s)
                 except ValueError:
-                    raise DataFormatError(f"{where}: bad index") from None
-                if idx == 0:
+                    raise DataFormatError(f"{where}: expected index:value") from None
+                if idx < 1:
                     raise DataFormatError(f"{where}: indices are 1-based")
                 if idx <= prev:
                     raise DataFormatError(
                         f"{where}: index {idx} not greater than previous {prev}"
                     )
                 prev = idx
-                data.append(_parse_float(pieces[1], where))
-                indices.append(idx - 1)
-                n_features = max(n_features, idx)
-            indptr.append(len(data))
+                values.append(_parse_float(value_s, where))
+                cols.append(idx - 1)
+            yield lineno, label, cols, values
+
+
+def load_dense_csv(path):
+    """Read a dense CSV whose last column is the response.
+
+    Returns (A, b). Rows are read and validated by :func:`csv_rows`.
+    """
+    rows = [values for _, values in csv_rows(path)]
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    arr = np.asarray(rows, dtype=float)
+    return arr[:, :-1], arr[:, -1]
+
+
+def load_svmlight(path, center_response=False):
+    """Read an svmlight/libsvm file, validated by :func:`svmlight_rows`.
+
+    Returns (csr_matrix, labels); the column count is the largest index
+    seen, and labels are mean-centered when asked.
+    """
+    labels = []
+    data, indices, indptr = [], [], [0]
+    n_features = 0
+    for _, label, cols, values in svmlight_rows(path):
+        labels.append(label)
+        data.extend(values)
+        indices.extend(cols)
+        indptr.append(len(data))
+        if cols:
+            n_features = max(n_features, cols[-1] + 1)
     if not labels:
         raise DataFormatError(f"{path}: file is empty")
     x = sp.csr_matrix(

@@ -5,9 +5,10 @@ The degree-q polynomial kernel K(x, z) = (x^T z + c)^q corresponds to an
 implicit feature matrix Phi with d^q columns. The exact path never forms
 Phi: it eigendecomposes the n x n Gram matrix and keeps dual
 coefficients. The sketched path compresses Phi's columns with
-TensorSketch and runs ordinary rank-k PCR in the t-dimensional sketched
-feature space. The non-homogeneous offset c is handled by appending a
-constant sqrt(c) feature to every data point.
+TensorSketch, one batched call over all rows, and runs ordinary rank-k
+PCR in the t-dimensional sketched feature space. The non-homogeneous
+offset c is handled by appending a constant sqrt(c) feature to every
+data point.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ import numpy as np
 from .errors import GapError, RankDeficiencyError
 from .linalg import as_matrix, as_vector, thin_svd
 from .sketch import tensorsketch_apply
-from .solvers import require_gap
+from .solvers import GAP_TOL, require_gap
 
 EIG_CLAMP = 1e-9   # relative floor below which eigenvalues count as zero
-GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,17 +116,14 @@ def fit_exact(a, b, k, spec: KernelSpec) -> KernelModel:
 
 
 def sketched_feature_matrix(a, ts, offset=0.0):
-    """Rows of Phi R computed by TensorSketch, one training row at a time."""
+    """Rows of Phi R: the TensorSketch images of all rows of ``a``."""
     a = augment_offset(as_matrix(a, "a"), offset)
     if ts.in_dim != a.shape[1]:
         raise ValueError(
             f"TensorSketch expects {ts.in_dim} features, data has {a.shape[1]} "
             "(offset augmentation adds one)"
         )
-    out = np.empty((a.shape[0], ts.out_dim))
-    for i in range(a.shape[0]):
-        out[i] = tensorsketch_apply(ts, a[i])
-    return out
+    return tensorsketch_apply(ts, a)
 
 
 def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:

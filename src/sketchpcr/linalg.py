@@ -223,10 +223,7 @@ def relative_gap(m, k):
     r = min(m.shape)
     if not 1 <= k < r:
         raise ValueError(f"gap index k={k} out of range [1, {r - 1}]")
-    s = singular_values(m)
-    if s[0] == 0.0:
-        raise ValueError("relative gap is undefined for the zero matrix")
-    return float((s[k - 1] ** 2 - s[k] ** 2) / s[0] ** 2)
+    return relative_gap_from_sigma(singular_values(m), k)
 
 
 def relative_gap_from_sigma(s, k):

@@ -5,6 +5,12 @@ Three families: dense subgaussian maps, CountSketch sparse embeddings
 polynomial feature maps. All generators are pure functions of
 (dimensions, seed); identical inputs rebuild bit-identical operators.
 
+Every batch sketch is a plain matrix: ``SubgaussianSketch.matrix`` is a
+dense ndarray and ``CountSketch.matrix`` a scipy CSR matrix, so applying
+a sketch is ``op.matrix @ a``. A TensorSketch holds its q hash levels as
+the same CSR CountSketch matrices and combines their images by one
+length-t circular convolution.
+
 Hash functions are realized as random polynomials over the Mersenne
 prime field 2^61 - 1 (degree 3 for bucket hashes, degree 4 for sign
 hashes), which gives the limited independence the sketches need while
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import as_matrix, as_vector, spectral_norm
+from .linalg import as_matrix, spectral_norm
 
 MERSENNE_P = (1 << 61) - 1
 HASH_DEGREE = 3
@@ -50,9 +56,6 @@ class PolyHash:
             out[i] = self.value(int(key))
         return out
 
-    def bucket(self, key, n_buckets):
-        return self.value(key) % n_buckets
-
     def sign(self, key):
         return 1.0 if (self.value(key) & 1) == 0 else -1.0
 
@@ -68,7 +71,6 @@ class SubgaussianSketch:
     in_dim: int
     seed: int
     matrix: np.ndarray = field(repr=False)
-    kind: str = "subgaussian"
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,12 @@ class CountSketch:
     seed: int
     rows: np.ndarray = field(repr=False)   # target row per column
     signs: np.ndarray = field(repr=False)  # +-1 per column
-    kind: str = "countsketch"
+    matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
-    def materialize(self):
-        m = np.zeros((self.out_dim, self.in_dim))
-        m[self.rows, np.arange(self.in_dim)] = self.signs
-        return m
+    def __post_init__(self):
+        m = sp.csr_matrix((self.signs, (self.rows, np.arange(self.in_dim))),
+                          shape=(self.out_dim, self.in_dim))
+        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,13 @@ class TensorSketch:
     seed: int
     row_tables: np.ndarray = field(repr=False)   # (degree, in_dim) bucket ids
     sign_tables: np.ndarray = field(repr=False)  # (degree, in_dim) +-1
-    kind: str = "tensorsketch"
+    levels: tuple = field(init=False, repr=False, compare=False)  # q CountSketch CSRs
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(
+            CountSketch(self.out_dim, self.in_dim, self.seed, rows, signs).matrix
+            for rows, signs in zip(self.row_tables, self.sign_tables)
+        ))
 
 
 def gen_subgaussian(out_dim, in_dim, seed):
@@ -147,89 +155,44 @@ def gen_tensorsketch(q, in_dim, out_dim, seed):
                         row_tables=rows, sign_tables=signs)
 
 
-class TouchCounter:
-    """Counts stored nonzeros visited by sparse sketch application."""
-
-    def __init__(self):
-        self.count = 0
+def _dense(m):
+    """``m`` as an ndarray; products with a sparse sketch may come back sparse."""
+    return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 
-def apply_left(op, a, touch_counter=None):
-    """Compute op @ a for a dense or sparse matrix ``a``.
+def apply_left(op, a):
+    """Compute op.matrix @ a for a dense or sparse matrix ``a``, as an ndarray.
 
-    CountSketch application visits each stored nonzero of ``a`` exactly
-    once; pass a TouchCounter to observe that.
+    For a CountSketch this is one pass over the stored entries of ``a``.
     """
-    sparse_input = sp.issparse(a)
-    if not sparse_input:
+    if not sp.issparse(a):
         a = as_matrix(a, "a")
     if op.in_dim != a.shape[0]:
         raise ValueError(f"operator expects {op.in_dim} rows, got {a.shape[0]}")
-
-    if op.kind == "subgaussian":
-        if sparse_input:
-            return np.ascontiguousarray((a.T @ op.matrix.T).T)
-        return op.matrix @ a
-
-    if op.kind == "countsketch":
-        out = np.zeros((op.out_dim, a.shape[1]))
-        if sparse_input:
-            coo = a.tocoo()
-            np.add.at(out, (op.rows[coo.row], coo.col), op.signs[coo.row] * coo.data)
-            if touch_counter is not None:
-                touch_counter.count += coo.nnz
-        else:
-            np.add.at(out, op.rows, op.signs[:, None] * a)
-            if touch_counter is not None:
-                touch_counter.count += a.size
-        return out
-
-    raise ValueError(f"apply_left does not support kind {op.kind!r}")
-
-
-def _fold_cyclic(linear, t):
-    out = np.zeros(t)
-    for start in range(0, len(linear), t):
-        chunk = linear[start:start + t]
-        out[: len(chunk)] += chunk
-    return out
-
-
-def _conv_direct(a, b, t):
-    return _fold_cyclic(np.convolve(a, b), t)
+    return _dense(op.matrix @ a)
 
 
 def tensorsketch_apply(op, z):
     """Image of the implicit feature vector phi(z) under the sketch.
 
-    Equal to the length-t cyclic convolution of the q individual
-    CountSketch images of z. Uses a power-of-two padded real FFT, with a
-    direct convolution fallback for small t; degree 1 needs no
-    convolution and is exactly a plain CountSketch.
+    ``z`` is one vector of length in_dim or an (n, in_dim) batch, one
+    point per row; the result is a length-t vector or an (n, t) matrix.
+    Equal to the length-t circular convolution of the q CountSketch
+    images S_j z, computed as irfft(prod_j rfft(S_j z)); degree 1 needs
+    no convolution and is exactly a plain CountSketch.
     """
-    if op.kind != "tensorsketch":
-        raise ValueError("operator is not a TensorSketch")
-    z = as_vector(z, length=op.in_dim, name="z")
-    t = op.out_dim
-    levels = []
-    for j in range(op.degree):
-        c = np.zeros(t)
-        np.add.at(c, op.row_tables[j], op.sign_tables[j] * z)
-        levels.append(c)
+    zs = as_matrix(np.atleast_2d(z), "z")
+    if zs.shape[1] != op.in_dim:
+        raise ValueError(f"z has {zs.shape[1]} features, expected {op.in_dim}")
+    images = (level @ zs.T for level in op.levels)  # (t, n) each, made one at a time
     if op.degree == 1:
-        return levels[0]
-    if t < 64:
-        out = levels[0]
-        for c in levels[1:]:
-            out = _conv_direct(out, c, t)
-        return out
-    full_len = op.degree * (t - 1) + 1
-    n_fft = 1 << (full_len - 1).bit_length()
-    spec = np.fft.rfft(levels[0], n_fft)
-    for c in levels[1:]:
-        spec = spec * np.fft.rfft(c, n_fft)
-    linear = np.fft.irfft(spec, n_fft)[:full_len]
-    return _fold_cyclic(linear, t)
+        out = next(images)
+    else:
+        spectrum = np.fft.rfft(next(images), axis=0)
+        for image in images:
+            spectrum *= np.fft.rfft(image, axis=0)
+        out = np.fft.irfft(spectrum, n=op.out_dim, axis=0)
+    return out[:, 0] if np.ndim(z) == 1 else out.T
 
 
 def tensorsketch_materialize(op, max_rows=2_000_000):

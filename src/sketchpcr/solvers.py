@@ -5,6 +5,8 @@ the regression to the range of a compression matrix R built from a
 random sketch: left sketching uses the top right-singular basis of S A,
 right sketching uses G^T itself, and two-sided sketching composes both.
 Compressed least squares (plain OLS on A R) is included for comparison.
+R is always a plain matrix: dense, or the sparse transpose of a
+CountSketch, and every solver forms A @ R and maps back with R @ gamma.
 
 The input-sparsity solver avoids dense factorizations of A entirely:
 CountSketch compressions are applied in one pass over the nonzeros and
@@ -31,7 +33,7 @@ from .linalg import (
     relative_gap_from_sigma,
     thin_svd,
 )
-from .sketch import CountSketch, apply_left, gen_countsketch
+from .sketch import _dense, apply_left, gen_countsketch
 
 GAP_TOL = 1e-12
 
@@ -121,74 +123,10 @@ def exact_pcp(p: PcrProblem) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Compression factors R, possibly held in implicit form.
+# Compression factors R: plain d x s matrices, dense or scipy sparse.
 
-class DenseRight:
-    """Explicit d x s compression matrix."""
-
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.cols = self.matrix.shape[1]
-
-    def times(self, a):
-        out = a @ self.matrix
-        return np.asarray(out)
-
-    def expand(self, v):
-        return self.matrix @ v
-
-    def materialize(self):
-        return self.matrix
-
-
-class CountSketchRight:
-    """R = G^T for a CountSketch G, applied without materializing it.
-
-    A G^T is assembled in one pass over the stored nonzeros of A: column
-    j of the product is the signed sum of the columns of A hashed to j.
-    """
-
-    def __init__(self, g_op: CountSketch):
-        if g_op.kind != "countsketch":
-            raise ValueError("CountSketchRight wraps a CountSketch operator")
-        self.g = g_op
-        self.cols = g_op.out_dim
-
-    def times(self, a):
-        if sp.issparse(a):
-            return apply_left(self.g, a.T).T
-        return apply_left(self.g, np.asarray(a, dtype=float).T).T
-
-    def expand(self, v):
-        v = np.asarray(v, dtype=float)
-        return self.g.signs * v[self.g.rows]
-
-    def materialize(self):
-        return self.g.materialize().T
-
-
-class ComposedRight:
-    """R = R0 @ w for an inner factor R0 and a small dense matrix w."""
-
-    def __init__(self, base, w):
-        self.base = base
-        self.w = np.asarray(w, dtype=float)
-        self.cols = self.w.shape[1]
-
-    def times(self, a):
-        return self.base.times(a) @ self.w
-
-    def expand(self, v):
-        return self.base.expand(self.w @ v)
-
-    def materialize(self):
-        return self.base.materialize() @ self.w
-
-
-def _as_right(r):
-    if isinstance(r, (DenseRight, CountSketchRight, ComposedRight)):
-        return r
-    return DenseRight(np.atleast_2d(np.asarray(r, dtype=float)))
+def _as_r(r):
+    return r if sp.issparse(r) else as_matrix(r, "R")
 
 
 def build_r_left(p: PcrProblem, s_op) -> np.ndarray:
@@ -200,45 +138,43 @@ def build_r_left(p: PcrProblem, s_op) -> np.ndarray:
 
 
 def build_r_right(g_op):
-    """R = G^T, kept implicit for CountSketch."""
-    if g_op.kind == "countsketch":
-        return CountSketchRight(g_op)
-    if g_op.kind == "subgaussian":
-        return DenseRight(g_op.matrix.T)
-    raise ValueError(f"unsupported sketch kind {g_op.kind!r} for right sketching")
+    """R = G^T: a sparse matrix for a CountSketch, dense for a subgaussian G."""
+    return g_op.matrix.T
 
 
-def build_r_twosided(p: PcrProblem, s_op, g_op):
-    """R = G^T V_{S A G^T, k}: column compression followed by row compression."""
-    right = build_r_right(g_op)
-    c = right.times(p.a)
-    d = apply_left(s_op, c)
+def build_r_twosided(p: PcrProblem, s_op, g_op) -> np.ndarray:
+    """R = G^T V_{S A G^T, k}: column compression followed by row compression.
+
+    Returned as the dense d x k product, so that the solver forms A R
+    directly instead of A G^T a second time.
+    """
+    g_t = build_r_right(g_op)
+    d = apply_left(s_op, _dense(p.a @ g_t))
     f = thin_svd(d, p.k)
     require_gap(f.sigma, p.k, "S A G^T")
-    return ComposedRight(right, f.v_k)
+    return g_t @ f.v_k
 
 
 def sketched_pcr(p: PcrProblem, r) -> PcrSolution:
     """Rank-k PCR on the compressed matrix A R, mapped back through R.
 
     x = R V_{AR,k} (A R V_{AR,k})^+ b. The product A R is formed first
-    (in one pass over the nonzeros when R is an implicit CountSketch
+    (in one pass over the nonzeros when R is a sparse CountSketch
     transpose) and then factorized, which is the cheap ordering.
     """
     t0 = time.perf_counter()
-    rw = _as_right(r)
-    if rw.cols < p.k:
-        raise ValueError(f"R has {rw.cols} columns, fewer than k={p.k}")
-    ar = rw.times(p.a)
-    f = thin_svd(ar, p.k)
+    r = _as_r(r)
+    if r.shape[1] < p.k:
+        raise ValueError(f"R has {r.shape[1]} columns, fewer than k={p.k}")
+    f = thin_svd(_dense(p.a @ r), p.k)
     require_gap(f.sigma, p.k, "A R")
     gamma = f.v_k @ ((f.u_k.T @ p.b) / f.sigma_k)
-    x = rw.expand(gamma)
+    x = r @ gamma
     elapsed = time.perf_counter() - t0
     return PcrSolution(
         x=x,
         method="sketched",
-        r_cols=rw.cols,
+        r_cols=r.shape[1],
         objective=_objective(p.a, x, p.b),
         constraint_norm=None,
         wall_time=elapsed,
@@ -248,14 +184,13 @@ def sketched_pcr(p: PcrProblem, r) -> PcrSolution:
 def cls(p: PcrProblem, r) -> PcrSolution:
     """Compressed least squares: x = R (A R)^+ b, no rank truncation."""
     t0 = time.perf_counter()
-    rw = _as_right(r)
-    ar = rw.times(p.a)
-    x = rw.expand(pinv_solve(ar, p.b))
+    r = _as_r(r)
+    x = r @ pinv_solve(_dense(p.a @ r), p.b)
     elapsed = time.perf_counter() - t0
     return PcrSolution(
         x=x,
         method="cls",
-        r_cols=rw.cols,
+        r_cols=r.shape[1],
         objective=_objective(p.a, x, p.b),
         constraint_norm=None,
         wall_time=elapsed,
@@ -442,20 +377,11 @@ def input_sparsity_pcp(p: PcrProblem, s=None, t=None, eps=1e-3, seed=0,
 
     # Drop the zero rows of G so that G^T has no zero columns and
     # sigma_min(G^T) >= 1.
-    occupied = np.unique(g_op.rows)
-    g_op = CountSketch(
-        out_dim=len(occupied),
-        in_dim=d,
-        seed=seed_g,
-        rows=np.searchsorted(occupied, g_op.rows).astype(np.int64),
-        signs=g_op.signs,
-    )
-
-    right = CountSketchRight(g_op)
-    c = right.times(p.a)
-    d_mat = apply_left(s_op, c)
-    f = thin_svd(d_mat, p.k)
+    g = g_op.matrix
+    g_t = g[np.diff(g.indptr) > 0].T
+    c = _dense(p.a @ g_t)
+    f = thin_svd(apply_left(s_op, c), p.k)
     require_gap(f.sigma, p.k, "S A G^T")
 
     gamma = precond_iterative_ls(ProductOperator(c, f.v_k), p.b, eps / d, seed=seed_ls)
-    return right.expand(f.v_k @ gamma)
+    return g_t @ (f.v_k @ gamma)

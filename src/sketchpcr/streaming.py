@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import RankDeficiencyError
 from .linalg import as_vector, pinv_solve, rank_tolerance, thin_svd
-from .sketch import _hash_pair, gen_countsketch
+from .sketch import _hash_pair
 from .solvers import PcrSolution, require_gap
 
 
@@ -42,9 +42,6 @@ class StreamingCountSketch:
     def sign(self, index):
         return self._g.sign(index)
 
-    def materialize(self, n):
-        return gen_countsketch(self.out_dim, n, self.seed)
-
 
 class StreamingGaussian:
     """Subgaussian sketch whose column i is replayable from (seed, i)."""
@@ -61,29 +58,6 @@ class StreamingGaussian:
         bitgen = np.random.Philox(key=self.seed, counter=index << 128)
         rng = np.random.Generator(bitgen)
         return rng.standard_normal(self.out_dim) * self._scale
-
-    def materialize(self, n):
-        m = np.empty((self.out_dim, n))
-        for i in range(n):
-            m[:, i] = self.column(i)
-        return m
-
-
-class IdentityStreamSketch:
-    """Degenerate sketch that copies row i to accumulator row i."""
-
-    kind = "identity"
-
-    def __init__(self, out_dim):
-        self.out_dim = out_dim
-
-    def bucket(self, index):
-        if index >= self.out_dim:
-            raise ValueError("identity sketch ran out of rows")
-        return index
-
-    def sign(self, index):
-        return 1.0
 
 
 def _make_spec(kind, rows, seed):

@@ -91,6 +91,24 @@ def poly_feature_vector(z, degree):
     return poly_features(np.asarray(z)[None, :], degree)[0]
 
 
+def countsketch_dense(op):
+    """Dense CountSketch matrix built entry by entry from its hash tables."""
+    m = np.zeros((op.out_dim, op.in_dim))
+    for j in range(op.in_dim):
+        m[op.rows[j], j] = op.signs[j]
+    return m
+
+
+def countsketch_apply_loop(op, a):
+    """S @ a by a plain loop over the columns of S, summing in index order."""
+    a = np.asarray(a, dtype=float)
+    out = np.zeros((op.out_dim, a.shape[1]))
+    for j in range(op.in_dim):
+        for c in range(a.shape[1]):
+            out[op.rows[j], c] += op.signs[j] * a[j, c]
+    return out
+
+
 def tensorsketch_bruteforce(op, z):
     """Apply the TensorSketch by enumerating every monomial of phi(z)."""
     d, q, t = op.in_dim, op.degree, op.out_dim

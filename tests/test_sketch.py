@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sketchpcr.kernel import sketched_feature_matrix
 from sketchpcr.sketch import (
     CountSketch,
-    TouchCounter,
     apply_left,
     gen_countsketch,
     gen_subgaussian,
@@ -17,7 +17,13 @@ from sketchpcr.sketch import (
     tensorsketch_apply,
     tensorsketch_materialize,
 )
-from oracles import tensorsketch_bruteforce
+from oracles import (
+    countsketch_apply_loop,
+    countsketch_dense,
+    poly_feature_vector,
+    poly_features,
+    tensorsketch_bruteforce,
+)
 
 
 class TestSubgaussian:
@@ -41,9 +47,10 @@ class TestSubgaussian:
 class TestCountSketch:
     def test_one_nonzero_per_column(self):
         op = gen_countsketch(7, 30, seed=3)
-        m = op.materialize()
+        m = op.matrix.toarray()
         assert np.all(np.count_nonzero(m, axis=0) == 1)
         assert set(np.unique(m)) <= {-1.0, 0.0, 1.0}
+        assert np.array_equal(m, countsketch_dense(op))
 
     def test_row_occupancy_roughly_uniform(self):
         op = gen_countsketch(10, 10000, seed=4)
@@ -85,7 +92,7 @@ class TestApplyLeft:
 
     def test_apply_to_identity_materializes(self):
         op = gen_countsketch(6, 9, seed=7)
-        assert np.array_equal(apply_left(op, np.eye(9)), op.materialize())
+        assert np.array_equal(apply_left(op, np.eye(9)), countsketch_dense(op))
         dense_op = gen_subgaussian(6, 9, seed=7)
         assert np.allclose(apply_left(dense_op, np.eye(9)), dense_op.matrix)
 
@@ -99,14 +106,14 @@ class TestApplyLeft:
             out_dense = apply_left(op, dense)
             assert np.allclose(out_sparse, out_dense, atol=1e-12)
 
-    def test_touch_counter_equals_nnz(self):
+    def test_countsketch_bit_exact_against_loop(self):
         rng = np.random.default_rng(10)
-        dense = rng.standard_normal((25, 4))
-        dense[rng.random((25, 4)) < 0.7] = 0.0
-        sparse = sp.csr_matrix(dense)
-        counter = TouchCounter()
-        apply_left(gen_countsketch(8, 25, seed=12), sparse, touch_counter=counter)
-        assert counter.count == sparse.nnz
+        dense = rng.standard_normal((40, 5))
+        dense[rng.random((40, 5)) < 0.6] = 0.0
+        op = gen_countsketch(8, 40, seed=12)
+        want = countsketch_apply_loop(op, dense)
+        assert np.array_equal(apply_left(op, dense), want)
+        assert np.array_equal(apply_left(op, sp.csr_matrix(dense)), want)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -200,7 +207,6 @@ class TestTensorSketch:
         got = tensorsketch_apply(op, z)
         assert np.allclose(got, want, atol=1e-8)
         # and via the materialized matrix acting on phi(z)
-        from oracles import poly_feature_vector
         phi = poly_feature_vector(z, 2)
         assert np.allclose(tensorsketch_materialize(op).T @ phi, got, atol=1e-8)
 
@@ -209,14 +215,31 @@ class TestTensorSketch:
         assert np.array_equal(tensorsketch_apply(op, np.zeros(4)), np.zeros(16))
 
     def test_fft_and_direct_paths_agree(self):
+        # odd and even widths: the circular convolution must wrap correctly
         rng = np.random.default_rng(22)
         z = rng.standard_normal(3)
-        op_big = gen_tensorsketch(3, 3, 71, seed=23)  # t >= 64: FFT path
-        want = tensorsketch_bruteforce(op_big, z)
-        assert np.allclose(tensorsketch_apply(op_big, z), want, atol=1e-8)
-        op_small = gen_tensorsketch(3, 3, 20, seed=23)  # direct path
-        assert np.allclose(tensorsketch_apply(op_small, z),
-                           tensorsketch_bruteforce(op_small, z), atol=1e-8)
+        for t in (71, 20):
+            op = gen_tensorsketch(3, 3, t, seed=23)
+            assert np.allclose(tensorsketch_apply(op, z), tensorsketch_bruteforce(op, z),
+                               atol=1e-8)
+
+    def test_batch_matches_per_row(self):
+        rng = np.random.default_rng(25)
+        z = rng.standard_normal((7, 5))
+        for q, t in ((1, 9), (2, 16), (3, 33)):
+            op = gen_tensorsketch(q, 5, t, seed=26)
+            batch = tensorsketch_apply(op, z)
+            assert batch.shape == (7, t)
+            for i in range(7):
+                assert np.allclose(batch[i], tensorsketch_apply(op, z[i]),
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_feature_matrix_matches_explicit_features(self):
+        rng = np.random.default_rng(27)
+        a = rng.standard_normal((6, 4))
+        op = gen_tensorsketch(3, 4, 32, seed=28)
+        want = poly_features(a, 3) @ tensorsketch_materialize(op)
+        assert np.allclose(sketched_feature_matrix(a, op), want, atol=1e-10)
 
     def test_inner_product_preservation(self):
         # mean over seeds of <Rphi(x), Rphi(z)> approaches (x.z)^2 for q=2

@@ -9,7 +9,6 @@ from sketchpcr.evaluation import planted_matrix
 from sketchpcr.linalg import pinv_solve, spectral_norm, subspace_distance, thin_svd
 from sketchpcr.sketch import gen_countsketch, gen_subgaussian, identity_embedding
 from sketchpcr.solvers import (
-    CountSketchRight,
     PcrProblem,
     ProductOperator,
     build_r_left,
@@ -23,7 +22,7 @@ from sketchpcr.solvers import (
     precond_iterative_ls,
     sketched_pcr,
 )
-from oracles import reduced_ls_objective, rotated_basis
+from oracles import countsketch_dense, reduced_ls_objective, rotated_basis
 
 
 def eq3_bruteforce(a, r_mat, b, k):
@@ -112,9 +111,8 @@ class TestSketchedPcr:
         b = rng.standard_normal(30)
         p = PcrProblem(a=a, b=b, k=3)
         g = gen_countsketch(8, 10, seed=10)
-        right = build_r_right(g)
-        sol = sketched_pcr(p, right)
-        want = eq3_bruteforce(a, right.materialize(), b, 3)
+        sol = sketched_pcr(p, build_r_right(g))
+        want = eq3_bruteforce(a, countsketch_dense(g).T, b, 3)
         assert np.allclose(sol.x, want, atol=1e-9)
 
     def test_rejects_r_narrower_than_k(self):
@@ -160,7 +158,7 @@ class TestBuildR:
         rng = np.random.default_rng(19)
         a = rng.standard_normal((9, 6))
         g = gen_countsketch(4, 6, seed=20)
-        ar = CountSketchRight(g).times(a)
+        ar = a @ build_r_right(g)
         want = np.zeros((9, 4))
         for i in range(6):
             want[:, g.rows[i]] += g.signs[i] * a[:, i]
@@ -170,46 +168,47 @@ class TestBuildR:
         rng = np.random.default_rng(21)
         a = rng.standard_normal((7, 5))
         right = build_r_right(identity_embedding(5))
-        assert np.allclose(right.times(a), a, atol=0)
+        assert np.allclose(a @ right, a, atol=0)
 
     def test_right_implicit_matches_materialized(self):
         rng = np.random.default_rng(22)
         a = rng.standard_normal((15, 9))
-        right = build_r_right(gen_countsketch(6, 9, seed=23))
-        assert np.allclose(right.times(a), a @ right.materialize(), atol=1e-12)
+        g = gen_countsketch(6, 9, seed=23)
+        right = build_r_right(g)
+        assert np.allclose(a @ right, a @ countsketch_dense(g).T, atol=1e-12)
         v = rng.standard_normal(6)
-        assert np.allclose(right.expand(v), right.materialize() @ v, atol=1e-12)
+        assert np.allclose(right @ v, countsketch_dense(g).T @ v, atol=1e-12)
 
     def test_right_sparse_input(self):
         rng = np.random.default_rng(24)
         dense = rng.standard_normal((20, 8))
         dense[rng.random((20, 8)) < 0.5] = 0.0
         right = build_r_right(gen_countsketch(5, 8, seed=25))
-        assert np.allclose(right.times(sp.csr_matrix(dense)), right.times(dense), atol=1e-12)
+        assert np.allclose((sp.csr_matrix(dense) @ right).toarray(), dense @ right, atol=1e-12)
 
     def test_twosided_identity_recovers_top_subspace(self):
         p = random_problem(26)
         r = build_r_twosided(p, identity_embedding(40), identity_embedding(12))
         f = thin_svd(p.a, p.k)
         # sqrt(1 - sigma_min^2) has a ~1e-8 precision floor near zero distance
-        assert subspace_distance(r.materialize(), f.v_k) < 1e-7
+        assert subspace_distance(r, f.v_k) < 1e-7
 
     def test_twosided_matches_algorithm_intermediates(self):
         p = random_problem(27)
         s_op = gen_countsketch(20, 40, seed=28)
         g_op = gen_countsketch(8, 12, seed=29)
         r = build_r_twosided(p, s_op, g_op)
-        c = p.a @ g_op.materialize().T
-        d = s_op.materialize() @ c
+        c = p.a @ countsketch_dense(g_op).T
+        d = countsketch_dense(s_op) @ c
         f_d = thin_svd(d, p.k)
-        want = g_op.materialize().T @ f_d.v_k
-        assert np.allclose(r.materialize(), want, atol=1e-9)
+        want = countsketch_dense(g_op).T @ f_d.v_k
+        assert np.allclose(r, want, atol=1e-9)
 
     def test_twosided_solution_matches_bruteforce(self):
         p = random_problem(30)
         r = build_r_twosided(p, gen_countsketch(20, 40, seed=31), gen_countsketch(8, 12, seed=32))
         sol = sketched_pcr(p, r)
-        want = eq3_bruteforce(p.a, r.materialize(), p.b, p.k)
+        want = eq3_bruteforce(p.a, r, p.b, p.k)
         assert np.allclose(sol.x, want, atol=1e-9)
 
 
@@ -315,7 +314,7 @@ class TestInputSparsityPcp:
         g_mat = np.zeros((len(occupied), 40))
         g_mat[np.searchsorted(occupied, g_op.rows), np.arange(40)] = g_op.signs
         c = a @ g_mat.T
-        d_mat = s_op.materialize() @ c
+        d_mat = countsketch_dense(s_op) @ c
         f_d = thin_svd(d_mat, 3)
         r_mat = g_mat.T @ f_d.v_k
         x_r = r_mat @ (np.linalg.pinv(a @ r_mat) @ b)
@@ -351,7 +350,7 @@ class TestInputSparsityPcp:
             g_mat = np.zeros((len(occupied), 80))
             g_mat[np.searchsorted(occupied, g_op.rows), np.arange(80)] = g_op.signs
             c = a @ g_mat.T
-            f_d = thin_svd(s_op.materialize() @ c, 4)
+            f_d = thin_svd(countsketch_dense(s_op) @ c, 4)
             r_mat = g_mat.T @ f_d.v_k
             x_r = r_mat @ (np.linalg.pinv(a @ r_mat) @ b)
             if np.linalg.norm(y - x_r) ** 2 <= 1e-3 * np.linalg.norm(x_r) ** 2:

@@ -1,0 +1,61 @@
+import numpy as np
+import pytest
+
+from sketchpcr.evaluation import planted_matrix
+from sketchpcr.linalg import pinv_solve
+from sketchpcr.sketch import SubgaussianSketch, apply_left, gen_countsketch
+from sketchpcr.solvers import PcrProblem, build_r_left
+from sketchpcr.streaming import stream_finalize, stream_init, stream_update
+
+N, D, K = 150, 10, 3
+
+
+def planted_problem(seed=60):
+    rng = np.random.default_rng(seed)
+    a = planted_matrix(N, D, K, 0.4, seed=seed)
+    b = a @ rng.standard_normal(D) + 0.1 * rng.standard_normal(N)
+    return a, b
+
+
+def run_stream(a, b, s_kind, t_kind, seed=61):
+    st = stream_init(D, 24, 60, seed, s_kind=s_kind, t_kind=t_kind)
+    for row, b_entry in zip(a, b):
+        stream_update(st, row, b_entry)
+    return st
+
+
+def explicit_sketch(spec, n):
+    """The batch sketch whose column i the stream spec draws for row i."""
+    if spec.kind == "countsketch":
+        return gen_countsketch(spec.out_dim, n, spec.seed)
+    cols = np.column_stack([spec.column(i) for i in range(n)])
+    return SubgaussianSketch(out_dim=spec.out_dim, in_dim=n, seed=spec.seed, matrix=cols)
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("s_kind, t_kind", [("subgaussian", "countsketch"),
+                                                ("countsketch", "subgaussian")])
+    def test_matches_batch_estimator_on_explicit_sketches(self, s_kind, t_kind):
+        a, b = planted_problem()
+        st = run_stream(a, b, s_kind, t_kind)
+        x = stream_finalize(st, K).x
+        s_op = explicit_sketch(st.s_spec, N)
+        t_op = explicit_sketch(st.t_spec, N)
+        r = build_r_left(PcrProblem(a=a, b=b, k=K), s_op)
+        want = r @ pinv_solve(apply_left(t_op, a) @ r, apply_left(t_op, b[:, None]).ravel())
+        assert np.allclose(x, want, rtol=1e-9, atol=1e-12)
+
+    def test_replay_is_deterministic(self):
+        a, b = planted_problem()
+        first = stream_finalize(run_stream(a, b, "subgaussian", "countsketch"), K).x
+        second = stream_finalize(run_stream(a, b, "subgaussian", "countsketch"), K).x
+        assert np.array_equal(first, second)
+
+    def test_memory_independent_of_rows_seen(self):
+        a, b = planted_problem()
+        st = stream_init(D, 24, 60, 62, s_kind="subgaussian", t_kind="countsketch")
+        sizes = [st.memory_bytes()]
+        for row, b_entry in zip(a, b):
+            stream_update(st, row, b_entry)
+            sizes.append(st.memory_bytes())
+        assert set(sizes) == {(24 * D + 60 * D + 60) * 8}
