@@ -15,24 +15,21 @@ from .evaluation import (
     classic_pcr_risk_bound,
     exact_risk,
     excess_risk_mc,
-    left_gram_eps,
     planted_matrix,
     planted_spectrum,
-    right_gram_eps,
     risk_bound_check,
     sample_response,
-    twosided_gram_eps,
 )
 from .kernel import (
     KernelModel,
     KernelSpec,
     exact_kernel_pcr,
     fit_exact,
+    fit_sketched_features,
     kernel_matrix,
     kernel_predict,
     sketched_kernel_pcr,
     sketched_kernel_predict,
-    theorem_sketch_cols,
 )
 from .linalg import (
     TruncatedSvd,

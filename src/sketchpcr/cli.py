@@ -119,7 +119,8 @@ def _load_problem(args, need_k=True):
         if args.data.endswith(".csv"):
             a, b = data_io.load_dense_csv(args.data)
         else:
-            a, b = data_io.load_svmlight(args.data, center_response=args.center_response)
+            a, b = data_io.load_svmlight(args.data, center_response=args.center_response,
+                                         n_features=args.dims)
         default_k = None
     else:
         raise CliError("one of --data or --synthetic is required")
@@ -389,13 +390,9 @@ def _stream_rows(args):
         for _, values in data_io.csv_rows(args.data):
             yield np.asarray(values[:-1]), values[-1]
         return
-    if args.dims is None or args.dims < 1:
-        raise CliError("streaming svmlight input needs --dims >= 1")
-    for lineno, label, cols, values in data_io.svmlight_rows(args.data):
-        if cols and cols[-1] >= args.dims:
-            raise data_io.DataFormatError(
-                f"{args.data}:{lineno}: index {cols[-1] + 1} exceeds --dims {args.dims}"
-            )
+    if args.dims is None:
+        raise CliError("streaming svmlight input needs --dims")
+    for _, label, cols, values in data_io.svmlight_rows(args.data, args.dims):
         row = np.zeros(args.dims)
         row[cols] = values
         yield row, label
@@ -445,8 +442,9 @@ def cmd_kernel(args):
             raise CliError("sketched kernel mode needs --sketch-cols")
         d_eff = a.shape[1] + (1 if args.offset > 0 else 0)
         ts = sketch.gen_tensorsketch(args.degree, d_eff, args.sketch_cols, args.seed0)
-        model = kpcr.sketched_kernel_pcr(a, b, rank, ts, offset=args.offset)
-        preds = kpcr.sketched_feature_matrix(a, ts, args.offset) @ model.gamma
+        phi_r = kpcr.sketched_feature_matrix(a, ts, args.offset)
+        model = kpcr.fit_sketched_features(phi_r, b, rank, ts, offset=args.offset)
+        preds = phi_r @ model.gamma
     elapsed = time.perf_counter() - t0
     rmse = float(np.linalg.norm(preds - b) / math.sqrt(len(b)))
     report = RunReport(task="kernel")
@@ -496,7 +494,8 @@ def build_parser():
                        help="constant in the Gram-property sizing formulas")
         p.add_argument("--center-response", action="store_true",
                        help="subtract the response mean when loading svmlight data")
-        p.add_argument("--dims", type=int, help="feature count for streamed svmlight input")
+        p.add_argument("--dims", type=int,
+                       help="feature count of svmlight input (required to stream it)")
         p.add_argument("--degree", type=int, default=2, help="polynomial kernel degree")
         p.add_argument("--offset", type=float, default=0.0, help="polynomial kernel offset")
         p.add_argument("--rank", type=int, help="kernel PCR rank")

@@ -228,29 +228,3 @@ def risk_bound_check(model: FixedDesignModel, k, kind, params=None) -> RiskBound
                                details={"d2": dist, "nu": nu})
 
     raise ValueError(f"unknown risk bound kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Converting a target subspace accuracy nu into sketch sizes. The Gram
-# tolerance eps below which the Davis-Kahan chain delivers nu follows
-# the sketching guarantees; the row counts then come from
-# sketch.sketch_rows_for_gram.
-
-def left_gram_eps(nu, gap):
-    z = nu / math.sqrt(1.0 + nu**2)
-    return gap * z / (1.0 + z)
-
-
-def right_gram_eps(nu, gap):
-    return gap * nu / (1.0 + nu)
-
-
-def twosided_gram_eps(nu, gap_a, gap_c=None):
-    """(eps for G against A^T, eps for S against A G^T)."""
-    if gap_c is None:
-        gap_c = gap_a
-    half = nu / 2.0
-    eps_g = gap_a * half / (1.0 + half)
-    w = half / math.sqrt(1.0 + half**2)
-    eps_s = gap_c * w / (1.0 + w)
-    return eps_g, eps_s

@@ -73,13 +73,16 @@ def csv_rows(path):
             yield lineno, _parse_row(fields, path, lineno)
 
 
-def svmlight_rows(path):
+def svmlight_rows(path, n_features=None):
     """Yield (line number, label, columns, values) per svmlight line.
 
     Lines read ``label idx:val idx:val ...``; ``#`` starts a comment.
-    Indices are 1-based and must be strictly increasing within a line;
-    the yielded columns are 0-based.
+    Indices are 1-based, strictly increasing within a line and, when
+    ``n_features`` is given, at most ``n_features``; the yielded columns
+    are 0-based.
     """
+    if n_features is not None and n_features < 1:
+        raise ValueError(f"feature count must be at least 1, got {n_features}")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -105,6 +108,10 @@ def svmlight_rows(path):
                 prev = idx
                 values.append(_parse_float(value_s, where))
                 cols.append(idx - 1)
+            if n_features is not None and prev > n_features:
+                raise DataFormatError(
+                    f"{path}:{lineno}: index {prev} exceeds the feature count {n_features}"
+                )
             yield lineno, label, cols, values
 
 
@@ -120,27 +127,29 @@ def load_dense_csv(path):
     return arr[:, :-1], arr[:, -1]
 
 
-def load_svmlight(path, center_response=False):
+def load_svmlight(path, center_response=False, n_features=None):
     """Read an svmlight/libsvm file, validated by :func:`svmlight_rows`.
 
-    Returns (csr_matrix, labels); the column count is the largest index
-    seen, and labels are mean-centered when asked.
+    Returns (csr_matrix, labels). The column count is ``n_features`` when
+    given (a larger index is an error), else the largest index seen, so
+    trailing all-zero columns need ``n_features`` to survive a round
+    trip. Labels are mean-centered when asked.
     """
     labels = []
     data, indices, indptr = [], [], [0]
-    n_features = 0
-    for _, label, cols, values in svmlight_rows(path):
+    largest = 0
+    for _, label, cols, values in svmlight_rows(path, n_features):
         labels.append(label)
         data.extend(values)
         indices.extend(cols)
         indptr.append(len(data))
         if cols:
-            n_features = max(n_features, cols[-1] + 1)
+            largest = max(largest, cols[-1] + 1)
     if not labels:
         raise DataFormatError(f"{path}: file is empty")
     x = sp.csr_matrix(
         (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(labels), n_features),
+        shape=(len(labels), largest if n_features is None else n_features),
     )
     b = np.asarray(labels)
     if center_response:

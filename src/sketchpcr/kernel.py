@@ -3,8 +3,8 @@ TensorSketch.
 
 The degree-q polynomial kernel K(x, z) = (x^T z + c)^q corresponds to an
 implicit feature matrix Phi with d^q columns. The exact path never forms
-Phi: it eigendecomposes the n x n Gram matrix and keeps dual
-coefficients. The sketched path compresses Phi's columns with
+Phi: it takes the top k+1 eigenpairs of the n x n Gram matrix and keeps
+dual coefficients. The sketched path compresses Phi's columns with
 TensorSketch, one batched call over all rows, and runs ordinary rank-k
 PCR in the t-dimensional sketched feature space. The non-homogeneous
 offset c is handled by appending a constant sqrt(c) feature to every
@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import GapError, RankDeficiencyError
 from .linalg import as_matrix, as_vector, thin_svd
@@ -78,7 +79,9 @@ def exact_kernel_pcr(k_mat, b, k, train=None, spec=None) -> KernelModel:
     b = as_vector(b, length=n, name="b")
     if not 1 <= k <= n:
         raise ValueError(f"rank k={k} out of range [1, {n}]")
-    evals, evecs = np.linalg.eigh(k_mat)
+    # Only the top k+1 eigenpairs are read: the k kept ones and the gap.
+    m = min(k + 1, n)
+    evals, evecs = scipy.linalg.eigh(k_mat, subset_by_index=[n - m, n - 1])
     evals, evecs = evals[::-1].copy(), evecs[:, ::-1].copy()
     top = evals[0]
     if top <= 0:
@@ -134,7 +137,13 @@ def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:
     """
     a = as_matrix(a, "a")
     b = as_vector(b, length=a.shape[0], name="b")
-    phi_r = sketched_feature_matrix(a, ts, offset)
+    return fit_sketched_features(sketched_feature_matrix(a, ts, offset), b, k, ts, offset)
+
+
+def fit_sketched_features(phi_r, b, k, ts, offset=0.0) -> KernelModel:
+    """:func:`sketched_kernel_pcr` on features already computed by
+    :func:`sketched_feature_matrix` with the same ``ts`` and ``offset``."""
+    b = as_vector(b, length=phi_r.shape[0], name="b")
     if not 1 <= k <= min(phi_r.shape):
         raise ValueError(f"rank k={k} out of range for the sketched features")
     f = thin_svd(phi_r, k)
@@ -150,21 +159,3 @@ def sketched_kernel_predict(model: KernelModel, z):
         raise ValueError("sketched_kernel_predict needs a sketched model")
     z = augment_offset(np.asarray(z, dtype=float).reshape(1, -1), model.spec.offset)[0]
     return float(tensorsketch_apply(model.ts, z) @ model.gamma)
-
-
-def theorem_sketch_cols(k_mat, k, degree, nu, delta, const=1.0):
-    """Sketch width from the kernel risk guarantee.
-
-    ceil(const * 3^q tr(K)^2 / ((lambda_k - lambda_{k+1})^2 nu^2 delta)).
-    Exposed for completeness; it is pessimistic at small scale, so
-    callers usually pick the width directly.
-    """
-    k_mat = as_matrix(k_mat, "k_mat")
-    if not 0 < nu < 0.5 or not 0 < delta < 0.5:
-        raise ValueError("nu and delta must lie in (0, 1/2)")
-    evals = np.sort(np.linalg.eigvalsh(k_mat))[::-1]
-    gap = evals[k - 1] - (evals[k] if k < len(evals) else 0.0)
-    if gap <= 0:
-        raise GapError("kernel spectrum has no eigengap at k")
-    trace = float(np.sum(np.clip(evals, 0.0, None)))
-    return max(1, math.ceil(const * 3.0**degree * trace**2 / (gap**2 * nu**2 * delta)))

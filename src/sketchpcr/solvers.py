@@ -16,6 +16,8 @@ conjugate-gradient iteration.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ import scipy.sparse as sp
 
 from .errors import ConvergenceError, GapError, RankDeficiencyError
 from .linalg import (
+    TruncatedSvd,
     as_matrix,
     as_vector,
     pinv_solve,
@@ -39,7 +42,28 @@ GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
+class ExactReference:
+    """The thin SVD of A split at k, with ``u_rest`` dropped (None) to save
+    memory, and the seconds it took to compute.
+
+    The leakage U_rest^T A y equals sigma_rest * (V_rest^T y) for the thin
+    SVD, so no consumer needs U_rest.
+    """
+
+    svd: TruncatedSvd
+    seconds: float
+
+
+@dataclass(frozen=True)
 class PcrProblem:
+    """A rank-k PCR instance min |A x - b| over span(V_{A,k}).
+
+    A dense A is held as a read-only view, so that the exact reference,
+    computed on first use and cached, cannot go stale through ``p.a``.
+    The view shares memory with the array passed in, which the caller
+    must not change afterwards.
+    """
+
     a: object          # (n, d) dense array or scipy sparse matrix
     b: np.ndarray      # (n,)
     k: int
@@ -49,7 +73,9 @@ class PcrProblem:
             if not np.all(np.isfinite(self.a.data)):
                 raise ValueError("a contains NaN or Inf entries")
         else:
-            object.__setattr__(self, "a", as_matrix(self.a, "a"))
+            a = as_matrix(self.a, "a").view()
+            a.flags.writeable = False
+            object.__setattr__(self, "a", a)
         n, d = self.a.shape
         object.__setattr__(self, "b", as_vector(self.b, length=n, name="b"))
         if not 1 <= self.k <= min(n, d):
@@ -59,8 +85,17 @@ class PcrProblem:
     def shape(self):
         return self.a.shape
 
-    def dense_a(self):
-        return self.a.toarray() if sp.issparse(self.a) else np.asarray(self.a, dtype=float)
+    @functools.cached_property
+    def reference(self) -> ExactReference:
+        """Thin SVD of A split at k: one full SVD per problem, on first use.
+
+        Callers check the spectrum with :func:`require_gap` themselves, so
+        a degenerate A raises on every call, not only the first.
+        """
+        t0 = time.perf_counter()
+        a = self.a.toarray() if sp.issparse(self.a) else self.a
+        f = dataclasses.replace(thin_svd(a, self.k), u_rest=None)
+        return ExactReference(svd=f, seconds=time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -96,19 +131,28 @@ def _objective(a, x, b):
     return float(np.linalg.norm(a @ x - b))
 
 
-def exact_pcr(p: PcrProblem) -> PcrSolution:
-    """PCR solution x_k = V_{A,k} Sigma_{A,k}^-1 U_{A,k}^T b."""
-    t0 = time.perf_counter()
-    a = p.dense_a()
-    f = thin_svd(a, p.k)
+def _checked_reference(p: PcrProblem) -> TruncatedSvd:
+    f = p.reference.svd
     require_gap(f.sigma, p.k, "A")
+    return f
+
+
+def exact_pcr(p: PcrProblem) -> PcrSolution:
+    """PCR solution x_k = V_{A,k} Sigma_{A,k}^-1 U_{A,k}^T b.
+
+    ``wall_time`` includes the SVD of A whether this call or an earlier
+    one on the same problem computed it.
+    """
+    svd_seconds = p.reference.seconds
+    t0 = time.perf_counter()
+    f = _checked_reference(p)
     x = f.v_k @ ((f.u_k.T @ p.b) / f.sigma_k)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0 + svd_seconds
     return PcrSolution(
         x=x,
         method="exact",
         r_cols=0,
-        objective=_objective(a, x, p.b),
+        objective=_objective(p.a, x, p.b),
         constraint_norm=float(np.linalg.norm(f.v_rest.T @ x)),
         wall_time=elapsed,
     )
@@ -116,9 +160,7 @@ def exact_pcr(p: PcrProblem) -> PcrSolution:
 
 def exact_pcp(p: PcrProblem) -> np.ndarray:
     """Projection of b onto the span of the top-k left singular vectors."""
-    a = p.dense_a()
-    f = thin_svd(a, p.k)
-    require_gap(f.sigma, p.k, "A")
+    f = _checked_reference(p)
     return f.u_k @ (f.u_k.T @ p.b)
 
 
@@ -201,28 +243,26 @@ def certify(p: PcrProblem, sol: PcrSolution, mode: str) -> ApproxCertificate:
     """Measure the additive objective error and constraint leakage of a
     candidate solution against the exact rank-k reference.
 
-    Diagnostic only: requires a full SVD of A, so intended for problem
-    sizes where the exact solution is tractable.
+    Diagnostic only: needs the full SVD of A, computed once per problem
+    (see :attr:`PcrProblem.reference`), so intended for problem sizes
+    where the exact solution is tractable.
     """
     if mode not in ("pcr", "pcp"):
         raise ValueError("mode must be 'pcr' or 'pcp'")
-    a = p.dense_a()
-    f = thin_svd(a, p.k)
-    require_gap(f.sigma, p.k, "A")
+    f = _checked_reference(p)
     nb = float(np.linalg.norm(p.b))
     if nb == 0.0:
         raise ValueError("b is zero; certificates are undefined")
     if mode == "pcr":
         x_k = f.v_k @ ((f.u_k.T @ p.b) / f.sigma_k)
-        ref = float(np.linalg.norm(a @ x_k - p.b))
-        obj = float(np.linalg.norm(a @ sol.x - p.b))
+        ref = _objective(p.a, x_k, p.b)
+        obj = _objective(p.a, sol.x, p.b)
         leak = float(np.linalg.norm(f.v_rest.T @ sol.x))
     else:
         b_k = f.u_k @ (f.u_k.T @ p.b)
         ref = float(np.linalg.norm(b_k - p.b))
-        b_tilde = a @ sol.x
-        obj = float(np.linalg.norm(b_tilde - p.b))
-        leak = float(np.linalg.norm(f.u_rest.T @ b_tilde))
+        obj = _objective(p.a, sol.x, p.b)
+        leak = float(np.linalg.norm(f.sigma_rest * (f.v_rest.T @ sol.x)))
     return ApproxCertificate(
         eps_observed=abs(obj - ref) / nb,
         upsilon_observed=leak / nb,

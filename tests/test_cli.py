@@ -1,6 +1,12 @@
+import json
+import math
+import time
+
+import numpy as np
 import pytest
 
-from sketchpcr.cli import main
+from sketchpcr import kernel, sketch, solvers
+from sketchpcr.cli import _parse_synthetic, main
 
 STREAM = ["stream", "--k", "1", "--s", "2", "--t", "2"]
 
@@ -35,6 +41,13 @@ def test_svmlight_stream_needs_dims(tmp_path):
     assert main(STREAM + ["--data", str(path)]) == 1
 
 
+def test_svmlight_stream_rejects_dims_below_1(tmp_path, capsys):
+    path = tmp_path / "good.svm"
+    path.write_text("1.0 1:2.0\n")
+    assert main(STREAM + ["--data", str(path), "--dims", "0"]) == 1
+    assert "feature count must be at least 1" in capsys.readouterr().err
+
+
 def test_csv_stream(tmp_path, capsys):
     good = tmp_path / "good.csv"
     good.write_text("x1,x2,y\n1,2,3\n2,1,0\n0,1,1\n")
@@ -43,3 +56,46 @@ def test_csv_stream(tmp_path, capsys):
     bad.write_text("1,2,3\n2,1\n")
     assert main(STREAM + ["--data", str(bad)]) == 1
     assert f"{bad}:2: ragged row" in capsys.readouterr().err
+
+
+def test_solve_svmlight_honours_dims(tmp_path, capsys):
+    path = tmp_path / "d.svm"
+    path.write_text("1.0 1:2.0\n2.0 1:1.0 2:4.0\n3.0 2:1.0\n")
+    assert main(["solve", "--data", str(path), "--k", "1", "--dims", "3"]) == 0
+    assert main(["solve", "--data", str(path), "--k", "1", "--dims", "1"]) == 1
+    assert f"{path}:2: index 2 exceeds the feature count 1" in capsys.readouterr().err
+
+
+def test_sketched_kernel_features_computed_once(tmp_path, monkeypatch):
+    synthetic, seed, rank, width = "80,4,2,0.5", 3, 2, 64
+    a, b, _ = _parse_synthetic(synthetic, seed)
+    ts = sketch.gen_tensorsketch(2, a.shape[1], width, seed)
+    model = kernel.sketched_kernel_pcr(a, b, rank, ts)
+    preds = kernel.sketched_feature_matrix(a, ts) @ model.gamma
+    want = float(np.linalg.norm(preds - b) / math.sqrt(len(b)))
+
+    real, calls = sketch.tensorsketch_apply, []
+    monkeypatch.setattr(kernel, "tensorsketch_apply",
+                        lambda *args: calls.append(1) or real(*args))
+    out = tmp_path / "kernel.json"
+    assert main(["kernel", "--synthetic", synthetic, "--seed0", str(seed), "--mode",
+                 "sketched", "--degree", "2", "--rank", str(rank),
+                 "--sketch-cols", str(width), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["aggregates"][0]["train_rmse"] == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("order", ["exact,left", "left,exact"])
+def test_sweep_exact_wall_time_includes_the_svd(order, tmp_path, monkeypatch):
+    real = solvers.thin_svd
+
+    def slow_thin_svd(m, k):
+        time.sleep(0.05)
+        return real(m, k)
+
+    monkeypatch.setattr(solvers, "thin_svd", slow_thin_svd)
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--synthetic", "60,12,2,0.5", "--ratio", "3", "--seeds", "2",
+                 "--solver", order, "--out", str(out)]) == 0
+    exact, = [e for e in json.loads(out.read_text())["aggregates"] if e["method"] == "exact"]
+    assert exact["wall_time"]["min"] >= 0.05

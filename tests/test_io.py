@@ -34,12 +34,20 @@ class TestSvmlight:
         rng = np.random.default_rng(0)
         dense = rng.standard_normal((6, 5))
         dense[rng.random((6, 5)) < 0.5] = 0.0
-        dense[:, -1] = 1.0  # the column count comes from the largest index
+        dense[:, -1] = 0.0  # a trailing all-zero column is kept by n_features
         b = rng.standard_normal(6)
         path = tmp_path / "d.svm"
         write_svmlight(path, sp.csr_matrix(dense), b)
-        x, b_read = load_svmlight(path)
+        x, b_read = load_svmlight(path, n_features=5)
         assert np.array_equal(x.toarray(), dense) and np.array_equal(b_read, b)
+
+    def test_index_past_feature_count_rejected_with_position(self, tmp_path):
+        path = tmp_path / "d.svm"
+        path.write_text("1 1:1.0 2:1.0\n2 1:1.0 3:2.0\n")
+        with pytest.raises(DataFormatError,
+                           match=f"^{re.escape(str(path))}:2: index 3 exceeds the feature count 2"):
+            load_svmlight(path, n_features=2)
+        assert load_svmlight(path, n_features=3)[0].shape == (2, 3)
 
     @pytest.mark.parametrize("line, msg", [
         ("1 0:1.0", "indices are 1-based"),

@@ -1,15 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sketchpcr import solvers
 from sketchpcr.errors import GapError, RankDeficiencyError
 from sketchpcr.evaluation import planted_matrix
 from sketchpcr.linalg import pinv_solve, spectral_norm, subspace_distance, thin_svd
 from sketchpcr.sketch import gen_countsketch, gen_subgaussian, identity_embedding
 from sketchpcr.solvers import (
     PcrProblem,
+    PcrSolution,
     ProductOperator,
     build_r_left,
     build_r_right,
@@ -22,7 +25,7 @@ from sketchpcr.solvers import (
     precond_iterative_ls,
     sketched_pcr,
 )
-from oracles import countsketch_dense, reduced_ls_objective, rotated_basis
+from oracles import countsketch_dense, jacobi_svd, reduced_ls_objective, rotated_basis
 
 
 def eq3_bruteforce(a, r_mat, b, k):
@@ -225,7 +228,6 @@ class TestCertify:
         x_true = rng.standard_normal(30)
         b = a @ x_true + 0.5 * rng.standard_normal(60)
         p = PcrProblem(a=a, b=b, k=4)
-        from sketchpcr.solvers import PcrSolution
         ols = PcrSolution(x=pinv_solve(a, b), method="ols", r_cols=0,
                           objective=0.0, constraint_norm=None, wall_time=0.0)
         cert_ols = certify(p, ols, mode="pcr")
@@ -254,6 +256,84 @@ class TestCertify:
         p = random_problem(36)
         with pytest.raises(ValueError):
             certify(p, exact_pcr(p), mode="other")
+
+
+class TestExactReference:
+    """exact_pcr, exact_pcp and certify share one cached SVD of A."""
+
+    def test_one_full_svd_for_every_exact_consumer(self, monkeypatch):
+        p = random_problem(40)
+        real_svd = np.linalg.svd
+        shapes = []
+
+        def counting_svd(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return real_svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        sol = exact_pcr(p)
+        exact_pcp(p)
+        certify(p, sol, mode="pcr")
+        certify(p, sol, mode="pcp")
+        exact_pcr(p)
+        assert shapes == [p.shape]
+
+    def test_cached_results_bit_identical_to_fresh_thin_svd(self):
+        p = random_problem(41)
+        first, again = exact_pcr(p), exact_pcr(p)
+        f = thin_svd(p.a, p.k)
+        x = f.v_k @ ((f.u_k.T @ p.b) / f.sigma_k)
+        assert np.array_equal(first.x, x) and np.array_equal(again.x, x)
+        assert first.constraint_norm == float(np.linalg.norm(f.v_rest.T @ x))
+        assert np.array_equal(exact_pcp(p), f.u_k @ (f.u_k.T @ p.b))
+        cert = certify(p, first, mode="pcr")
+        assert cert.reference_objective == float(np.linalg.norm(p.a @ x - p.b))
+
+    def test_pcp_leakage_matches_jacobi_u_rest(self):
+        p = random_problem(42)
+        y = np.random.default_rng(43).standard_normal(p.shape[1])
+        cand = PcrSolution(x=y, method="y", r_cols=0, objective=None,
+                           constraint_norm=None, wall_time=0.0)
+        leak = certify(p, cand, mode="pcp").upsilon_observed * np.linalg.norm(p.b)
+        u, _, _ = jacobi_svd(p.a)
+        want = np.linalg.norm(u[:, p.k:].T @ (p.a @ y))
+        assert abs(leak - want) <= 1e-12 * max(1.0, want)
+
+    @pytest.mark.parametrize("a, error", [
+        (np.eye(4), GapError),
+        (np.diag([1.0, 0.0, 0.0]), RankDeficiencyError),
+    ])
+    def test_degenerate_a_raises_on_every_call(self, a, error):
+        p = PcrProblem(a=a, b=np.ones(a.shape[0]), k=2)
+        for _ in range(2):
+            with pytest.raises(error):
+                exact_pcr(p)
+            with pytest.raises(error):
+                exact_pcp(p)
+
+    @pytest.mark.parametrize("exact_first", [True, False])
+    def test_exact_wall_time_includes_the_svd_in_either_order(self, exact_first, monkeypatch):
+        def slow_thin_svd(m, k):
+            time.sleep(0.05)
+            return thin_svd(m, k)
+
+        monkeypatch.setattr(solvers, "thin_svd", slow_thin_svd)
+        p = random_problem(46)
+        if not exact_first:
+            certify(p, sketched_pcr(p, gen_subgaussian(8, p.shape[1], 1).matrix.T), mode="pcr")
+        sol = exact_pcr(p)
+        assert sol.wall_time >= p.reference.seconds >= 0.05
+
+    def test_a_is_read_only(self):
+        a = np.random.default_rng(44).standard_normal((10, 4))
+        p = PcrProblem(a=a, b=np.ones(10), k=2)
+        with pytest.raises(ValueError):
+            p.a[0, 0] = 1.0
+
+    def test_sparse_a_gives_the_dense_reference(self):
+        p = random_problem(45)
+        ps = PcrProblem(a=sp.csr_matrix(p.a), b=p.b, k=p.k)
+        assert np.array_equal(exact_pcr(ps).x, exact_pcr(p).x)
 
 
 class TestPrecondIterativeLs:
