@@ -377,7 +377,7 @@ def cmd_solve(args):
 
 def cmd_sweep(args):
     a, b, k_list = _load_problem(args)
-    problems = {k: solvers.PcrProblem(a=a, b=b, k=k) for k in k_list}
+    problems = solvers.PcrProblem.for_ranks(a, b, k_list)
     solvers_list = args.solver.split(",") if args.solver else ["exact"]
     report = run_sweep(problems, solvers_list, args)
     emit_report(report, args.format, args.out)

@@ -5,8 +5,10 @@ The degree-q polynomial kernel K(x, z) = (x^T z + c)^q corresponds to an
 implicit feature matrix Phi with d^q columns. The exact path never forms
 Phi: it takes the top k+1 eigenpairs of the n x n Gram matrix and keeps
 dual coefficients. The sketched path compresses Phi's columns with
-TensorSketch, one batched call over all rows, and runs ordinary rank-k
-PCR in the t-dimensional sketched feature space. The non-homogeneous
+TensorSketch, one batched call over all rows, and runs rank-k PCR in the
+t-dimensional sketched feature space through the top k+1 eigenpairs of
+the t x t Gram matrix (Phi R)^T (Phi R). Both paths share one
+eigensolver and one rank floor and gap check. The non-homogeneous
 offset c is handled by appending a constant sqrt(c) feature to every
 data point.
 """
@@ -20,9 +22,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GapError, RankDeficiencyError
-from .linalg import as_matrix, as_vector, thin_svd
+from .linalg import as_matrix, as_vector
 from .sketch import tensorsketch_apply
-from .solvers import GAP_TOL, require_gap
+from .solvers import GAP_TOL
 
 EIG_CLAMP = 1e-9   # relative floor below which eigenvalues count as zero
 
@@ -50,11 +52,26 @@ class KernelModel:
     gamma: np.ndarray | None = field(default=None, repr=False)  # sketched only
 
 
+def _power(base, degree):
+    """``base ** degree`` by degree - 1 multiplications, not one pow per entry."""
+    if degree == 1:
+        return base
+    out = base * base
+    for _ in range(degree - 2):
+        out *= base
+    return out
+
+
 def kernel_matrix(a, spec: KernelSpec):
-    """n x n matrix with entries (a_i^T a_j + c)^q; symmetric PSD."""
-    a = as_matrix(a, "a")
-    k = (a @ a.T + spec.offset) ** spec.degree
-    return (k + k.T) / 2.0
+    """n x n matrix with entries (a_i^T a_j + c)^q; symmetric PSD.
+
+    On a contiguous ``a``, ``a @ a.T`` is one symmetric rank-update (syrk)
+    and comes out exactly symmetric, so the power is too.
+    """
+    a = np.ascontiguousarray(as_matrix(a, "a"))
+    base = a @ a.T
+    base += spec.offset
+    return _power(base, spec.degree)
 
 
 def augment_offset(a, offset):
@@ -64,6 +81,32 @@ def augment_offset(a, offset):
         return a
     col = np.full((a.shape[0], 1), math.sqrt(offset))
     return np.hstack([a, col])
+
+
+def _top_eigenpairs(gram, k, what):
+    """The k largest eigenpairs of a symmetric PSD matrix, largest first.
+
+    Only the top k+1 are computed: the k kept ones and the one that sets
+    the gap. Raises RankDeficiencyError unless lambda_k > EIG_CLAMP
+    lambda_1, and GapError unless (lambda_k - lambda_{k+1}) / lambda_1 is
+    at least GAP_TOL.
+    """
+    n = gram.shape[0]
+    m = min(k + 1, n)
+    evals, evecs = scipy.linalg.eigh(gram, subset_by_index=[n - m, n - 1])
+    evals, evecs = evals[::-1].copy(), evecs[:, ::-1]
+    top = evals[0]
+    if top <= 0:
+        raise RankDeficiencyError(f"{what} has no positive eigenvalues")
+    # Floating-point PSD repair: tiny negative eigenvalues clamp to zero.
+    evals[(evals < 0) & (evals >= -EIG_CLAMP * top)] = 0.0
+    lam_k = evals[k - 1]
+    lam_next = evals[k] if k < n else 0.0
+    if lam_k <= EIG_CLAMP * top:
+        raise RankDeficiencyError(f"{what} has rank below k={k}")
+    if (lam_k - lam_next) / top < GAP_TOL:
+        raise GapError(f"{what} has a vanishing eigengap at k={k}")
+    return evals[:k], evecs[:, :k].copy()
 
 
 def exact_kernel_pcr(k_mat, b, k, train=None, spec=None) -> KernelModel:
@@ -79,23 +122,8 @@ def exact_kernel_pcr(k_mat, b, k, train=None, spec=None) -> KernelModel:
     b = as_vector(b, length=n, name="b")
     if not 1 <= k <= n:
         raise ValueError(f"rank k={k} out of range [1, {n}]")
-    # Only the top k+1 eigenpairs are read: the k kept ones and the gap.
-    m = min(k + 1, n)
-    evals, evecs = scipy.linalg.eigh(k_mat, subset_by_index=[n - m, n - 1])
-    evals, evecs = evals[::-1].copy(), evecs[:, ::-1].copy()
-    top = evals[0]
-    if top <= 0:
-        raise RankDeficiencyError("kernel matrix has no positive eigenvalues")
-    # Floating-point PSD repair: tiny negative eigenvalues clamp to zero.
-    evals[(evals < 0) & (evals >= -EIG_CLAMP * top)] = 0.0
-    lam_k = evals[k - 1]
-    lam_next = evals[k] if k < n else 0.0
-    if lam_k <= EIG_CLAMP * top:
-        raise RankDeficiencyError(f"kernel matrix has rank below k={k}")
-    if (lam_k - lam_next) / top < GAP_TOL:
-        raise GapError(f"kernel spectrum has a vanishing eigengap at k={k}")
-    u_k = evecs[:, :k]
-    alpha = u_k @ ((u_k.T @ b) / evals[:k])
+    lam_k, u_k = _top_eigenpairs(k_mat, k, "kernel matrix")
+    alpha = u_k @ ((u_k.T @ b) / lam_k)
     return KernelModel(mode="exact", k=k, spec=spec or KernelSpec(degree=1),
                        train=None if train is None else as_matrix(train),
                        alpha=alpha)
@@ -108,7 +136,9 @@ def kernel_predict(model: KernelModel, z):
     if model.train is None:
         raise ValueError("model was fit without training rows")
     z = as_vector(z, length=model.train.shape[1], name="z")
-    kvec = (model.train @ z + model.spec.offset) ** model.spec.degree
+    kvec = model.train @ z
+    kvec += model.spec.offset
+    kvec = _power(kvec, model.spec.degree)
     return float(kvec @ model.alpha)
 
 
@@ -142,13 +172,22 @@ def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:
 
 def fit_sketched_features(phi_r, b, k, ts, offset=0.0) -> KernelModel:
     """:func:`sketched_kernel_pcr` on features already computed by
-    :func:`sketched_feature_matrix` with the same ``ts`` and ``offset``."""
+    :func:`sketched_feature_matrix` with the same ``ts`` and ``offset``.
+
+    Takes the top k+1 eigenpairs (lambda_i = sigma_i^2, V) of the t x t
+    Gram matrix (Phi R)^T (Phi R), so gamma = V_k Lambda_k^-1 V_k^T
+    (Phi R)^T b, the same vector as V_k Sigma_k^-1 U_k^T b from the SVD of
+    Phi R. The rank floor is the exact path's: lambda_k > EIG_CLAMP
+    lambda_1, i.e. sigma_k > sqrt(EIG_CLAMP) sigma_1, which keeps the
+    accuracy lost to squaring, of order machine epsilon times
+    lambda_1 / lambda_k, small.
+    """
+    phi_r = as_matrix(phi_r, "phi_r")
     b = as_vector(b, length=phi_r.shape[0], name="b")
     if not 1 <= k <= min(phi_r.shape):
         raise ValueError(f"rank k={k} out of range for the sketched features")
-    f = thin_svd(phi_r, k)
-    require_gap(f.sigma, k, "Phi R")
-    gamma = f.v_k @ ((f.u_k.T @ b) / f.sigma_k)
+    lam_k, v_k = _top_eigenpairs(phi_r.T @ phi_r, k, "Phi R")
+    gamma = v_k @ ((v_k.T @ (phi_r.T @ b)) / lam_k)
     return KernelModel(mode="sketched", k=k, spec=KernelSpec(ts.degree, offset),
                        ts=ts, gamma=gamma)
 

@@ -62,11 +62,16 @@ class PcrProblem:
     computed on first use and cached, cannot go stale through ``p.a``.
     The view shares memory with the array passed in, which the caller
     must not change afterwards.
+
+    ``svd_from`` is a problem over the same A with a rank of at least k
+    whose SVD this one splits at k instead of factoring A again; see
+    :meth:`for_ranks`.
     """
 
     a: object          # (n, d) dense array or scipy sparse matrix
     b: np.ndarray      # (n,)
     k: int
+    svd_from: PcrProblem | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if sp.issparse(self.a):
@@ -80,6 +85,17 @@ class PcrProblem:
         object.__setattr__(self, "b", as_vector(self.b, length=n, name="b"))
         if not 1 <= self.k <= min(n, d):
             raise ValueError(f"rank k={self.k} out of range [1, {min(n, d)}]")
+        src = self.svd_from
+        if src is not None and (src.a.shape != self.a.shape or src.k < self.k):
+            raise ValueError("svd_from must be a problem over the same A with rank >= k")
+
+    @classmethod
+    def for_ranks(cls, a, b, ks) -> dict:
+        """One problem per k in ``ks``, all sharing one SVD of A, which is
+        computed on first use and keeps U up to column max(ks)."""
+        top = cls(a=a, b=b, k=max(ks))
+        return {k: top if k == top.k else cls(a=top.a, b=top.b, k=k, svd_from=top)
+                for k in ks}
 
     @property
     def shape(self):
@@ -87,15 +103,27 @@ class PcrProblem:
 
     @functools.cached_property
     def reference(self) -> ExactReference:
-        """Thin SVD of A split at k: one full SVD per problem, on first use.
+        """Thin SVD of A split at k: one full SVD per problem, on first use,
+        or none when ``svd_from`` supplies it.
 
         Callers check the spectrum with :func:`require_gap` themselves, so
         a degenerate A raises on every call, not only the first.
         """
+        if self.svd_from is not None:
+            ref = self.svd_from.reference
+            return ExactReference(svd=_split_at(ref.svd, self.k), seconds=ref.seconds)
         t0 = time.perf_counter()
         a = self.a.toarray() if sp.issparse(self.a) else self.a
         f = dataclasses.replace(thin_svd(a, self.k), u_rest=None)
         return ExactReference(svd=f, seconds=time.perf_counter() - t0)
+
+
+def _split_at(f: TruncatedSvd, k) -> TruncatedSvd:
+    """An SVD without U_rest split again at k <= f.k, with arrays laid out
+    as :func:`thin_svd` lays them out."""
+    sigma, v = f.sigma, f.v
+    return TruncatedSvd(u_k=f.u_k[:, :k].copy(), sigma_k=sigma[:k], v_k=v[:, :k].copy(),
+                        u_rest=None, sigma_rest=sigma[k:], v_rest=v[:, k:].copy(), k=k)
 
 
 @dataclass(frozen=True)

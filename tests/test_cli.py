@@ -99,3 +99,37 @@ def test_sweep_exact_wall_time_includes_the_svd(order, tmp_path, monkeypatch):
                  "--solver", order, "--out", str(out)]) == 0
     exact, = [e for e in json.loads(out.read_text())["aggregates"] if e["method"] == "exact"]
     assert exact["wall_time"]["min"] >= 0.05
+
+
+def _sweep_ks(tmp_path):
+    """`pcr sweep` over three k on a random 200 x 30 A, whose spectrum has a
+    gap at every k."""
+    path = tmp_path / "ab.csv"
+    np.savetxt(path, np.random.default_rng(5).standard_normal((200, 31)), delimiter=",")
+    return ["sweep", "--data", str(path), "--k", "2,3,4", "--solver", "exact,left",
+            "--ratio", "4", "--seeds", "2"]
+
+
+def test_sweep_factors_a_once_for_every_k(tmp_path, monkeypatch):
+    args = _sweep_ks(tmp_path)
+    real, shapes = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda m, *a, **kw: shapes.append(np.shape(m)) or real(m, *a, **kw))
+    assert main(args + ["--out", str(tmp_path / "sweep.json")]) == 0
+    assert shapes.count((200, 30)) == 1
+
+
+def test_sweep_report_equals_one_problem_per_k(tmp_path, monkeypatch):
+    args = _sweep_ks(tmp_path)
+    def untimed(path):
+        payload = json.loads(path.read_text())
+        for entry in payload["records"] + payload["aggregates"]:
+            entry.pop("wall_time")
+        return payload
+
+    shared, separate = tmp_path / "shared.json", tmp_path / "separate.json"
+    assert main(args + ["--out", str(shared)]) == 0
+    monkeypatch.setattr(solvers.PcrProblem, "for_ranks", classmethod(
+        lambda cls, a, b, ks: {k: cls(a=a, b=b, k=k) for k in ks}))
+    assert main(args + ["--out", str(separate)]) == 0
+    assert untimed(shared) == untimed(separate)

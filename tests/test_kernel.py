@@ -1,0 +1,154 @@
+"""Kernel PCR against independent oracles: PCR on explicit polynomial
+features for the exact mode, and a full SVD of the sketched features for
+the sketched mode."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from sketchpcr.errors import GapError, RankDeficiencyError
+from sketchpcr.kernel import (
+    EIG_CLAMP,
+    KernelSpec,
+    augment_offset,
+    exact_kernel_pcr,
+    fit_exact,
+    fit_sketched_features,
+    kernel_matrix,
+    kernel_predict,
+    sketched_feature_matrix,
+    sketched_kernel_predict,
+)
+from sketchpcr.sketch import gen_tensorsketch
+from oracles import jacobi_svd, poly_features
+
+
+def relative_error(got, want):
+    return float(np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want))
+
+
+def svd_gamma(phi_r, b, k):
+    """gamma = V_k Sigma_k^-1 U_k^T b from a full SVD of Phi R."""
+    u, s, vt = np.linalg.svd(phi_r, full_matrices=False)
+    return vt[:k].T @ ((u[:, :k].T @ b) / s[:k])
+
+
+def with_spectrum(sigma, n, seed):
+    """An n x len(sigma) matrix with singular values ``sigma``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, len(sigma))))
+    v, _ = np.linalg.qr(rng.standard_normal((len(sigma), len(sigma))))
+    return (u * sigma) @ v.T
+
+
+# Only the degree of the operator enters a model fit on given features.
+TS = gen_tensorsketch(2, 3, 16, seed=0)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_exact_predictions_match_pcr_on_explicit_features(degree, offset):
+    rng = np.random.default_rng(60 + degree)
+    a, z = rng.standard_normal((30, 3)), rng.standard_normal((5, 3))
+    b = rng.standard_normal(30)
+    k = 2
+    model = fit_exact(a, b, k, KernelSpec(degree, offset))
+    phi = poly_features(augment_offset(a, offset), degree)
+    u, s, v = jacobi_svd(phi)
+    x = v[:, :k] @ ((u[:, :k].T @ b) / s[:k])
+    want = poly_features(augment_offset(z, offset), degree) @ x
+    assert relative_error([kernel_predict(model, zi) for zi in z], want) <= 1e-9
+
+
+def test_sketched_gamma_matches_full_svd():
+    rng = np.random.default_rng(61)
+    a, b = rng.standard_normal((200, 4)), rng.standard_normal(200)
+    ts = gen_tensorsketch(3, 5, 16, seed=62)
+    phi_r = sketched_feature_matrix(a, ts, offset=0.5)
+    s = np.linalg.svd(phi_r, compute_uv=False)
+    assert s[0] / s[-1] < 1e3            # well-conditioned features
+    k = 3
+    model = fit_sketched_features(phi_r, b, k, ts, offset=0.5)
+    assert relative_error(model.gamma, svd_gamma(phi_r, b, k)) <= 1e-10
+    pred = sketched_kernel_predict(model, a[0])
+    assert abs(pred - phi_r[0] @ model.gamma) <= 1e-12 * np.linalg.norm(model.gamma)
+
+
+# Singular values of the sketched features; k = 2 throughout. The exact
+# mode sees their squares as the eigenvalues of K.
+DEGENERATE = [
+    ([2.0, 1.0, 1.0, 0.5, 0.1], GapError),                 # lambda_2 = lambda_3
+    ([1.0, 1e-6, 1e-7, 0.0, 0.0], RankDeficiencyError),    # lambda_2 / lambda_1 = 1e-12
+    ([0.0] * 5, RankDeficiencyError),                     # no positive eigenvalue
+]
+
+
+@pytest.mark.parametrize("sigma, error", DEGENERATE)
+def test_exact_mode_rejects_degenerate_spectra(sigma, error):
+    rng = np.random.default_rng(63)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    lam = np.zeros(8)
+    lam[:5] = np.square(sigma)
+    k_mat = (q * lam) @ q.T
+    with pytest.raises(error):
+        exact_kernel_pcr(k_mat, np.ones(8), 2)
+
+
+@pytest.mark.parametrize("sigma, error", DEGENERATE)
+def test_sketched_mode_rejects_degenerate_spectra(sigma, error):
+    phi_r = with_spectrum(np.array(sigma), 20, seed=64)
+    with pytest.raises(error):
+        fit_sketched_features(phi_r, np.ones(20), 2, TS)
+
+
+def test_sketched_rank_floor_is_the_exact_modes():
+    """Squaring Phi R costs accuracy of order eps * lambda_1 / lambda_k; the
+    rank floor lambda_k > EIG_CLAMP lambda_1 keeps that small."""
+    b = np.random.default_rng(65).standard_normal(40)
+    k = 3
+
+    def features(ratio):
+        r = np.sqrt(ratio)            # sigma_k / sigma_1
+        return with_spectrum(np.array([1.0, 0.7, r, r / 10, r / 20, r / 50]), 40, seed=66)
+
+    phi_r = features(1e-8)
+    gamma = fit_sketched_features(phi_r, b, k, TS).gamma
+    assert relative_error(gamma, svd_gamma(phi_r, b, k)) <= 1e-6
+    assert 1e-10 < EIG_CLAMP
+    with pytest.raises(RankDeficiencyError):
+        fit_sketched_features(features(1e-10), b, k, TS)
+
+
+def _layout(x, order):
+    if order == "strided":
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    return np.asarray(x, order=order)
+
+
+def test_kernel_matrix_is_symmetric_on_a_large_strided_view():
+    # numpy multiplies a strided view of this size by its transpose without
+    # syrk, and that product is not exactly symmetric.
+    x = _layout(np.random.default_rng(67).standard_normal((300, 4)), "strided")
+    k_mat = kernel_matrix(x, KernelSpec(3, 0.5))
+    assert np.array_equal(k_mat, k_mat.T)
+
+
+rounded = st.floats(min_value=-2.0, max_value=2.0).map(lambda v: round(v, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=hnp.arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 4)), elements=rounded),
+       order=st.sampled_from(["C", "F", "strided"]),
+       degree=st.integers(1, 4),
+       offset=st.floats(min_value=0.0, max_value=2.0).map(lambda v: round(v, 6)))
+def test_kernel_matrix_is_symmetric_and_equals_feature_gram(x, order, degree, offset):
+    x = _layout(x, order)
+    k_mat = kernel_matrix(x, KernelSpec(degree, offset))
+    assert np.array_equal(k_mat, k_mat.T)
+    phi = poly_features(augment_offset(x, offset), degree)
+    want = phi @ phi.T
+    assert np.linalg.norm(k_mat - want) <= 1e-12 * np.linalg.norm(want)

@@ -335,6 +335,35 @@ class TestExactReference:
         ps = PcrProblem(a=sp.csr_matrix(p.a), b=p.b, k=p.k)
         assert np.array_equal(exact_pcr(ps).x, exact_pcr(p).x)
 
+    def test_for_ranks_shares_one_svd_computed_on_first_use(self, monkeypatch):
+        p = random_problem(47)
+        real_svd, shapes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda m, *a, **kw: shapes.append(np.shape(m)) or real_svd(m, *a, **kw))
+        problems = PcrProblem.for_ranks(p.a, p.b, [3, 1, 5])
+        assert list(problems) == [3, 1, 5] and shapes == []
+        refs = {k: q.reference for k, q in problems.items()}
+        assert shapes == [p.shape]
+        for k, ref in refs.items():
+            fresh = PcrProblem(a=p.a, b=p.b, k=k).reference.svd
+            for name in ("u_k", "sigma_k", "v_k", "sigma_rest", "v_rest"):
+                assert np.array_equal(getattr(ref.svd, name), getattr(fresh, name))
+                assert getattr(ref.svd, name).flags.c_contiguous
+            assert ref.svd.u_rest is None and ref.svd.k == k
+            assert ref.seconds == refs[5].seconds
+
+    def test_single_rank_keeps_u_k_only(self):
+        p = random_problem(48)
+        f = p.reference.svd
+        assert f.u_k.shape == (p.shape[0], p.k) and f.u_rest is None
+
+    def test_svd_from_needs_same_shape_and_a_rank_at_least_k(self):
+        p = random_problem(49)
+        with pytest.raises(ValueError):
+            PcrProblem(a=p.a, b=p.b, k=p.k + 1, svd_from=p)
+        with pytest.raises(ValueError):
+            PcrProblem(a=p.a[:-1], b=p.b[:-1], k=1, svd_from=p)
+
 
 class TestPrecondIterativeLs:
     def test_matches_direct_solve(self):
