@@ -2,6 +2,10 @@
 stream rows from disk, fit kernel models, and verify the library's
 deterministic and statistical guarantees on synthetic data.
 
+``SOLVERS`` gives each solver's sketch sizes, certify mode and callable;
+``_cells`` turns --s/--t/--ratio into the (s, t) cells that ``solve`` (the
+first), ``sweep`` (all) and ``stream`` run.
+
 Exit codes: 0 full success, 1 configuration error, 2 partial failures
 (failed sweep cells or failed verification checks).
 """
@@ -15,6 +19,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,12 +114,16 @@ def _parse_synthetic(spec_str, seed):
     return a, b, k
 
 
-def _load_problem(args, need_k=True):
+def _load_problem(args, pcr_rank=True):
+    """A, b and the ranks. A PCR rank below the planted rank of --synthetic
+    is rejected: the top singular values of a planted A are equal."""
     if args.synthetic and args.data:
         raise CliError("pass either --data or --synthetic, not both")
     if args.synthetic:
-        a, b, planted_k = _parse_synthetic(args.synthetic, args.seed0)
-        default_k = planted_k
+        a, b, default_k = _parse_synthetic(args.synthetic, args.seed0)
+        if pcr_rank and min(args.k or [default_k]) < default_k:
+            raise CliError(f"--k {min(args.k)} is below the planted rank k={default_k} "
+                           "of --synthetic, whose top singular values are equal")
     elif args.data:
         if args.data.endswith(".csv"):
             a, b = data_io.load_dense_csv(args.data)
@@ -125,71 +134,88 @@ def _load_problem(args, need_k=True):
     else:
         raise CliError("one of --data or --synthetic is required")
     k_list = args.k if args.k else ([default_k] if default_k else None)
-    if need_k and not k_list:
+    if not k_list:
         raise CliError("--k is required for this dataset")
     return a, b, k_list
 
 
-def _certify_budget_ok(shape, budget=DEFAULT_SVD_BUDGET):
-    n, d = shape
-    return n * d * min(n, d) <= budget
-
-
 # ---------------------------------------------------------------------------
-# Single-cell execution.
+# The solver table.
 
-def _run_cell(problem, solver, s, t, seed):
+class _Solver(NamedTuple):
+    axes: tuple   # the sketch sizes it takes: (), ("s",), ("t",) or ("s", "t")
+    mode: str     # certify mode: "pcr", or "pcp" for a projection
+    fn: object    # fn(problem, s, t, seed) -> PcrSolution
+
+
+def _twosided(p, s, t, seed):
+    rng = np.random.default_rng(seed)
+    seed_s, seed_g = (int(x) for x in rng.integers(0, 2**63 - 1, size=2))
+    s_op = sketch.gen_countsketch(s, p.shape[0], seed_s)
+    g_op = sketch.gen_countsketch(t, p.shape[1], seed_g)
+    return solvers.sketched_pcr(p, solvers.build_r_twosided(p, s_op, g_op))
+
+
+def _input_sparsity(p, s, t, seed):
+    t0 = time.perf_counter()
+    y = solvers.input_sparsity_pcp(p, s=s, t=t, seed=seed)
+    return solvers.PcrSolution(
+        x=y, method="input-sparsity", r_cols=t,
+        objective=float(np.linalg.norm(p.a @ y - p.b)),
+        constraint_norm=None, wall_time=time.perf_counter() - t0,
+    )
+
+
+# Entries look the library up through its modules on every call, so that a
+# patched module attribute applies.
+SOLVERS = {
+    "exact": _Solver((), "pcr", lambda p, s, t, seed: solvers.exact_pcr(p)),
+    "left": _Solver(("s",), "pcr", lambda p, s, t, seed: solvers.sketched_pcr(
+        p, solvers.build_r_left(p, sketch.gen_subgaussian(s, p.shape[0], seed)))),
+    "right": _Solver(("t",), "pcr", lambda p, s, t, seed: solvers.sketched_pcr(
+        p, solvers.build_r_right(sketch.gen_countsketch(t, p.shape[1], seed)))),
+    "twosided": _Solver(("s", "t"), "pcr", _twosided),
+    "cls": _Solver(("t",), "pcr", lambda p, s, t, seed: solvers.cls(
+        p, solvers.build_r_right(sketch.gen_subgaussian(t, p.shape[1], seed)))),
+    "input-sparsity": _Solver(("s", "t"), "pcp", _input_sparsity),
+}
+
+
+def _cells(args, k, name, axes=None):
+    """The (s, t) cells of solver ``name`` at rank k from --s/--t/--ratio,
+    None for a size it does not take; ``axes`` defaults to the solver's.
+    Every configuration error is raised here, before any cell runs."""
+    if axes is None:
+        if name not in SOLVERS:
+            raise CliError(f"unknown solver {name!r} (choose from {', '.join(SOLVERS)})")
+        axes = SOLVERS[name].axes
+    ratio = [] if args.ratio is None else [args.ratio]
+    for flag, sizes in (("ratio", ratio), ("s", args.s or []), ("t", args.t or [])):
+        if sizes and min(sizes) < 1:
+            raise CliError(f"--{flag} must be at least 1, got {min(sizes)}")
+    lists = []
+    for axis in ("s", "t"):
+        given = getattr(args, axis)
+        if axis in axes and not (given or args.ratio):
+            raise CliError(f"{name} needs --{axis} or --ratio")
+        lists.append((given or [args.ratio * k]) if axis in axes else [None])
+    return [(s, t) for s in lists[0] for t in lists[1]]
+
+
+def _record_for(problem, solver, k, s, t, seed):
+    entry = SOLVERS[solver]
     n, d = problem.shape
-    if solver == "exact":
-        return solvers.exact_pcr(problem)
-    if solver == "left":
-        if s is None:
-            raise CliError("left sketching needs --s or --ratio")
-        s_op = sketch.gen_subgaussian(s, n, seed)
-        return solvers.sketched_pcr(problem, solvers.build_r_left(problem, s_op))
-    if solver == "right":
-        if t is None:
-            raise CliError("right sketching needs --t or --ratio")
-        g_op = sketch.gen_countsketch(t, d, seed)
-        return solvers.sketched_pcr(problem, solvers.build_r_right(g_op))
-    if solver == "twosided":
-        if s is None or t is None:
-            raise CliError("two-sided sketching needs --s and --t (or --ratio)")
-        rng = np.random.default_rng(seed)
-        seed_s, seed_g = (int(x) for x in rng.integers(0, 2**63 - 1, size=2))
-        s_op = sketch.gen_countsketch(s, n, seed_s)
-        g_op = sketch.gen_countsketch(t, d, seed_g)
-        return solvers.sketched_pcr(problem, solvers.build_r_twosided(problem, s_op, g_op))
-    if solver == "cls":
-        if t is None:
-            raise CliError("cls needs --t or --ratio")
-        g_op = sketch.gen_subgaussian(t, d, seed)
-        return solvers.cls(problem, solvers.build_r_right(g_op))
-    if solver == "input-sparsity":
-        t0 = time.perf_counter()
-        y = solvers.input_sparsity_pcp(problem, s=s, t=t, seed=seed)
-        return solvers.PcrSolution(
-            x=y, method="input-sparsity", r_cols=t or 0,
-            objective=float(np.linalg.norm(problem.a @ y - problem.b)),
-            constraint_norm=None, wall_time=time.perf_counter() - t0,
-        )
-    raise CliError(f"unknown solver {solver!r}")
-
-
-def _record_for(problem, solver, k, s, t, seed, certify_ok):
     rec = RunRecord(method=solver, k=k, s=s, t=t, seed=seed)
     try:
-        sol = _run_cell(problem, solver, s, t, seed)
+        sol = entry.fn(problem, s, t, seed)
         nb = float(np.linalg.norm(problem.b))
         rec.objective_over_b = sol.objective / nb if sol.objective is not None else None
         rec.wall_time = sol.wall_time
-        if certify_ok:
-            cert = solvers.certify(problem, sol, mode="pcr")
+        if n * d * min(n, d) <= DEFAULT_SVD_BUDGET:
+            cert = solvers.certify(problem, sol, mode=entry.mode)
             rec.constraint_over_b = cert.upsilon_observed
             if cert.reference_objective > 0:
                 rec.objective_over_exact = sol.objective / cert.reference_objective
-    except CliError:
-        raise
     except Exception as exc:
         rec.error = f"{type(exc).__name__}: {exc}"
     return rec
@@ -223,41 +249,15 @@ def _aggregate(records):
     return out
 
 
-def _sizes_for(solver, k, args):
-    """Resolve the sketch-size axis of a sweep cell for one solver."""
-    s_list = args.s or []
-    t_list = args.t or []
-    if args.ratio is not None:
-        if not s_list:
-            s_list = [args.ratio * k]
-        if not t_list:
-            t_list = [args.ratio * k]
-    if solver == "exact":
-        return [(None, None)]
-    if solver == "left":
-        if not s_list:
-            raise CliError("left sketching needs --s or --ratio")
-        return [(s, None) for s in s_list]
-    if solver in ("right", "cls"):
-        if not t_list:
-            raise CliError(f"{solver} needs --t or --ratio")
-        return [(None, t) for t in t_list]
-    if not s_list or not t_list:
-        raise CliError(f"{solver} needs --s and --t (or --ratio)")
-    return [(s, t) for s in s_list for t in t_list]
-
-
 def run_sweep(problem_by_k, solvers_list, args) -> RunReport:
     report = RunReport(task="sweep")
     seeds = [args.seed0 + i for i in range(args.seeds)]
-    for solver in solvers_list:
-        for k, problem in problem_by_k.items():
-            certify_ok = _certify_budget_ok(problem.shape)
-            for (s, t) in _sizes_for(solver, k, args):
-                for seed in seeds:
-                    report.records.append(
-                        _record_for(problem, solver, k, s, t, seed, certify_ok)
-                    )
+    cells = [(solver, k, problem, s, t)
+             for solver in solvers_list for k, problem in problem_by_k.items()
+             for (s, t) in _cells(args, k, solver)]
+    for solver, k, problem, s, t in cells:
+        for seed in seeds:
+            report.records.append(_record_for(problem, solver, k, s, t, seed))
     report.records.sort(key=lambda r: (r.method, r.k, str(r.s), str(r.t), r.seed))
     report.aggregates = _aggregate(report.records)
     return report
@@ -287,7 +287,7 @@ def _verify_checks(args):
     f_vec = a @ x_true
     sigma = SYNTH_NOISE_LEVEL * np.linalg.norm(f_vec) / math.sqrt(n)
     model = ev.FixedDesignModel(a=a, f=f_vec, sigma=sigma)
-    fsvd = thin_svd(a, k)
+    fsvd = model.svd(k)
     sk, sk1 = fsvd.sigma_k[-1], fsvd.sigma_rest[0]
     checks = []
 
@@ -349,7 +349,7 @@ def cmd_verify(args):
     all_ok = True
     for name, lhs, rhs in checks:
         slack = rhs - lhs
-        ok = slack >= -1e-8
+        ok = bool(slack >= -1e-8)
         all_ok = all_ok and ok
         rows.append({"check": name, "lhs": lhs, "rhs": rhs,
                      "slack": slack, "pass": ok})
@@ -365,11 +365,10 @@ def cmd_verify(args):
 
 def cmd_solve(args):
     a, b, k_list = _load_problem(args)
-    problem = solvers.PcrProblem(a=a, b=b, k=k_list[0])
-    s = args.s[0] if args.s else (args.ratio * k_list[0] if args.ratio else None)
-    t = args.t[0] if args.t else (args.ratio * k_list[0] if args.ratio else None)
-    rec = _record_for(problem, args.solver, k_list[0], s, t, args.seed0,
-                      _certify_budget_ok(problem.shape))
+    k = k_list[0]
+    s, t = _cells(args, k, args.solver)[0]
+    problem = solvers.PcrProblem(a=a, b=b, k=k)
+    rec = _record_for(problem, args.solver, k, s, t, args.seed0)
     report = RunReport(task="solve", records=[rec])
     emit_report(report, args.format, args.out)
     return 0 if rec.error is None else 2
@@ -378,8 +377,7 @@ def cmd_solve(args):
 def cmd_sweep(args):
     a, b, k_list = _load_problem(args)
     problems = solvers.PcrProblem.for_ranks(a, b, k_list)
-    solvers_list = args.solver.split(",") if args.solver else ["exact"]
-    report = run_sweep(problems, solvers_list, args)
+    report = run_sweep(problems, args.solver.split(","), args)
     emit_report(report, args.format, args.out)
     return 2 if any(r.error is not None for r in report.records) else 0
 
@@ -404,10 +402,7 @@ def cmd_stream(args):
     if not args.k:
         raise CliError("stream mode requires --k")
     k = args.k[0]
-    s_rows = args.s[0] if args.s else (args.ratio * k if args.ratio else None)
-    t_rows = args.t[0] if args.t else (args.ratio * k if args.ratio else None)
-    if s_rows is None or t_rows is None:
-        raise CliError("stream mode requires --s and --t (or --ratio)")
+    s_rows, t_rows = _cells(args, k, "stream", axes=("s", "t"))[0]
     state = None
     for row, b_entry in _stream_rows(args):
         if state is None:
@@ -427,7 +422,7 @@ def cmd_stream(args):
 
 
 def cmd_kernel(args):
-    a, b, k_list = _load_problem(args)
+    a, b, k_list = _load_problem(args, pcr_rank=False)
     if sp.issparse(a):
         a = a.toarray()
     rank = args.rank or k_list[0]
@@ -479,8 +474,7 @@ def build_parser():
         p.add_argument("--data", help="CSV (dense, last column response) or svmlight path")
         p.add_argument("--synthetic", help="planted instance spec: n,d,k,gap")
         p.add_argument("--solver", default="exact",
-                       help="exact|left|right|twosided|cls|input-sparsity "
-                            "(comma list allowed for sweep)")
+                       help="|".join(SOLVERS) + " (comma list allowed for sweep)")
         p.add_argument("--k", type=_int_list, help="target rank, or comma list")
         p.add_argument("--s", type=_int_list, help="left/row sketch size(s)")
         p.add_argument("--t", type=_int_list, help="right/column sketch size(s)")

@@ -11,6 +11,7 @@ Carlo checks and for the risk bounds of the sketched estimators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import numpy as np
 from .linalg import (
     as_matrix,
     as_vector,
-    pinv_solve,
+    pinv_apply,
     rank_tolerance,
     subspace_distance,
     thin_svd,
@@ -28,6 +29,12 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class FixedDesignModel:
+    """The design A, the mean f of b and the noise level sigma.
+
+    A is held as a read-only view and factored once per model; x_star, the
+    risk bounds and other readers split that SVD at their k (:meth:`svd`).
+    """
+
     a: np.ndarray
     f: np.ndarray
     sigma: float
@@ -35,21 +42,32 @@ class FixedDesignModel:
     noise: str = "gaussian"
 
     def __post_init__(self):
-        a = as_matrix(self.a, "a")
+        a = as_matrix(self.a, "a").view()
+        a.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "f", as_vector(self.f, length=a.shape[0], name="f"))
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         if self.noise not in ("gaussian", "rademacher"):
             raise ValueError("noise must be 'gaussian' or 'rademacher'")
+        full = self._svd
+        x_pinv = pinv_apply(full.u_k, full.sigma_k, full.v_k, self.f)
         if self.x_star is None:
-            object.__setattr__(self, "x_star", pinv_solve(a, self.f))
+            object.__setattr__(self, "x_star", x_pinv)
         else:
             xs = as_vector(self.x_star, length=a.shape[1], name="x_star")
-            resid = np.linalg.norm(a @ xs - a @ pinv_solve(a, self.f))
+            resid = np.linalg.norm(a @ xs - a @ x_pinv)
             if resid > 1e-8:
                 raise ValueError("x_star does not reproduce the projected mean")
             object.__setattr__(self, "x_star", xs)
+
+    @functools.cached_property
+    def _svd(self):
+        return thin_svd(self.a, min(self.a.shape))
+
+    def svd(self, k):
+        """The thin SVD of A split at k, without U_rest."""
+        return self._svd.split(k)
 
     @property
     def n(self):
@@ -164,7 +182,7 @@ def exact_risk(model: FixedDesignModel, m):
 
 def classic_pcr_risk_bound(model: FixedDesignModel, k):
     """|V_A^T x*|_inf^2 sum_{i>k} sigma_i^2 / n + sigma^2 k / n."""
-    f = thin_svd(model.a, k)
+    f = model.svd(k)
     coeff = np.max(np.abs(f.v.T @ model.x_star)) ** 2
     return float(coeff * np.sum(f.sigma_rest**2) / model.n
                  + model.sigma**2 * k / model.n)
@@ -195,7 +213,7 @@ def risk_bound_check(model: FixedDesignModel, k, kind, params=None) -> RiskBound
     the result, never silently skipped.
     """
     params = params or {}
-    f = thin_svd(model.a, k)
+    f = model.svd(k)
     sk1 = f.sigma_rest[0] if len(f.sigma_rest) else 0.0
     xs2 = float(model.x_star @ model.x_star)
     n = model.n

@@ -95,6 +95,14 @@ class TruncatedSvd:
     def reconstruct(self):
         return (self.u * self.sigma) @ self.v.T
 
+    def split(self, k):
+        """This SVD split again at k <= self.k, without U_rest (None), with
+        arrays laid out as :func:`thin_svd` lays them out."""
+        sigma, v = self.sigma, self.v
+        return TruncatedSvd(u_k=self.u_k[:, :k].copy(), sigma_k=sigma[:k],
+                            v_k=v[:, :k].copy(), u_rest=None, sigma_rest=sigma[k:],
+                            v_rest=v[:, k:].copy(), k=k)
+
 
 def _fix_signs(u, vt):
     # Largest-magnitude entry of each left singular vector made positive;
@@ -156,9 +164,14 @@ def pinv_solve(m, rhs):
     m = as_matrix(m)
     rhs = as_vector(rhs, length=m.shape[0], name="rhs")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    tol = rank_tolerance(s, m.shape)
+    return pinv_apply(u, s, vt.T, rhs)
+
+
+def pinv_apply(u, s, v, rhs):
+    """:func:`pinv_solve` from the thin SVD U diag(s) V^T of the matrix."""
+    tol = rank_tolerance(s, (u.shape[0], v.shape[0]))
     inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
-    return vt.T @ (inv * (u.T @ rhs))
+    return v @ (inv * (u.T @ rhs))
 
 
 def project(basis, v):

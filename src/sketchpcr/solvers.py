@@ -111,19 +111,11 @@ class PcrProblem:
         """
         if self.svd_from is not None:
             ref = self.svd_from.reference
-            return ExactReference(svd=_split_at(ref.svd, self.k), seconds=ref.seconds)
+            return ExactReference(svd=ref.svd.split(self.k), seconds=ref.seconds)
         t0 = time.perf_counter()
         a = self.a.toarray() if sp.issparse(self.a) else self.a
         f = dataclasses.replace(thin_svd(a, self.k), u_rest=None)
         return ExactReference(svd=f, seconds=time.perf_counter() - t0)
-
-
-def _split_at(f: TruncatedSvd, k) -> TruncatedSvd:
-    """An SVD without U_rest split again at k <= f.k, with arrays laid out
-    as :func:`thin_svd` lays them out."""
-    sigma, v = f.sigma, f.v
-    return TruncatedSvd(u_k=f.u_k[:, :k].copy(), sigma_k=sigma[:k], v_k=v[:, :k].copy(),
-                        u_rest=None, sigma_rest=sigma[k:], v_rest=v[:, k:].copy(), k=k)
 
 
 @dataclass(frozen=True)

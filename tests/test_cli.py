@@ -6,13 +6,23 @@ import numpy as np
 import pytest
 
 from sketchpcr import kernel, sketch, solvers
-from sketchpcr.cli import _parse_synthetic, main
+from sketchpcr.cli import SOLVERS, _parse_synthetic, main
 
 STREAM = ["stream", "--k", "1", "--s", "2", "--t", "2"]
 
 
 def test_verify_passes_with_defaults():
     assert main(["verify"]) == 0
+
+
+def test_verify_factors_a_once(tmp_path, monkeypatch):
+    real, shapes = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda m, *a, **kw: shapes.append(np.shape(m)) or real(m, *a, **kw))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--out", str(out)]) == 0
+    assert shapes.count((96, 64)) == 1
+    assert all(row["pass"] for row in json.loads(out.read_text())["aggregates"])
 
 
 def test_good_svmlight_stream_exits_0(tmp_path):
@@ -133,3 +143,63 @@ def test_sweep_report_equals_one_problem_per_k(tmp_path, monkeypatch):
         lambda cls, a, b, ks: {k: cls(a=a, b=b, k=k) for k in ks}))
     assert main(args + ["--out", str(separate)]) == 0
     assert untimed(shared) == untimed(separate)
+
+
+SYNTH = ["--synthetic", "200,30,3,0.5"]
+
+
+def _record(path):
+    record, = json.loads(path.read_text())["records"]
+    record.pop("wall_time")
+    return record
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_solve_records_what_sweep_records(solver, tmp_path):
+    solve, sweep = tmp_path / "solve.json", tmp_path / "sweep.json"
+    args = SYNTH + ["--solver", solver, "--ratio", "4"]
+    assert main(["solve"] + args + ["--out", str(solve)]) == 0
+    assert main(["sweep"] + args + ["--seeds", "1", "--out", str(sweep)]) == 0
+    assert _record(solve) == _record(sweep)
+    assert (_record(solve)["s"] is None) == ("s" not in SOLVERS[solver].axes)
+
+
+def test_input_sparsity_is_certified_as_a_projection(tmp_path):
+    out = tmp_path / "solve.json"
+    assert main(["solve"] + SYNTH + ["--solver", "input-sparsity", "--ratio", "4",
+                                     "--out", str(out)]) == 0
+    a, b, k = _parse_synthetic("200,30,3,0.5", 0)
+    p = solvers.PcrProblem(a=a, b=b, k=k)
+    y = solvers.input_sparsity_pcp(p, s=12, t=12, seed=0)
+    sol = solvers.PcrSolution(x=y, method="input-sparsity", r_cols=12,
+                              objective=float(np.linalg.norm(a @ y - b)),
+                              constraint_norm=None, wall_time=0.0)
+    want = solvers.certify(p, sol, mode="pcp").upsilon_observed
+    assert _record(out)["constraint_over_b"] == want
+    assert want != solvers.certify(p, sol, mode="pcr").upsilon_observed
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep"] + SYNTH + ["--solver", "exact,lft", "--ratio", "4"], "unknown solver 'lft'"),
+    (["solve"] + SYNTH + ["--solver", "input-sparsity"], "input-sparsity needs --s or --ratio"),
+    (["solve"] + SYNTH + ["--solver", "right", "--s", "8"], "right needs --t or --ratio"),
+    (["sweep"] + SYNTH + ["--solver", "left", "--s", "0"], "--s must be at least 1, got 0"),
+    (["solve"] + SYNTH + ["--solver", "left", "--ratio", "0"], "--ratio must be at least 1"),
+    (["sweep"] + SYNTH + ["--k", "2,3", "--solver", "exact,left", "--ratio", "4"],
+     "--k 2 is below the planted rank k=3"),
+])
+def test_configuration_errors_exit_1_before_any_cell_runs(argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(solvers, "exact_pcr", lambda p: pytest.fail("a cell ran"))
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_stream_rejects_a_ratio_below_1(tmp_path, capsys):
+    path = tmp_path / "good.csv"
+    path.write_text("1,2,3\n2,1,0\n0,1,1\n")
+    assert main(["stream", "--data", str(path), "--k", "1", "--ratio", "0"]) == 1
+    assert "--ratio must be at least 1" in capsys.readouterr().err
+
+
+def test_kernel_rank_is_not_held_to_the_planted_rank(tmp_path):
+    assert main(["kernel"] + SYNTH + ["--k", "2", "--out", str(tmp_path / "k.json")]) == 0

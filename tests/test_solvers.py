@@ -4,6 +4,8 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sketchpcr import solvers
 from sketchpcr.errors import GapError, RankDeficiencyError
@@ -524,3 +526,38 @@ class TestDeterministicLemmas:
             v2 = thin_svd(sym + pert, k).v_k
             bound = spectral_norm(pert) / (lam[k - 1] - lam_tilde[k])
             assert subspace_distance(v1, v2) <= bound + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Properties over small random A, with R dense or the CSR transpose of a
+# CountSketch, and A dense or its CSR copy.
+
+def _draw(seed, n, d, k, s, density, r_kind):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+    b = rng.standard_normal(n)
+    if r_kind == "dense":
+        r = rng.standard_normal((d, s))
+    else:
+        r = gen_countsketch(s, d, seed).matrix.T.tocsr()
+    return a, b, r
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 10), n_extra=st.integers(0, 20),
+       k=st.integers(1, 9), s_extra=st.integers(0, 10),
+       density=st.sampled_from([0.4, 0.7, 1.0]), r_kind=st.sampled_from(["dense", "csr"]),
+       solver=st.sampled_from([sketched_pcr, cls]))
+def test_solutions_lie_in_span_r_and_ignore_the_layout_of_a(
+        seed, d, n_extra, k, s_extra, density, r_kind, solver):
+    assume(k < d)
+    a, b, r = _draw(seed, d + n_extra, d, k, k + s_extra, density, r_kind)
+    try:
+        x = solver(PcrProblem(a=a, b=b, k=k), r).x
+        x_csr = solver(PcrProblem(a=sp.csr_matrix(a), b=b, k=k), r).x
+    except (GapError, RankDeficiencyError):
+        assume(False)
+    scale = max(np.linalg.norm(x), np.finfo(float).tiny)
+    assert np.linalg.norm(x_csr - x) <= 1e-10 * scale
+    r_dense = r.toarray() if sp.issparse(r) else r
+    assert np.linalg.norm(x - r_dense @ (np.linalg.pinv(r_dense) @ x)) <= 1e-10 * scale
