@@ -34,17 +34,13 @@ from .kernel import (
 from .linalg import (
     TruncatedSvd,
     pinv_solve,
-    project,
     relative_gap,
     stable_rank,
     subspace_distance,
-    tan_theta_norm,
     thin_svd,
 )
 from .sketch import (
-    CountSketch,
     GramErrorReport,
-    SubgaussianSketch,
     TensorSketch,
     apply_left,
     gen_countsketch,
@@ -54,7 +50,6 @@ from .sketch import (
     identity_embedding,
     sketch_rows_for_gram,
     tensorsketch_apply,
-    tensorsketch_materialize,
 )
 from .solvers import (
     ApproxCertificate,
@@ -75,7 +70,6 @@ from .streaming import (
     StreamState,
     stream_finalize,
     stream_init,
-    stream_init_with_specs,
     stream_update,
 )
 

@@ -98,20 +98,27 @@ def emit_report(report: RunReport, fmt, path):
 # ---------------------------------------------------------------------------
 # Problem construction.
 
-def _parse_synthetic(spec_str, seed):
-    try:
-        n_s, d_s, k_s, gap_s = spec_str.split(",")
-        n, d, k, gap = int(n_s), int(d_s), int(k_s), float(gap_s)
-    except ValueError:
-        raise CliError(f"--synthetic expects n,d,k,gap, got {spec_str!r}") from None
+def _planted(n, d, k, gap, seed):
+    """A planted n x d matrix A with gap at k, the mean f = A x_true of the
+    response for a random unit x_true, its noise level sigma, and the rng
+    that drew x_true, for the draws that follow."""
     a = ev.planted_matrix(n, d, k, gap, seed=seed)
     rng = np.random.default_rng(seed + 1)
     x_true = rng.standard_normal(d)
     x_true /= np.linalg.norm(x_true)
     f = a @ x_true
     sigma = SYNTH_NOISE_LEVEL * np.linalg.norm(f) / math.sqrt(n)
-    b = f + sigma * rng.standard_normal(n)
-    return a, b, k
+    return a, f, sigma, rng
+
+
+def _parse_synthetic(spec_str, seed):
+    try:
+        n_s, d_s, k_s, gap_s = spec_str.split(",")
+        n, d, k, gap = int(n_s), int(d_s), int(k_s), float(gap_s)
+    except ValueError:
+        raise CliError(f"--synthetic expects n,d,k,gap, got {spec_str!r}") from None
+    a, f, sigma, rng = _planted(n, d, k, gap, seed)
+    return a, f + sigma * rng.standard_normal(n), k
 
 
 def _load_problem(args, pcr_rank=True):
@@ -280,12 +287,7 @@ def _verify_checks(args):
 
     n, d, k, gap = 96, 64, 5, 0.4
     seed = args.seed0
-    a = ev.planted_matrix(n, d, k, gap, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    x_true = rng.standard_normal(d)
-    x_true /= np.linalg.norm(x_true)
-    f_vec = a @ x_true
-    sigma = SYNTH_NOISE_LEVEL * np.linalg.norm(f_vec) / math.sqrt(n)
+    a, f_vec, sigma, rng = _planted(n, d, k, gap, seed)
     model = ev.FixedDesignModel(a=a, f=f_vec, sigma=sigma)
     fsvd = model.svd(k)
     sk, sk1 = fsvd.sigma_k[-1], fsvd.sigma_rest[0]
@@ -425,7 +427,7 @@ def cmd_kernel(args):
     a, b, k_list = _load_problem(args, pcr_rank=False)
     if sp.issparse(a):
         a = a.toarray()
-    rank = args.rank or k_list[0]
+    rank = k_list[0]
     t0 = time.perf_counter()
     if args.mode == "exact":
         spec = kpcr.KernelSpec(args.degree, args.offset)
@@ -467,36 +469,45 @@ def _int_list(text):
 
 
 def build_parser():
+    """One subparser per task, each with only the flags that task reads."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed0", type=int, default=0, help="base seed")
+    common.add_argument("--out", help="report output path (default stdout)")
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    stream_data = argparse.ArgumentParser(add_help=False)
+    stream_data.add_argument("--data", help="CSV (dense, last column response) or svmlight path")
+    stream_data.add_argument("--k", type=_int_list, help="target rank, or comma list")
+    stream_data.add_argument("--dims", type=int,
+                             help="feature count of svmlight input (required to stream it)")
+    data = argparse.ArgumentParser(add_help=False, parents=[stream_data])
+    data.add_argument("--synthetic", help="planted instance spec: n,d,k,gap")
+    data.add_argument("--center-response", action="store_true",
+                      help="subtract the response mean when loading svmlight data")
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("--s", type=_int_list, help="left/row sketch size(s)")
+    sizes.add_argument("--t", type=_int_list, help="right/column sketch size(s)")
+    sizes.add_argument("--ratio", type=int, help="sets s = t = ratio * k when unset")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--solver", default="exact",
+                        help="|".join(SOLVERS) + " (comma list allowed for sweep)")
+
     parser = _Parser(prog="pcr", description=__doc__)
     sub = parser.add_subparsers(dest="task", required=True)
-    for name in ("solve", "sweep", "stream", "kernel", "verify"):
-        p = sub.add_parser(name)
-        p.add_argument("--data", help="CSV (dense, last column response) or svmlight path")
-        p.add_argument("--synthetic", help="planted instance spec: n,d,k,gap")
-        p.add_argument("--solver", default="exact",
-                       help="|".join(SOLVERS) + " (comma list allowed for sweep)")
-        p.add_argument("--k", type=_int_list, help="target rank, or comma list")
-        p.add_argument("--s", type=_int_list, help="left/row sketch size(s)")
-        p.add_argument("--t", type=_int_list, help="right/column sketch size(s)")
-        p.add_argument("--ratio", type=int, help="sets s = t = ratio * k when unset")
-        p.add_argument("--seeds", type=int, default=1, help="number of seeds per cell")
-        p.add_argument("--seed0", type=int, default=0, help="base seed")
-        p.add_argument("--out", help="report output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--const-c", dest="const_c", type=float,
-                       default=sketch.DEFAULT_GRAM_CONST,
-                       help="constant in the Gram-property sizing formulas")
-        p.add_argument("--center-response", action="store_true",
-                       help="subtract the response mean when loading svmlight data")
-        p.add_argument("--dims", type=int,
-                       help="feature count of svmlight input (required to stream it)")
-        p.add_argument("--degree", type=int, default=2, help="polynomial kernel degree")
-        p.add_argument("--offset", type=float, default=0.0, help="polynomial kernel offset")
-        p.add_argument("--rank", type=int, help="kernel PCR rank")
-        p.add_argument("--sketch-cols", dest="sketch_cols", type=int,
-                       help="TensorSketch width for sketched kernel mode")
-        p.add_argument("--mode", choices=("exact", "sketched"), default="exact",
-                       help="kernel solver mode")
+    sub.add_parser("solve", parents=[common, data, sizes, solver])
+    sweep = sub.add_parser("sweep", parents=[common, data, sizes, solver])
+    sweep.add_argument("--seeds", type=int, default=1, help="number of seeds per cell")
+    sub.add_parser("stream", parents=[common, stream_data, sizes])
+    kern = sub.add_parser("kernel", parents=[common, data])
+    kern.add_argument("--degree", type=int, default=2, help="polynomial kernel degree")
+    kern.add_argument("--offset", type=float, default=0.0, help="polynomial kernel offset")
+    kern.add_argument("--sketch-cols", dest="sketch_cols", type=int,
+                      help="TensorSketch width for sketched kernel mode")
+    kern.add_argument("--mode", choices=("exact", "sketched"), default="exact",
+                      help="kernel solver mode")
+    verify = sub.add_parser("verify", parents=[common])
+    verify.add_argument("--const-c", dest="const_c", type=float,
+                        default=sketch.DEFAULT_GRAM_CONST,
+                        help="constant in the Gram-property sizing formulas")
     return parser
 
 

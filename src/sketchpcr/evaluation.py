@@ -39,7 +39,6 @@ class FixedDesignModel:
     f: np.ndarray
     sigma: float
     x_star: np.ndarray | None = None
-    noise: str = "gaussian"
 
     def __post_init__(self):
         a = as_matrix(self.a, "a").view()
@@ -48,8 +47,6 @@ class FixedDesignModel:
         object.__setattr__(self, "f", as_vector(self.f, length=a.shape[0], name="f"))
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if self.noise not in ("gaussian", "rademacher"):
-            raise ValueError("noise must be 'gaussian' or 'rademacher'")
         full = self._svd
         x_pinv = pinv_apply(full.u_k, full.sigma_k, full.v_k, self.f)
         if self.x_star is None:
@@ -124,14 +121,9 @@ def _haar(rng, rows, cols):
 
 
 def sample_response(model: FixedDesignModel, seed):
-    """One draw of b = f + noise."""
+    """One draw of b = f + sigma * xi with standard Gaussian xi."""
     rng = np.random.default_rng(seed)
-    n = model.n
-    if model.noise == "gaussian":
-        xi = rng.standard_normal(n)
-    else:
-        xi = 2.0 * (rng.random(n) < 0.5) - 1.0
-    return model.f + model.sigma * xi
+    return model.f + model.sigma * rng.standard_normal(model.n)
 
 
 def excess_risk_mc(model: FixedDesignModel, estimator, trials, seed) -> RiskEstimate:

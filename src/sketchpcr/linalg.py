@@ -1,5 +1,5 @@
 """Dense linear algebra kernels: truncated SVD, pseudo-inverse solves,
-orthogonal projections, principal angles and spectral diagnostics.
+subspace distances and spectral diagnostics.
 
 Everything here is deterministic. Matrices are plain 2-D float64
 ``numpy.ndarray`` objects; bases are matrices with orthonormal columns.
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, RankDeficiencyError
+from .errors import ConvergenceError
 
 ORTHO_TOL = 1e-10
 
@@ -30,7 +30,7 @@ def as_vector(v, length=None, name="vector"):
     x = np.asarray(v, dtype=float).ravel()
     if length is not None and x.shape[0] != length:
         raise ValueError(f"{name} has length {x.shape[0]}, expected {length}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return x
 
@@ -174,13 +174,6 @@ def pinv_apply(u, s, v, rhs):
     return v @ (inv * (u.T @ rhs))
 
 
-def project(basis, v):
-    """Orthogonal projection Q @ (Q^T v) onto the span of ``basis``."""
-    q = check_orthonormal(basis)
-    v = as_vector(v, length=q.shape[0], name="v")
-    return q @ (q.T @ v)
-
-
 def subspace_distance(u, w):
     """sin of the largest principal angle between two equal-rank subspaces.
 
@@ -199,26 +192,6 @@ def subspace_distance(u, w):
     sigma = np.linalg.svd(u.T @ w, compute_uv=False)
     smin = min(1.0, sigma[-1] if sigma.size else 0.0)
     return float(np.sqrt(max(0.0, 1.0 - smin * smin)))
-
-
-def tan_theta_norm(q, w_k, w_kplus):
-    """Spectral norm of tan of the principal angles between Q and W_k.
-
-    Evaluates |(W_k+^T Q)(W_k^T Q)^+|_2 where [W_k W_k+] is an orthogonal
-    split of the ambient space. Requires W_k^T Q to have full row rank.
-    """
-    q = check_orthonormal(q, "q")
-    w_k = check_orthonormal(w_k, "w_k")
-    w_kplus = check_orthonormal(w_kplus, "w_kplus")
-    k = w_k.shape[1]
-    top = w_k.T @ q
-    bottom = w_kplus.T @ q
-    u, s, vt = np.linalg.svd(top, full_matrices=False)
-    tol = rank_tolerance(s, top.shape)
-    if np.sum(s > tol) < k:
-        raise RankDeficiencyError("W_k^T Q is rank deficient; the tangent is unbounded")
-    pinv_top = vt.T @ ((1.0 / s)[:, None] * u.T)
-    return spectral_norm(bottom @ pinv_top)
 
 
 def stable_rank(m):

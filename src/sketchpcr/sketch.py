@@ -5,11 +5,11 @@ Three families: dense subgaussian maps, CountSketch sparse embeddings
 polynomial feature maps. All generators are pure functions of
 (dimensions, seed); identical inputs rebuild bit-identical operators.
 
-Every batch sketch is a plain matrix: ``SubgaussianSketch.matrix`` is a
-dense ndarray and ``CountSketch.matrix`` a scipy CSR matrix, so applying
-a sketch is ``op.matrix @ a``. A TensorSketch holds its q hash levels as
-the same CSR CountSketch matrices and combines their images by one
-length-t circular convolution.
+Every batch sketch is the matrix it stands for: ``gen_subgaussian``
+returns a dense ndarray and ``gen_countsketch`` a scipy CSR matrix with
+one +-1 per column, so applying a sketch is ``op @ a``. A TensorSketch
+keeps its q hash tables, builds its q levels as the same CSR CountSketch
+matrices and combines their images by one length-t circular convolution.
 
 Hash functions are realized as random polynomials over the Mersenne
 prime field 2^61 - 1 (degree 3 for bucket hashes, degree 4 for sign
@@ -65,27 +65,18 @@ def _hash_pair(seed):
     return PolyHash.draw(rng, HASH_DEGREE), PolyHash.draw(rng, SIGN_DEGREE)
 
 
-@dataclass(frozen=True)
-class SubgaussianSketch:
-    out_dim: int
-    in_dim: int
-    seed: int
-    matrix: np.ndarray = field(repr=False)
+def _hash_tables(h, g, in_dim, out_dim):
+    """Bucket and sign of every column index 0..in_dim-1 under hashes (h, g)."""
+    keys = range(in_dim)
+    rows = (h.values(keys) % out_dim).astype(np.int64)
+    signs = np.where((g.values(keys) & 1) == 0, 1.0, -1.0)
+    return rows, signs
 
 
-@dataclass(frozen=True)
-class CountSketch:
-    out_dim: int
-    in_dim: int
-    seed: int
-    rows: np.ndarray = field(repr=False)   # target row per column
-    signs: np.ndarray = field(repr=False)  # +-1 per column
-    matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = sp.csr_matrix((self.signs, (self.rows, np.arange(self.in_dim))),
-                          shape=(self.out_dim, self.in_dim))
-        object.__setattr__(self, "matrix", m)
+def _countsketch_csr(rows, signs, out_dim):
+    """The out_dim x len(rows) CountSketch matrix: column j holds signs[j] in row rows[j]."""
+    in_dim = len(rows)
+    return sp.csr_matrix((signs, (rows, np.arange(in_dim))), shape=(out_dim, in_dim))
 
 
 @dataclass(frozen=True)
@@ -100,7 +91,7 @@ class TensorSketch:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(
-            CountSketch(self.out_dim, self.in_dim, self.seed, rows, signs).matrix
+            _countsketch_csr(rows, signs, self.out_dim)
             for rows, signs in zip(self.row_tables, self.sign_tables)
         ))
 
@@ -110,25 +101,20 @@ def gen_subgaussian(out_dim, in_dim, seed):
     if out_dim < 1 or in_dim < 1:
         raise ValueError("sketch dimensions must be positive")
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((out_dim, in_dim)) / math.sqrt(out_dim)
-    return SubgaussianSketch(out_dim=out_dim, in_dim=in_dim, seed=seed, matrix=m)
+    return rng.standard_normal((out_dim, in_dim)) / math.sqrt(out_dim)
 
 
 def gen_countsketch(out_dim, in_dim, seed):
-    """Sparse embedding with exactly one random +-1 per column."""
+    """Sparse CSR embedding with exactly one random +-1 per column."""
     if out_dim < 1 or in_dim < 1:
         raise ValueError("sketch dimensions must be positive")
-    h, g = _hash_pair(seed)
-    keys = range(in_dim)
-    rows = (h.values(keys) % out_dim).astype(np.int64)
-    signs = np.where((g.values(keys) & 1) == 0, 1.0, -1.0)
-    return CountSketch(out_dim=out_dim, in_dim=in_dim, seed=seed, rows=rows, signs=signs)
+    rows, signs = _hash_tables(*_hash_pair(seed), in_dim, out_dim)
+    return _countsketch_csr(rows, signs, out_dim)
 
 
 def identity_embedding(dim):
     """CountSketch that is the identity: a degenerate but handy sketch."""
-    return CountSketch(out_dim=dim, in_dim=dim, seed=-1,
-                       rows=np.arange(dim, dtype=np.int64), signs=np.ones(dim))
+    return _countsketch_csr(np.arange(dim, dtype=np.int64), np.ones(dim), dim)
 
 
 def gen_tensorsketch(q, in_dim, out_dim, seed):
@@ -145,12 +131,10 @@ def gen_tensorsketch(q, in_dim, out_dim, seed):
     rng = np.random.default_rng(seed)
     rows = np.empty((q, in_dim), dtype=np.int64)
     signs = np.empty((q, in_dim))
-    keys = range(in_dim)
     for j in range(q):
         h = PolyHash.draw(rng, HASH_DEGREE)
         g = PolyHash.draw(rng, SIGN_DEGREE)
-        rows[j] = (h.values(keys) % out_dim).astype(np.int64)
-        signs[j] = np.where((g.values(keys) & 1) == 0, 1.0, -1.0)
+        rows[j], signs[j] = _hash_tables(h, g, in_dim, out_dim)
     return TensorSketch(degree=q, in_dim=in_dim, out_dim=out_dim, seed=seed,
                         row_tables=rows, sign_tables=signs)
 
@@ -161,15 +145,15 @@ def _dense(m):
 
 
 def apply_left(op, a):
-    """Compute op.matrix @ a for a dense or sparse matrix ``a``, as an ndarray.
+    """Compute op @ a for a dense or sparse matrix ``a``, as an ndarray.
 
     For a CountSketch this is one pass over the stored entries of ``a``.
     """
     if not sp.issparse(a):
         a = as_matrix(a, "a")
-    if op.in_dim != a.shape[0]:
-        raise ValueError(f"operator expects {op.in_dim} rows, got {a.shape[0]}")
-    return _dense(op.matrix @ a)
+    if op.shape[1] != a.shape[0]:
+        raise ValueError(f"operator expects {op.shape[1]} rows, got {a.shape[0]}")
+    return _dense(op @ a)
 
 
 def tensorsketch_apply(op, z):
@@ -193,25 +177,6 @@ def tensorsketch_apply(op, z):
             spectrum *= np.fft.rfft(image, axis=0)
         out = np.fft.irfft(spectrum, n=op.out_dim, axis=0)
     return out[:, 0] if np.ndim(z) == 1 else out.T
-
-
-def tensorsketch_materialize(op, max_rows=2_000_000):
-    """Explicit (in_dim^q, out_dim) sketch matrix, for small cases only."""
-    d, q, t = op.in_dim, op.degree, op.out_dim
-    n_rows = d ** q
-    if n_rows > max_rows:
-        raise ValueError(f"materializing {n_rows} rows is not sensible")
-    grids = np.meshgrid(*[np.arange(d)] * q, indexing="ij")
-    idx = [g.ravel() for g in grids]
-    buckets = np.zeros(n_rows, dtype=np.int64)
-    signs = np.ones(n_rows)
-    for j in range(q):
-        buckets += op.row_tables[j][idx[j]]
-        signs *= op.sign_tables[j][idx[j]]
-    buckets %= t
-    r = np.zeros((n_rows, t))
-    r[np.arange(n_rows), buckets] = signs
-    return r
 
 
 @dataclass(frozen=True)

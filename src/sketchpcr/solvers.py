@@ -5,13 +5,15 @@ the regression to the range of a compression matrix R built from a
 random sketch: left sketching uses the top right-singular basis of S A,
 right sketching uses G^T itself, and two-sided sketching composes both.
 Compressed least squares (plain OLS on A R) is included for comparison.
-R is always a plain matrix: dense, or the sparse transpose of a
-CountSketch, and every solver forms A @ R and maps back with R @ gamma.
+Sketches are plain matrices (see :mod:`sketchpcr.sketch`), and so is R:
+dense, or the sparse transpose of a CountSketch. Every solver forms
+A @ R and maps back with R @ gamma.
 
 The input-sparsity solver avoids dense factorizations of A entirely:
 CountSketch compressions are applied in one pass over the nonzeros and
 the inner least-squares problem is solved by a sketch-preconditioned
-conjugate-gradient iteration.
+conjugate-gradient iteration on the factor pair (A G^T, V), whose
+product is never formed.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ def build_r_left(p: PcrProblem, s_op) -> np.ndarray:
 
 def build_r_right(g_op):
     """R = G^T: a sparse matrix for a CountSketch, dense for a subgaussian G."""
-    return g_op.matrix.T
+    return g_op.T
 
 
 def build_r_twosided(p: PcrProblem, s_op, g_op) -> np.ndarray:
@@ -293,67 +295,37 @@ def certify(p: PcrProblem, sol: PcrSolution, mode: str) -> ApproxCertificate:
 # ---------------------------------------------------------------------------
 # Sketch-preconditioned iterative least squares and the input-sparsity solver.
 
-@dataclass
-class ProductOperator:
-    """Implicit n x k matrix ``left @ right`` that is never formed."""
-
-    left: np.ndarray   # (n, t), possibly large
-    right: np.ndarray  # (t, k), small
-
-    @property
-    def shape(self):
-        return (self.left.shape[0], self.right.shape[1])
-
-    def matvec(self, v):
-        return self.left @ (self.right @ v)
-
-    def rmatvec(self, v):
-        return self.right.T @ (self.left.T @ v)
-
-    def sketch_rows(self, op):
-        return apply_left(op, self.left) @ self.right
-
-
-class _DenseLsOperator:
-    def __init__(self, c):
-        self.c = np.asarray(c, dtype=float)
-        self.shape = self.c.shape
-
-    def matvec(self, v):
-        return self.c @ v
-
-    def rmatvec(self, v):
-        return self.c.T @ v
-
-    def sketch_rows(self, op):
-        return apply_left(op, self.c)
-
-
 PRECOND_SKETCH_FACTOR = 4  # CountSketch rows = 4 k^2 for the preconditioner
 
 
 def precond_iterative_ls(c, b, eps, seed=0, max_iter=None):
     """Approximate argmin_g |c g - b| to relative metric accuracy eps.
 
-    Returns g with |c (g - g*)|^2 <= eps |c g*|^2 for the exact
-    minimizer g*. The column space metric is controlled by CountSketching
-    c to O(k^2) rows, QR-factorizing the sketch, and running CGLS with
-    the triangular factor as a right preconditioner; the preconditioned
-    system has O(1) condition number with high probability, so
-    O(log(1/eps)) iterations suffice. When the sketch would not compress
+    ``c`` is a dense n x k matrix, or a pair ``(left, right)`` that stands
+    for the n x k product ``left @ right``, which is never formed; a dense
+    c is the pair (c, I_k). Returns g with |c (g - g*)|^2 <= eps |c g*|^2
+    for the exact minimizer g*. The column space metric is controlled by
+    CountSketching c to O(k^2) rows, QR-factorizing the sketch, and
+    running CGLS with the triangular factor as a right preconditioner; the
+    preconditioned system has O(1) condition number with high probability,
+    so O(log(1/eps)) iterations suffice. When the sketch would not compress
     (4 k^2 >= n) the preconditioner comes from a QR of c itself.
     """
-    op = c if hasattr(c, "matvec") else _DenseLsOperator(c)
-    n, k = op.shape
+    if isinstance(c, tuple):
+        left, right = c
+    else:
+        left = np.asarray(c, dtype=float)
+        right = np.eye(left.shape[1])
+    n, k = left.shape[0], right.shape[1]
     b = as_vector(b, length=n, name="b")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
 
     m = PRECOND_SKETCH_FACTOR * k * k
     if m >= n:
-        sc = op.left @ op.right if isinstance(op, ProductOperator) else op.c
+        sc = left @ right
     else:
-        sc = op.sketch_rows(gen_countsketch(m, n, seed))
+        sc = apply_left(gen_countsketch(m, n, seed), left) @ right
     sc_sigma = np.linalg.svd(sc, compute_uv=False)
     if sc_sigma[-1] <= rank_tolerance(sc_sigma, sc.shape):
         raise RankDeficiencyError("least-squares matrix is rank deficient")
@@ -366,10 +338,10 @@ def precond_iterative_ls(c, b, eps, seed=0, max_iter=None):
         return scipy.linalg.solve_triangular(r_fac, v, trans="T", lower=False)
 
     def bmat(z):
-        return op.matvec(solve_r(z))
+        return left @ (right @ solve_r(z))
 
     def bmat_t(v):
-        return solve_rt(op.rmatvec(v))
+        return solve_rt(right.T @ (left.T @ v))
 
     if max_iter is None:
         max_iter = 4 * math.ceil(math.log(max(n, 2) / eps))
@@ -437,11 +409,10 @@ def input_sparsity_pcp(p: PcrProblem, s=None, t=None, eps=1e-3, seed=0,
 
     # Drop the zero rows of G so that G^T has no zero columns and
     # sigma_min(G^T) >= 1.
-    g = g_op.matrix
-    g_t = g[np.diff(g.indptr) > 0].T
+    g_t = g_op[np.diff(g_op.indptr) > 0].T
     c = _dense(p.a @ g_t)
     f = thin_svd(apply_left(s_op, c), p.k)
     require_gap(f.sigma, p.k, "S A G^T")
 
-    gamma = precond_iterative_ls(ProductOperator(c, f.v_k), p.b, eps / d, seed=seed_ls)
+    gamma = precond_iterative_ls((c, f.v_k), p.b, eps / d, seed=seed_ls)
     return g_t @ (f.v_k @ gamma)

@@ -6,10 +6,14 @@ and T A together with T b (to solve the compressed regression without
 storing A). Memory is a function of the sketch sizes and d only, never
 of the number of rows seen.
 
+Each sketch spec yields column i of its sketch as a pair (rows, values)
+that indexes the accumulator, so one update statement serves both kinds.
 CountSketch columns are realized lazily by hashing the running row
-index, so no stream length needs fixing in advance; subgaussian columns
-come from a counter-based generator keyed on the row index, which makes
-replays reproducible.
+index, so no stream length needs fixing in advance: column i is (bucket,
+sign), the column i of ``gen_countsketch`` under the same seed.
+Subgaussian columns are (all rows, a Gaussian vector) from a
+counter-based generator keyed on the row index, which makes replays
+reproducible.
 """
 
 from __future__ import annotations
@@ -36,11 +40,9 @@ class StreamingCountSketch:
         self.seed = seed
         self._h, self._g = _hash_pair(seed)
 
-    def bucket(self, index):
-        return int(self._h.value(index) % self.out_dim)
-
-    def sign(self, index):
-        return self._g.sign(index)
+    def column(self, index):
+        """Column ``index`` as (rows, values): its one bucket and its sign."""
+        return int(self._h.value(index) % self.out_dim), self._g.sign(index)
 
 
 class StreamingGaussian:
@@ -54,10 +56,11 @@ class StreamingGaussian:
         self._scale = 1.0 / math.sqrt(out_dim)
 
     def column(self, index):
+        """Column ``index`` as (rows, values): every row, a Gaussian vector."""
         # Disjoint counter blocks per row index keep the streams independent.
         bitgen = np.random.Philox(key=self.seed, counter=index << 128)
         rng = np.random.Generator(bitgen)
-        return rng.standard_normal(self.out_dim) * self._scale
+        return slice(None), rng.standard_normal(self.out_dim) * self._scale
 
 
 def _make_spec(kind, rows, seed):
@@ -90,18 +93,13 @@ def stream_init(d, s_rows, t_rows, seed, s_kind="countsketch", t_kind="countsket
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
     seed_s, seed_t = (int(x) for x in rng.integers(0, 2**63 - 1, size=2))
-    return stream_init_with_specs(d, _make_spec(s_kind, s_rows, seed_s),
-                                  _make_spec(t_kind, t_rows, seed_t))
-
-
-def stream_init_with_specs(d, s_spec, t_spec):
     return StreamState(
         d=d,
-        s_spec=s_spec,
-        t_spec=t_spec,
-        sa=np.zeros((s_spec.out_dim, d)),
-        ta=np.zeros((t_spec.out_dim, d)),
-        tb=np.zeros(t_spec.out_dim),
+        s_spec=_make_spec(s_kind, s_rows, seed_s),
+        t_spec=_make_spec(t_kind, t_rows, seed_t),
+        sa=np.zeros((s_rows, d)),
+        ta=np.zeros((t_rows, d)),
+        tb=np.zeros(t_rows),
     )
 
 
@@ -115,22 +113,13 @@ def stream_update(st: StreamState, a_row, b_entry) -> StreamState:
         raise RuntimeError("stream state was already finalized")
     row = as_vector(a_row, length=st.d, name="a_row")
     b_entry = float(b_entry)
-    if not np.isfinite(b_entry):
+    if not math.isfinite(b_entry):
         raise ValueError("b entry is not finite")
-    i = st.rows_seen
-    if st.s_spec.kind == "subgaussian":
-        st.sa += np.outer(st.s_spec.column(i), row)
-    else:
-        st.sa[st.s_spec.bucket(i)] += st.s_spec.sign(i) * row
-    if st.t_spec.kind == "subgaussian":
-        col = st.t_spec.column(i)
-        st.ta += np.outer(col, row)
-        st.tb += col * b_entry
-    else:
-        r = st.t_spec.bucket(i)
-        sgn = st.t_spec.sign(i)
-        st.ta[r] += sgn * row
-        st.tb[r] += sgn * b_entry
+    rows, values = st.s_spec.column(st.rows_seen)
+    st.sa[rows] += np.multiply.outer(values, row)
+    rows, values = st.t_spec.column(st.rows_seen)
+    st.ta[rows] += np.multiply.outer(values, row)
+    st.tb[rows] += values * b_entry
     st.rows_seen += 1
     return st
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths under test: the SVD oracle is a
 one-sided Jacobi iteration rather than LAPACK, feature maps are built by
-explicit enumeration, and subspace distances come straight from
+explicit enumeration, CountSketch hash tables by evaluating the hash
+polynomials one key at a time, and subspace distances come straight from
 projector differences.
 """
 
@@ -10,6 +11,8 @@ import itertools
 import math
 
 import numpy as np
+
+from sketchpcr.sketch import MERSENNE_P, _hash_pair
 
 
 def jacobi_svd(a, tol=1e-13, max_sweeps=60):
@@ -69,11 +72,6 @@ def subspace_distance_projectors(u, w):
     return float(np.linalg.norm(projector(u) - projector(w), 2))
 
 
-def principal_angles(u, w):
-    sigma = np.clip(np.linalg.svd(u.T @ w, compute_uv=False), -1.0, 1.0)
-    return np.arccos(sigma)
-
-
 def poly_features(a, degree):
     """Explicit degree-q tensor feature matrix with all d^q ordered monomials."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -91,21 +89,37 @@ def poly_feature_vector(z, degree):
     return poly_features(np.asarray(z)[None, :], degree)[0]
 
 
-def countsketch_dense(op):
+def countsketch_tables(out_dim, in_dim, seed):
+    """Row and sign of every column of the seeded CountSketch, from the two
+    hash polynomials of ``_hash_pair(seed)`` evaluated one key at a time
+    straight from their coefficients (even hash value: sign +1)."""
+    h, g = _hash_pair(seed)
+
+    def poly(coeffs, key):
+        return sum(c * pow(key, j, MERSENNE_P) for j, c in enumerate(coeffs)) % MERSENNE_P
+
+    rows = np.array([poly(h.coeffs, i) % out_dim for i in range(in_dim)], dtype=np.int64)
+    signs = np.array([1.0 if poly(g.coeffs, i) % 2 == 0 else -1.0 for i in range(in_dim)])
+    return rows, signs
+
+
+def countsketch_dense(out_dim, in_dim, seed):
     """Dense CountSketch matrix built entry by entry from its hash tables."""
-    m = np.zeros((op.out_dim, op.in_dim))
-    for j in range(op.in_dim):
-        m[op.rows[j], j] = op.signs[j]
+    rows, signs = countsketch_tables(out_dim, in_dim, seed)
+    m = np.zeros((out_dim, in_dim))
+    for j in range(in_dim):
+        m[rows[j], j] = signs[j]
     return m
 
 
-def countsketch_apply_loop(op, a):
+def countsketch_apply_loop(out_dim, seed, a):
     """S @ a by a plain loop over the columns of S, summing in index order."""
     a = np.asarray(a, dtype=float)
-    out = np.zeros((op.out_dim, a.shape[1]))
-    for j in range(op.in_dim):
+    rows, signs = countsketch_tables(out_dim, a.shape[0], seed)
+    out = np.zeros((out_dim, a.shape[1]))
+    for j in range(a.shape[0]):
         for c in range(a.shape[1]):
-            out[op.rows[j], c] += op.signs[j] * a[j, c]
+            out[rows[j], c] += signs[j] * a[j, c]
     return out
 
 
@@ -123,6 +137,24 @@ def tensorsketch_bruteforce(op, z):
             value *= z[idx]
         out[bucket % t] += sign * value
     return out
+
+
+def tensorsketch_materialize(op):
+    """Explicit (in_dim^q, out_dim) TensorSketch matrix from its hash tables,
+    one row per ordered monomial; for small cases only."""
+    d, q, t = op.in_dim, op.degree, op.out_dim
+    n_rows = d ** q
+    grids = np.meshgrid(*[np.arange(d)] * q, indexing="ij")
+    idx = [g.ravel() for g in grids]
+    buckets = np.zeros(n_rows, dtype=np.int64)
+    signs = np.ones(n_rows)
+    for j in range(q):
+        buckets += op.row_tables[j][idx[j]]
+        signs *= op.sign_tables[j][idx[j]]
+    buckets %= t
+    r = np.zeros((n_rows, t))
+    r[np.arange(n_rows), buckets] = signs
+    return r
 
 
 def rotated_basis(v_k, v_rest, theta):

@@ -89,7 +89,7 @@ def test_sketched_kernel_features_computed_once(tmp_path, monkeypatch):
                         lambda *args: calls.append(1) or real(*args))
     out = tmp_path / "kernel.json"
     assert main(["kernel", "--synthetic", synthetic, "--seed0", str(seed), "--mode",
-                 "sketched", "--degree", "2", "--rank", str(rank),
+                 "sketched", "--degree", "2", "--k", str(rank),
                  "--sketch-cols", str(width), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["aggregates"][0]["train_rmse"] == want
     assert len(calls) == 1
@@ -203,3 +203,26 @@ def test_stream_rejects_a_ratio_below_1(tmp_path, capsys):
 
 def test_kernel_rank_is_not_held_to_the_planted_rank(tmp_path):
     assert main(["kernel"] + SYNTH + ["--k", "2", "--out", str(tmp_path / "k.json")]) == 0
+
+
+def test_kernel_takes_its_rank_from_k_on_a_data_file(tmp_path):
+    path = tmp_path / "f.csv"
+    np.savetxt(path, np.random.default_rng(6).standard_normal((40, 5)), delimiter=",")
+    assert main(["kernel", "--data", str(path), "--k", "3", "--degree", "2",
+                 "--out", str(tmp_path / "k.json")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--data", "x"],
+    ["verify", "--solver", "bogus"],
+    ["solve", "--synthetic", "60,12,2,0.5", "--seeds", "5"],
+    ["solve", "--synthetic", "60,12,2,0.5", "--degree", "9"],
+    ["stream", "--data", "x.csv", "--k", "1", "--synthetic", "60,12,2,0.5"],
+    ["kernel", "--synthetic", "60,12,2,0.5", "--rank", "2"],
+    ["kernel", "--synthetic", "60,12,2,0.5", "--ratio", "2"],
+])
+def test_a_flag_the_subcommand_does_not_read_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sketchpcr.errors import RankDeficiencyError
 from sketchpcr.linalg import (
     pinv_solve,
-    project,
     relative_gap,
     stable_rank,
     subspace_distance,
-    tan_theta_norm,
     thin_svd,
 )
-from oracles import jacobi_svd, principal_angles, subspace_distance_projectors
+from oracles import jacobi_svd, subspace_distance_projectors
 
 
 def haar(rng, rows, cols):
@@ -109,31 +106,6 @@ class TestPinvSolve:
             pinv_solve(np.eye(3), [1.0, 2.0])
 
 
-class TestProject:
-    def test_axis(self):
-        basis = np.array([[1.0], [0.0]])
-        assert np.allclose(project(basis, [3.0, 4.0]), [3.0, 0.0])
-
-    def test_vector_in_span_unchanged(self):
-        rng = np.random.default_rng(5)
-        q = haar(rng, 7, 3)
-        v = q @ rng.standard_normal(3)
-        assert np.linalg.norm(project(q, v) - v) < 1e-12
-
-    def test_idempotent_and_pythagoras(self):
-        rng = np.random.default_rng(6)
-        q = haar(rng, 9, 4)
-        v = rng.standard_normal(9)
-        pv = project(q, v)
-        assert np.linalg.norm(project(q, pv) - pv) < 1e-10
-        lhs = np.linalg.norm(v - pv) ** 2 + np.linalg.norm(pv) ** 2
-        assert abs(lhs - np.linalg.norm(v) ** 2) < 1e-10
-
-    def test_rejects_nonorthonormal(self):
-        with pytest.raises(ValueError):
-            project(np.array([[1.0], [1.0]]), [1.0, 0.0])
-
-
 class TestSubspaceDistance:
     def test_equal_bases(self):
         rng = np.random.default_rng(8)
@@ -165,40 +137,6 @@ class TestSubspaceDistance:
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError):
             subspace_distance(haar(rng, 6, 2), haar(rng, 6, 3))
-
-
-class TestTanThetaNorm:
-    def test_zero_when_aligned(self):
-        rng = np.random.default_rng(13)
-        w = haar(rng, 6, 6)
-        w_k, w_rest = w[:, :2], w[:, 2:]
-        assert tan_theta_norm(w_k, w_k, w_rest) < 1e-12
-
-    def test_planar_rotation(self):
-        theta = 0.25
-        q = np.array([[math.cos(theta)], [math.sin(theta)]])
-        e1 = np.array([[1.0], [0.0]])
-        e2 = np.array([[0.0], [1.0]])
-        assert abs(tan_theta_norm(q, e1, e2) - math.tan(theta)) < 1e-12
-
-    def test_matches_principal_angle_oracle(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            w = haar(rng, 6, 6)
-            w_k, w_rest = w[:, :2], w[:, 2:]
-            q = haar(rng, 6, 2)
-            angles = principal_angles(q, w_k)
-            if angles.max() > math.pi / 2 - 1e-3:
-                continue
-            want = math.tan(angles.max())
-            got = tan_theta_norm(q, w_k, w_rest)
-            assert abs(got - want) < 1e-8
-
-    def test_rank_deficiency_signaled(self):
-        w = np.eye(4)
-        q = w[:, 2:]  # orthogonal to w_k: W_k^T Q = 0
-        with pytest.raises(RankDeficiencyError):
-            tan_theta_norm(q, w[:, :2], w[:, 2:])
 
 
 class TestSpectralDiagnostics:

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from sketchpcr.kernel import sketched_feature_matrix
 from sketchpcr.sketch import (
-    CountSketch,
     apply_left,
     gen_countsketch,
     gen_subgaussian,
@@ -15,14 +14,15 @@ from sketchpcr.sketch import (
     identity_embedding,
     sketch_rows_for_gram,
     tensorsketch_apply,
-    tensorsketch_materialize,
 )
 from oracles import (
     countsketch_apply_loop,
     countsketch_dense,
+    countsketch_tables,
     poly_feature_vector,
     poly_features,
     tensorsketch_bruteforce,
+    tensorsketch_materialize,
 )
 
 
@@ -30,39 +30,49 @@ class TestSubgaussian:
     def test_seed_determinism(self):
         a = gen_subgaussian(4, 4, seed=7)
         b = gen_subgaussian(4, 4, seed=7)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert isinstance(a, np.ndarray) and a.shape == (4, 4)
+        assert np.array_equal(a, b)
 
     def test_column_norm_concentration(self):
         op = gen_subgaussian(2000, 50, seed=1)
-        norms = np.linalg.norm(op.matrix, axis=0)
+        norms = np.linalg.norm(op, axis=0)
         assert norms.min() > 0.8 and norms.max() < 1.2
 
     def test_basis_vector_reproduces_column(self):
         op = gen_subgaussian(6, 5, seed=2)
         e3 = np.zeros((5, 1))
         e3[3] = 1.0
-        assert np.allclose(apply_left(op, e3).ravel(), op.matrix[:, 3])
+        assert np.allclose(apply_left(op, e3).ravel(), op[:, 3])
 
 
 class TestCountSketch:
     def test_one_nonzero_per_column(self):
         op = gen_countsketch(7, 30, seed=3)
-        m = op.matrix.toarray()
+        m = op.toarray()
         assert np.all(np.count_nonzero(m, axis=0) == 1)
         assert set(np.unique(m)) <= {-1.0, 0.0, 1.0}
-        assert np.array_equal(m, countsketch_dense(op))
+        assert np.array_equal(m, countsketch_dense(7, 30, 3))
+
+    def test_is_csr_with_one_hashed_sign_per_column(self):
+        op = gen_countsketch(11, 60, seed=31)
+        assert sp.issparse(op) and op.format == "csr" and op.shape == (11, 60)
+        by_col = op.tocsc()
+        assert np.array_equal(np.diff(by_col.indptr), np.ones(60))
+        rows, signs = countsketch_tables(11, 60, 31)
+        assert np.array_equal(by_col.indices, rows)
+        assert np.array_equal(by_col.data, signs)
 
     def test_row_occupancy_roughly_uniform(self):
         op = gen_countsketch(10, 10000, seed=4)
-        counts = np.bincount(op.rows, minlength=10)
-        assert counts.max() <= 3 * counts.mean()
+        counts = np.diff(op.indptr)
+        assert counts.sum() == 10000 and counts.max() <= 3 * counts.mean()
 
     def test_norm_preserved_when_buckets_distinct(self):
         op = gen_countsketch(64, 8, seed=5)
         x = np.zeros(8)
         # restrict support to columns with pairwise-distinct buckets
         seen, support = set(), []
-        for i, r in enumerate(op.rows):
+        for i, r in enumerate(countsketch_tables(64, 8, 5)[0]):
             if r not in seen:
                 seen.add(r)
                 support.append(i)
@@ -74,7 +84,7 @@ class TestCountSketch:
     def test_determinism(self):
         a = gen_countsketch(9, 40, seed=11)
         b = gen_countsketch(9, 40, seed=11)
-        assert np.array_equal(a.rows, b.rows) and np.array_equal(a.signs, b.signs)
+        assert np.array_equal(a.toarray(), b.toarray())
 
 
 class TestApplyLeft:
@@ -82,8 +92,7 @@ class TestApplyLeft:
         rng = np.random.default_rng(6)
         perm = rng.permutation(5)
         signs = rng.choice([-1.0, 1.0], size=5)
-        op = CountSketch(out_dim=5, in_dim=5, seed=-1,
-                         rows=perm.astype(np.int64), signs=signs)
+        op = sp.csr_matrix((signs, (perm, np.arange(5))), shape=(5, 5))
         a = rng.standard_normal((5, 3))
         out = apply_left(op, a)
         want = np.zeros_like(a)
@@ -92,9 +101,9 @@ class TestApplyLeft:
 
     def test_apply_to_identity_materializes(self):
         op = gen_countsketch(6, 9, seed=7)
-        assert np.array_equal(apply_left(op, np.eye(9)), countsketch_dense(op))
+        assert np.array_equal(apply_left(op, np.eye(9)), countsketch_dense(6, 9, 7))
         dense_op = gen_subgaussian(6, 9, seed=7)
-        assert np.allclose(apply_left(dense_op, np.eye(9)), dense_op.matrix)
+        assert np.allclose(apply_left(dense_op, np.eye(9)), dense_op)
 
     def test_sparse_dense_equivalence(self):
         rng = np.random.default_rng(8)
@@ -111,7 +120,7 @@ class TestApplyLeft:
         dense = rng.standard_normal((40, 5))
         dense[rng.random((40, 5)) < 0.6] = 0.0
         op = gen_countsketch(8, 40, seed=12)
-        want = countsketch_apply_loop(op, dense)
+        want = countsketch_apply_loop(8, 12, dense)
         assert np.array_equal(apply_left(op, dense), want)
         assert np.array_equal(apply_left(op, sp.csr_matrix(dense)), want)
 
@@ -186,8 +195,8 @@ class TestTensorSketch:
 
     def test_degree_one_is_countsketch(self):
         op = gen_tensorsketch(1, 7, 5, seed=17)
-        cs = CountSketch(out_dim=5, in_dim=7, seed=-1,
-                         rows=op.row_tables[0].copy(), signs=op.sign_tables[0].copy())
+        cs = sp.csr_matrix((op.sign_tables[0], (op.row_tables[0], np.arange(7))),
+                           shape=(5, 7))
         z = np.random.default_rng(1).standard_normal(7)
         assert np.array_equal(tensorsketch_apply(op, z),
                               apply_left(cs, z[:, None]).ravel())

@@ -15,7 +15,6 @@ from sketchpcr.sketch import gen_countsketch, gen_subgaussian, identity_embeddin
 from sketchpcr.solvers import (
     PcrProblem,
     PcrSolution,
-    ProductOperator,
     build_r_left,
     build_r_right,
     build_r_twosided,
@@ -27,7 +26,13 @@ from sketchpcr.solvers import (
     precond_iterative_ls,
     sketched_pcr,
 )
-from oracles import countsketch_dense, jacobi_svd, reduced_ls_objective, rotated_basis
+from oracles import (
+    countsketch_dense,
+    countsketch_tables,
+    jacobi_svd,
+    reduced_ls_objective,
+    rotated_basis,
+)
 
 
 def eq3_bruteforce(a, r_mat, b, k):
@@ -117,7 +122,7 @@ class TestSketchedPcr:
         p = PcrProblem(a=a, b=b, k=3)
         g = gen_countsketch(8, 10, seed=10)
         sol = sketched_pcr(p, build_r_right(g))
-        want = eq3_bruteforce(a, countsketch_dense(g).T, b, 3)
+        want = eq3_bruteforce(a, countsketch_dense(8, 10, 10).T, b, 3)
         assert np.allclose(sol.x, want, atol=1e-9)
 
     def test_rejects_r_narrower_than_k(self):
@@ -164,9 +169,10 @@ class TestBuildR:
         a = rng.standard_normal((9, 6))
         g = gen_countsketch(4, 6, seed=20)
         ar = a @ build_r_right(g)
+        rows, signs = countsketch_tables(4, 6, 20)
         want = np.zeros((9, 4))
         for i in range(6):
-            want[:, g.rows[i]] += g.signs[i] * a[:, i]
+            want[:, rows[i]] += signs[i] * a[:, i]
         assert np.allclose(ar, want, atol=0)
 
     def test_right_identity_gives_a(self):
@@ -180,9 +186,9 @@ class TestBuildR:
         a = rng.standard_normal((15, 9))
         g = gen_countsketch(6, 9, seed=23)
         right = build_r_right(g)
-        assert np.allclose(a @ right, a @ countsketch_dense(g).T, atol=1e-12)
+        assert np.allclose(a @ right, a @ countsketch_dense(6, 9, 23).T, atol=1e-12)
         v = rng.standard_normal(6)
-        assert np.allclose(right @ v, countsketch_dense(g).T @ v, atol=1e-12)
+        assert np.allclose(right @ v, countsketch_dense(6, 9, 23).T @ v, atol=1e-12)
 
     def test_right_sparse_input(self):
         rng = np.random.default_rng(24)
@@ -203,10 +209,10 @@ class TestBuildR:
         s_op = gen_countsketch(20, 40, seed=28)
         g_op = gen_countsketch(8, 12, seed=29)
         r = build_r_twosided(p, s_op, g_op)
-        c = p.a @ countsketch_dense(g_op).T
-        d = countsketch_dense(s_op) @ c
+        c = p.a @ countsketch_dense(8, 12, 29).T
+        d = countsketch_dense(20, 40, 28) @ c
         f_d = thin_svd(d, p.k)
-        want = countsketch_dense(g_op).T @ f_d.v_k
+        want = countsketch_dense(8, 12, 29).T @ f_d.v_k
         assert np.allclose(r, want, atol=1e-9)
 
     def test_twosided_solution_matches_bruteforce(self):
@@ -322,7 +328,7 @@ class TestExactReference:
         monkeypatch.setattr(solvers, "thin_svd", slow_thin_svd)
         p = random_problem(46)
         if not exact_first:
-            certify(p, sketched_pcr(p, gen_subgaussian(8, p.shape[1], 1).matrix.T), mode="pcr")
+            certify(p, sketched_pcr(p, gen_subgaussian(8, p.shape[1], 1).T), mode="pcr")
         sol = exact_pcr(p)
         assert sol.wall_time >= p.reference.seconds >= 0.05
 
@@ -400,9 +406,19 @@ class TestPrecondIterativeLs:
         left = rng.standard_normal((300, 12))
         right_f = rng.standard_normal((12, 3))
         b = rng.standard_normal(300)
-        got = precond_iterative_ls(ProductOperator(left, right_f), b, eps=1e-12, seed=44)
+        got = precond_iterative_ls((left, right_f), b, eps=1e-12, seed=44)
         want, *_ = np.linalg.lstsq(left @ right_f, b, rcond=None)
         assert np.allclose(got, want, atol=1e-8)
+
+    @pytest.mark.parametrize("n, t, k", [(300, 12, 3), (30, 8, 4)])  # sketched, and 4k^2 >= n
+    def test_factor_pair_equals_the_formed_product(self, n, t, k):
+        rng = np.random.default_rng(n)
+        left = rng.standard_normal((n, t))
+        right = rng.standard_normal((t, k))
+        b = rng.standard_normal(n)
+        got = precond_iterative_ls((left, right), b, eps=1e-10, seed=5)
+        want = precond_iterative_ls(left @ right, b, eps=1e-10, seed=5)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_rank_deficiency_signaled(self):
         c = np.zeros((50, 3))
@@ -421,11 +437,12 @@ class TestInputSparsityPcp:
         g_op = gen_countsketch(20, 40, seed=49)
         y = input_sparsity_pcp(p, eps=1e-10, seed=50, s_op=s_op, g_op=g_op)
         # rebuild R = G'^T V_{D,k} exactly as the algorithm does
-        occupied = np.unique(g_op.rows)
+        g_rows, g_signs = countsketch_tables(20, 40, 49)
+        occupied = np.unique(g_rows)
         g_mat = np.zeros((len(occupied), 40))
-        g_mat[np.searchsorted(occupied, g_op.rows), np.arange(40)] = g_op.signs
+        g_mat[np.searchsorted(occupied, g_rows), np.arange(40)] = g_signs
         c = a @ g_mat.T
-        d_mat = countsketch_dense(s_op) @ c
+        d_mat = countsketch_dense(30, 50, 48) @ c
         f_d = thin_svd(d_mat, 3)
         r_mat = g_mat.T @ f_d.v_k
         x_r = r_mat @ (np.linalg.pinv(a @ r_mat) @ b)
@@ -437,10 +454,8 @@ class TestInputSparsityPcp:
         b = a @ rng.standard_normal(12)
         p = PcrProblem(a=a, b=b, k=3)
         perm = rng.permutation(12)
-        from sketchpcr.sketch import CountSketch
-        g_perm = CountSketch(out_dim=12, in_dim=12, seed=-1,
-                             rows=perm.astype(np.int64),
-                             signs=rng.choice([-1.0, 1.0], size=12))
+        g_perm = sp.csr_matrix((rng.choice([-1.0, 1.0], size=12), (perm, np.arange(12))),
+                               shape=(12, 12))
         y = input_sparsity_pcp(p, eps=1e-12, seed=53,
                                s_op=identity_embedding(30), g_op=g_perm)
         assert np.allclose(y, exact_pcr(p).x, atol=1e-8)
@@ -457,11 +472,12 @@ class TestInputSparsityPcp:
             s_op = gen_countsketch(48, 100, seed=3000 + seed)
             g_op = gen_countsketch(32, 80, seed=4000 + seed)
             y = input_sparsity_pcp(p, eps=1e-3, seed=5000 + seed, s_op=s_op, g_op=g_op)
-            occupied = np.unique(g_op.rows)
+            g_rows, g_signs = countsketch_tables(32, 80, 4000 + seed)
+            occupied = np.unique(g_rows)
             g_mat = np.zeros((len(occupied), 80))
-            g_mat[np.searchsorted(occupied, g_op.rows), np.arange(80)] = g_op.signs
+            g_mat[np.searchsorted(occupied, g_rows), np.arange(80)] = g_signs
             c = a @ g_mat.T
-            f_d = thin_svd(countsketch_dense(s_op) @ c, 4)
+            f_d = thin_svd(countsketch_dense(48, 100, 3000 + seed) @ c, 4)
             r_mat = g_mat.T @ f_d.v_k
             x_r = r_mat @ (np.linalg.pinv(a @ r_mat) @ b)
             if np.linalg.norm(y - x_r) ** 2 <= 1e-3 * np.linalg.norm(x_r) ** 2:
@@ -539,7 +555,7 @@ def _draw(seed, n, d, k, s, density, r_kind):
     if r_kind == "dense":
         r = rng.standard_normal((d, s))
     else:
-        r = gen_countsketch(s, d, seed).matrix.T.tocsr()
+        r = gen_countsketch(s, d, seed).T.tocsr()
     return a, b, r
 
 

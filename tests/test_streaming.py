@@ -3,7 +3,7 @@ import pytest
 
 from sketchpcr.evaluation import planted_matrix
 from sketchpcr.linalg import pinv_solve
-from sketchpcr.sketch import SubgaussianSketch, apply_left, gen_countsketch
+from sketchpcr.sketch import apply_left, gen_countsketch
 from sketchpcr.solvers import PcrProblem, build_r_left
 from sketchpcr.streaming import stream_finalize, stream_init, stream_update
 
@@ -26,10 +26,11 @@ def run_stream(a, b, s_kind, t_kind, seed=61):
 
 def explicit_sketch(spec, n):
     """The batch sketch whose column i the stream spec draws for row i."""
-    if spec.kind == "countsketch":
-        return gen_countsketch(spec.out_dim, n, spec.seed)
-    cols = np.column_stack([spec.column(i) for i in range(n)])
-    return SubgaussianSketch(out_dim=spec.out_dim, in_dim=n, seed=spec.seed, matrix=cols)
+    m = np.zeros((spec.out_dim, n))
+    for i in range(n):
+        rows, values = spec.column(i)
+        m[rows, i] = values
+    return m
 
 
 class TestStreaming:
@@ -44,6 +45,20 @@ class TestStreaming:
         r = build_r_left(PcrProblem(a=a, b=b, k=K), s_op)
         want = r @ pinv_solve(apply_left(t_op, a) @ r, apply_left(t_op, b[:, None]).ravel())
         assert np.allclose(x, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["subgaussian", "countsketch"])
+    def test_stream_columns_are_the_batch_columns(self, kind):
+        a, b = planted_problem()
+        st = run_stream(a, b, kind, kind)
+        s_mat, t_mat = explicit_sketch(st.s_spec, N), explicit_sketch(st.t_spec, N)
+        if kind == "countsketch":
+            for spec, mat in ((st.s_spec, s_mat), (st.t_spec, t_mat)):
+                assert np.array_equal(mat, gen_countsketch(spec.out_dim, N, spec.seed).toarray())
+        else:
+            assert np.all(s_mat != 0) and np.all(t_mat != 0)
+        assert np.allclose(st.sa, s_mat @ a, rtol=1e-12, atol=1e-12)
+        assert np.allclose(st.ta, t_mat @ a, rtol=1e-12, atol=1e-12)
+        assert np.allclose(st.tb, t_mat @ b, rtol=1e-12, atol=1e-12)
 
     def test_replay_is_deterministic(self):
         a, b = planted_problem()
