@@ -1,10 +1,12 @@
-"""Command-line driver: solve single instances, sweep solver/size grids,
-stream rows from disk, fit kernel models, and verify the library's
-deterministic and statistical guarantees on synthetic data.
+"""Command-line driver: sweep solver/size grids (``solve`` is a sweep over
+one seed), stream rows from disk, fit kernel models, and verify the
+library's deterministic and statistical guarantees on synthetic data.
+Every subcommand writes one versioned JSON report.
 
 ``SOLVERS`` gives each solver's sketch sizes, certify mode and callable;
-``_cells`` turns --s/--t/--ratio into the (s, t) cells that ``solve`` (the
-first), ``sweep`` (all) and ``stream`` run.
+``_cells`` turns --s/--t/--ratio into the (s, t) cells that ``solve`` and
+``sweep`` run. ``stream`` and ``kernel`` run one cell, so they reject a
+comma list.
 
 Exit codes: 0 full success, 1 configuration error, 2 partial failures
 (failed sweep cells or failed verification checks).
@@ -13,7 +15,6 @@ Exit codes: 0 full success, 1 configuration error, 2 partial failures
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -59,40 +60,15 @@ class RunReport:
     aggregates: list = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
 
-    def to_payload(self):
-        return {
-            "schema_version": self.schema_version,
-            "task": self.task,
-            "records": [asdict(r) for r in self.records],
-            "aggregates": self.aggregates,
-        }
 
-
-def emit_report(report: RunReport, fmt, path):
-    """Write the report as versioned JSON or a header-first CSV of records."""
-    payload = report.to_payload()
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if path is None:
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return
-    if fmt == "csv":
-        fields = ["method", "k", "s", "t", "seed", "objective_over_b",
-                  "objective_over_exact", "constraint_over_b", "wall_time", "error"]
-        out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-        try:
-            writer = csv.DictWriter(out, fieldnames=fields)
-            writer.writeheader()
-            for rec in payload["records"]:
-                writer.writerow({f: rec.get(f) for f in fields})
-        finally:
-            if path:
-                out.close()
-        return
-    raise CliError(f"unknown report format {fmt!r}")
+def emit_report(report: RunReport, path):
+    """Write the report as versioned JSON to ``path``, or stdout for None."""
+    text = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +233,7 @@ def _aggregate(records):
 
 
 def run_sweep(problem_by_k, solvers_list, args) -> RunReport:
-    report = RunReport(task="sweep")
+    report = RunReport(task=args.task)
     seeds = [args.seed0 + i for i in range(args.seeds)]
     cells = [(solver, k, problem, s, t)
              for solver in solvers_list for k, problem in problem_by_k.items()
@@ -332,8 +308,7 @@ def _verify_checks(args):
                    abs(bias + var - mc.mean), 3 * mc.std_error))
 
     eps, delta = 0.25, 0.1
-    rows = sketch.sketch_rows_for_gram("subgaussian", stable_rank(a), eps, delta,
-                                       const=args.const_c)
+    rows = sketch.sketch_rows_for_gram("subgaussian", stable_rank(a), eps, delta)
     fails = 0
     n_draws = 200
     for i in range(n_draws):
@@ -358,29 +333,25 @@ def cmd_verify(args):
         print(f"{'PASS' if ok else 'FAIL'}  {name}: lhs={lhs:.6g} rhs={rhs:.6g} slack={slack:.3g}")
     report.aggregates = rows
     if args.out:
-        emit_report(report, args.format, args.out)
+        emit_report(report, args.out)
     return 0 if all_ok else 2
 
 
 # ---------------------------------------------------------------------------
 # Other subcommands.
 
-def cmd_solve(args):
-    a, b, k_list = _load_problem(args)
-    k = k_list[0]
-    s, t = _cells(args, k, args.solver)[0]
-    problem = solvers.PcrProblem(a=a, b=b, k=k)
-    rec = _record_for(problem, args.solver, k, s, t, args.seed0)
-    report = RunReport(task="solve", records=[rec])
-    emit_report(report, args.format, args.out)
-    return 0 if rec.error is None else 2
+def _single_values(args, flags):
+    """Reject a comma list in any of ``flags``: the subcommand runs one cell."""
+    for flag in flags:
+        if len(getattr(args, flag) or ()) > 1:
+            raise CliError(f"{args.task} runs one cell: --{flag} takes one value")
 
 
 def cmd_sweep(args):
     a, b, k_list = _load_problem(args)
     problems = solvers.PcrProblem.for_ranks(a, b, k_list)
     report = run_sweep(problems, args.solver.split(","), args)
-    emit_report(report, args.format, args.out)
+    emit_report(report, args.out)
     return 2 if any(r.error is not None for r in report.records) else 0
 
 
@@ -403,8 +374,9 @@ def cmd_stream(args):
         raise CliError("stream mode requires --data")
     if not args.k:
         raise CliError("stream mode requires --k")
-    k = args.k[0]
-    s_rows, t_rows = _cells(args, k, "stream", axes=("s", "t"))[0]
+    _single_values(args, ("k", "s", "t"))
+    k, = args.k
+    (s_rows, t_rows), = _cells(args, k, "stream", axes=("s", "t"))
     state = None
     for row, b_entry in _stream_rows(args):
         if state is None:
@@ -419,15 +391,15 @@ def cmd_stream(args):
     report.aggregates = [{"rows_seen": state.rows_seen,
                           "accumulator_bytes": state.memory_bytes(),
                           "x_norm": float(np.linalg.norm(sol.x))}]
-    emit_report(report, args.format, args.out)
+    emit_report(report, args.out)
     return 0
 
 
 def cmd_kernel(args):
-    a, b, k_list = _load_problem(args, pcr_rank=False)
+    _single_values(args, ("k",))
+    a, b, (rank,) = _load_problem(args, pcr_rank=False)
     if sp.issparse(a):
         a = a.toarray()
-    rank = k_list[0]
     t0 = time.perf_counter()
     if args.mode == "exact":
         spec = kpcr.KernelSpec(args.degree, args.offset)
@@ -450,7 +422,7 @@ def cmd_kernel(args):
         "rank": rank, "sketch_cols": args.sketch_cols,
         "train_rmse": rmse, "wall_time": elapsed,
     }]
-    emit_report(report, args.format, args.out)
+    emit_report(report, args.out)
     return 0
 
 
@@ -473,7 +445,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed0", type=int, default=0, help="base seed")
     common.add_argument("--out", help="report output path (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     stream_data = argparse.ArgumentParser(add_help=False)
     stream_data.add_argument("--data", help="CSV (dense, last column response) or svmlight path")
     stream_data.add_argument("--k", type=_int_list, help="target rank, or comma list")
@@ -489,11 +460,11 @@ def build_parser():
     sizes.add_argument("--ratio", type=int, help="sets s = t = ratio * k when unset")
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--solver", default="exact",
-                        help="|".join(SOLVERS) + " (comma list allowed for sweep)")
+                        help="|".join(SOLVERS) + ", or comma list")
 
     parser = _Parser(prog="pcr", description=__doc__)
     sub = parser.add_subparsers(dest="task", required=True)
-    sub.add_parser("solve", parents=[common, data, sizes, solver])
+    sub.add_parser("solve", parents=[common, data, sizes, solver]).set_defaults(seeds=1)
     sweep = sub.add_parser("sweep", parents=[common, data, sizes, solver])
     sweep.add_argument("--seeds", type=int, default=1, help="number of seeds per cell")
     sub.add_parser("stream", parents=[common, stream_data, sizes])
@@ -504,15 +475,12 @@ def build_parser():
                       help="TensorSketch width for sketched kernel mode")
     kern.add_argument("--mode", choices=("exact", "sketched"), default="exact",
                       help="kernel solver mode")
-    verify = sub.add_parser("verify", parents=[common])
-    verify.add_argument("--const-c", dest="const_c", type=float,
-                        default=sketch.DEFAULT_GRAM_CONST,
-                        help="constant in the Gram-property sizing formulas")
+    sub.add_parser("verify", parents=[common])
     return parser
 
 
 _COMMANDS = {
-    "solve": cmd_solve,
+    "solve": cmd_sweep,
     "sweep": cmd_sweep,
     "stream": cmd_stream,
     "kernel": cmd_kernel,

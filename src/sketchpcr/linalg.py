@@ -64,25 +64,20 @@ def spectral_norm(a):
 
 @dataclass(frozen=True)
 class TruncatedSvd:
-    """A thin SVD split at index k.
+    """A thin SVD split at index k: U_k, and the singular values and right
+    singular vectors on both sides of the split.
 
-    ``u_k @ diag(sigma_k) @ v_k.T + u_rest @ diag(sigma_rest) @ v_rest.T``
-    reconstructs the source matrix. Singular values are nonincreasing
-    across the split and column signs are fixed so the largest-magnitude
-    entry of each left singular vector is positive.
+    Singular values are nonincreasing across the split and column signs
+    are fixed so the largest-magnitude entry of each left singular vector
+    is positive. The factored matrix is ``len(u_k)`` x ``len(v_k)``.
     """
 
     u_k: np.ndarray
     sigma_k: np.ndarray
     v_k: np.ndarray
-    u_rest: np.ndarray
     sigma_rest: np.ndarray
     v_rest: np.ndarray
     k: int
-
-    @property
-    def u(self):
-        return np.hstack([self.u_k, self.u_rest])
 
     @property
     def sigma(self):
@@ -92,15 +87,12 @@ class TruncatedSvd:
     def v(self):
         return np.hstack([self.v_k, self.v_rest])
 
-    def reconstruct(self):
-        return (self.u * self.sigma) @ self.v.T
-
     def split(self, k):
-        """This SVD split again at k <= self.k, without U_rest (None), with
-        arrays laid out as :func:`thin_svd` lays them out."""
+        """This SVD split again at k <= self.k, with arrays laid out as
+        :func:`thin_svd` lays them out."""
         sigma, v = self.sigma, self.v
         return TruncatedSvd(u_k=self.u_k[:, :k].copy(), sigma_k=sigma[:k],
-                            v_k=v[:, :k].copy(), u_rest=None, sigma_rest=sigma[k:],
+                            v_k=v[:, :k].copy(), sigma_rest=sigma[k:],
                             v_rest=v[:, k:].copy(), k=k)
 
 
@@ -140,7 +132,6 @@ def thin_svd(m, k):
         u_k=u[:, :k].copy(),
         sigma_k=s[:k].copy(),
         v_k=v[:, :k].copy(),
-        u_rest=u[:, k:].copy(),
         sigma_rest=s[k:].copy(),
         v_rest=v[:, k:].copy(),
         k=k,

@@ -45,8 +45,7 @@ GAP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExactReference:
-    """The thin SVD of A split at k, with ``u_rest`` dropped (None) to save
-    memory, and the seconds it took to compute.
+    """The thin SVD of A split at k and the seconds it took to compute.
 
     The leakage U_rest^T A y equals sigma_rest * (V_rest^T y) for the thin
     SVD, so no consumer needs U_rest.
@@ -116,7 +115,7 @@ class PcrProblem:
             return ExactReference(svd=ref.svd.split(self.k), seconds=ref.seconds)
         t0 = time.perf_counter()
         a = self.a.toarray() if sp.issparse(self.a) else self.a
-        f = dataclasses.replace(thin_svd(a, self.k), u_rest=None)
+        f = thin_svd(a, self.k)
         return ExactReference(svd=f, seconds=time.perf_counter() - t0)
 
 
@@ -137,13 +136,13 @@ class ApproxCertificate:
     reference_objective: float
 
 
-def require_gap(sigma, k, what="matrix"):
-    """Reject spectra without a usable rank or eigengap at k."""
-    sigma = np.asarray(sigma, dtype=float)
+def require_gap(f: TruncatedSvd, what="matrix"):
+    """Reject a factored matrix without a usable rank or eigengap at f.k;
+    singular values within the rank tolerance of its shape count as zero."""
+    sigma, k = f.sigma, f.k
     if sigma[0] == 0.0:
         raise RankDeficiencyError(f"{what} is zero")
-    sk = sigma[k - 1] if k - 1 < len(sigma) else 0.0
-    if sk <= rank_tolerance(sigma, (len(sigma), len(sigma))):
+    if sigma[k - 1] <= rank_tolerance(sigma, (len(f.u_k), len(f.v_k))):
         raise RankDeficiencyError(f"{what} has rank below k={k}")
     if relative_gap_from_sigma(sigma, k) < GAP_TOL:
         raise GapError(f"{what} has a vanishing eigengap at k={k}")
@@ -155,7 +154,7 @@ def _objective(a, x, b):
 
 def _checked_reference(p: PcrProblem) -> TruncatedSvd:
     f = p.reference.svd
-    require_gap(f.sigma, p.k, "A")
+    require_gap(f, "A")
     return f
 
 
@@ -197,7 +196,7 @@ def build_r_left(p: PcrProblem, s_op) -> np.ndarray:
     """R = top-k right singular basis of the row-compressed matrix S A."""
     sa = apply_left(s_op, p.a)
     f = thin_svd(sa, p.k)
-    require_gap(f.sigma, p.k, "S A")
+    require_gap(f, "S A")
     return f.v_k
 
 
@@ -215,7 +214,7 @@ def build_r_twosided(p: PcrProblem, s_op, g_op) -> np.ndarray:
     g_t = build_r_right(g_op)
     d = apply_left(s_op, _dense(p.a @ g_t))
     f = thin_svd(d, p.k)
-    require_gap(f.sigma, p.k, "S A G^T")
+    require_gap(f, "S A G^T")
     return g_t @ f.v_k
 
 
@@ -231,7 +230,7 @@ def sketched_pcr(p: PcrProblem, r) -> PcrSolution:
     if r.shape[1] < p.k:
         raise ValueError(f"R has {r.shape[1]} columns, fewer than k={p.k}")
     f = thin_svd(_dense(p.a @ r), p.k)
-    require_gap(f.sigma, p.k, "A R")
+    require_gap(f, "A R")
     gamma = f.v_k @ ((f.u_k.T @ p.b) / f.sigma_k)
     x = r @ gamma
     elapsed = time.perf_counter() - t0
@@ -412,7 +411,7 @@ def input_sparsity_pcp(p: PcrProblem, s=None, t=None, eps=1e-3, seed=0,
     g_t = g_op[np.diff(g_op.indptr) > 0].T
     c = _dense(p.a @ g_t)
     f = thin_svd(apply_left(s_op, c), p.k)
-    require_gap(f.sigma, p.k, "S A G^T")
+    require_gap(f, "S A G^T")
 
     gamma = precond_iterative_ls((c, f.v_k), p.b, eps / d, seed=seed_ls)
     return g_t @ (f.v_k @ gamma)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .linalg import as_vector, pinv_solve, rank_tolerance, thin_svd
+from .linalg import as_vector, pinv_apply, rank_tolerance, thin_svd
 from .sketch import _hash_pair
 from .solvers import PcrSolution, require_gap
 
@@ -127,21 +127,21 @@ def stream_update(st: StreamState, a_row, b_entry) -> StreamState:
 def stream_finalize(st: StreamState, k) -> PcrSolution:
     """Close the stream and return x = R (T A R)^+ T b with R = V_{SA,k}.
 
-    Final work is polynomial in d and the sketch sizes only. The state
-    is consumed.
+    T A R is factored once; a rank below k (fewer than k rows of T, say)
+    raises RankDeficiencyError. Final work is polynomial in d and the
+    sketch sizes only. The state is consumed.
     """
     if st.finalized:
         raise RuntimeError("stream state was already finalized")
     t0 = time.perf_counter()
     st.finalized = True
     f = thin_svd(st.sa, k)
-    require_gap(f.sigma, k, "S A")
+    require_gap(f, "S A")
     r = f.v_k
-    tar = st.ta @ r
-    tar_sigma = np.linalg.svd(tar, compute_uv=False)
-    if tar_sigma[-1] <= rank_tolerance(tar_sigma, tar.shape):
-        raise RankDeficiencyError("T A R is rank deficient")
-    x = r @ pinv_solve(tar, st.tb)
+    u, s, vt = np.linalg.svd(st.ta @ r, full_matrices=False)
+    if np.sum(s > rank_tolerance(s, (len(u), k))) < k:
+        raise RankDeficiencyError(f"T A R has rank below k={k}")
+    x = r @ pinv_apply(u, s, vt.T, st.tb)
     return PcrSolution(
         x=x,
         method="stream",

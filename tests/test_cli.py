@@ -129,23 +129,25 @@ def test_sweep_factors_a_once_for_every_k(tmp_path, monkeypatch):
     assert shapes.count((200, 30)) == 1
 
 
+def _untimed(path):
+    payload = json.loads(path.read_text())
+    for entry in payload["records"] + payload["aggregates"]:
+        entry.pop("wall_time")
+    return payload
+
+
 def test_sweep_report_equals_one_problem_per_k(tmp_path, monkeypatch):
     args = _sweep_ks(tmp_path)
-    def untimed(path):
-        payload = json.loads(path.read_text())
-        for entry in payload["records"] + payload["aggregates"]:
-            entry.pop("wall_time")
-        return payload
-
     shared, separate = tmp_path / "shared.json", tmp_path / "separate.json"
     assert main(args + ["--out", str(shared)]) == 0
     monkeypatch.setattr(solvers.PcrProblem, "for_ranks", classmethod(
         lambda cls, a, b, ks: {k: cls(a=a, b=b, k=k) for k in ks}))
     assert main(args + ["--out", str(separate)]) == 0
-    assert untimed(shared) == untimed(separate)
+    assert _untimed(shared) == _untimed(separate)
 
 
 SYNTH = ["--synthetic", "200,30,3,0.5"]
+STREAM_CSV = ["stream", "--data", "ab.csv"]
 
 
 def _record(path):
@@ -154,14 +156,21 @@ def _record(path):
     return record
 
 
-@pytest.mark.parametrize("solver", list(SOLVERS))
-def test_solve_records_what_sweep_records(solver, tmp_path):
+@pytest.mark.parametrize("solver, sizes, cells", [
+    *((solver, ["--ratio", "4"], 1) for solver in SOLVERS),
+    ("left", ["--k", "3,4", "--s", "12,24"], 4),
+], ids=[*SOLVERS, "left-k3,4-s12,24"])
+def test_solve_records_what_sweep_records(solver, sizes, cells, tmp_path):
     solve, sweep = tmp_path / "solve.json", tmp_path / "sweep.json"
-    args = SYNTH + ["--solver", solver, "--ratio", "4"]
+    args = SYNTH + ["--solver", solver] + sizes
     assert main(["solve"] + args + ["--out", str(solve)]) == 0
     assert main(["sweep"] + args + ["--seeds", "1", "--out", str(sweep)]) == 0
-    assert _record(solve) == _record(sweep)
-    assert (_record(solve)["s"] is None) == ("s" not in SOLVERS[solver].axes)
+    got, want = _untimed(solve), _untimed(sweep)
+    assert (got.pop("task"), want.pop("task")) == ("solve", "sweep")
+    assert got == want
+    assert len(got["records"]) == cells
+    for record in got["records"]:
+        assert (record["s"] is None) == ("s" not in SOLVERS[solver].axes)
 
 
 def test_input_sparsity_is_certified_as_a_projection(tmp_path):
@@ -201,6 +210,19 @@ def test_stream_rejects_a_ratio_below_1(tmp_path, capsys):
     assert "--ratio must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (STREAM_CSV + ["--k", "1,2", "--s", "2", "--t", "2"], "--k"),
+    (STREAM_CSV + ["--k", "1", "--s", "2,4", "--t", "2"], "--s"),
+    (STREAM_CSV + ["--k", "1", "--s", "2", "--t", "2,4"], "--t"),
+    (["kernel", "--synthetic", "80,4,2,0.5", "--k", "2,3"], "--k"),
+])
+def test_one_cell_subcommands_reject_a_comma_list(argv, flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ab.csv").write_text("1,2,3\n2,1,0\n0,1,1\n")
+    assert main(argv) == 1
+    assert f"runs one cell: {flag} takes one value" in capsys.readouterr().err
+
+
 def test_kernel_rank_is_not_held_to_the_planted_rank(tmp_path):
     assert main(["kernel"] + SYNTH + ["--k", "2", "--out", str(tmp_path / "k.json")]) == 0
 
@@ -220,6 +242,12 @@ def test_kernel_takes_its_rank_from_k_on_a_data_file(tmp_path):
     ["stream", "--data", "x.csv", "--k", "1", "--synthetic", "60,12,2,0.5"],
     ["kernel", "--synthetic", "60,12,2,0.5", "--rank", "2"],
     ["kernel", "--synthetic", "60,12,2,0.5", "--ratio", "2"],
+    ["solve", "--synthetic", "60,12,2,0.5", "--format", "csv"],
+    ["sweep", "--synthetic", "60,12,2,0.5", "--format", "csv"],
+    ["stream", "--data", "x.csv", "--k", "1", "--format", "csv"],
+    ["kernel", "--synthetic", "60,12,2,0.5", "--format", "csv"],
+    ["verify", "--format", "csv"],
+    ["verify", "--const-c", "8"],
 ])
 def test_a_flag_the_subcommand_does_not_read_exits_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:

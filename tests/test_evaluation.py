@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from sketchpcr import evaluation as ev
 from sketchpcr.linalg import pinv_solve, thin_svd
+from oracles import jacobi_svd, rotated_basis
 
 
 def _model(seed=0, n=40, d=12, k=3):
@@ -15,7 +18,6 @@ def _model(seed=0, n=40, d=12, k=3):
 def test_svd_is_thin_svd_split_at_k(k):
     model = _model()
     got, want = model.svd(k), thin_svd(model.a, k)
-    assert got.u_rest is None
     for name in ("u_k", "sigma_k", "v_k", "sigma_rest", "v_rest"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -39,3 +41,34 @@ def test_x_star_is_the_pseudo_inverse_solution_and_a_is_read_only():
     ev.FixedDesignModel(a=model.a, f=model.f, sigma=0.1, x_star=want)
     with pytest.raises(ValueError, match="projected mean"):
         ev.FixedDesignModel(a=model.a, f=model.f, sigma=0.1, x_star=2 * want)
+
+
+def test_bias_variance_of_pcr_is_the_closed_form():
+    k = 3
+    model = _model(k=k)
+    u, _, _ = jacobi_svd(model.a)
+    bias, var = ev.bias_variance(model, model.svd(k).v_k)
+    assert bias == pytest.approx(np.sum((u[:, k:].T @ model.f) ** 2) / model.n, rel=1e-10)
+    assert var == pytest.approx(model.sigma**2 * k / model.n, rel=1e-12)
+
+
+def test_monte_carlo_risk_is_bias_plus_variance():
+    model = _model()
+    v_k = model.svd(3).v_k
+    est = ev.excess_risk_mc(model, lambda a, b: v_k @ np.linalg.pinv(a @ v_k) @ b,
+                            trials=400, seed=7)
+    assert abs(est.mean - sum(ev.bias_variance(model, v_k))) <= 4 * est.std_error
+
+
+@pytest.mark.parametrize("kind", ["pcr_corollary", "stat_structural", "struct_stat_pcp"])
+def test_risk_bounds_hold_on_a_planted_model(kind):
+    # R at principal angle theta to V_{A,k}: d2(R, V_{A,k}) = sin(theta), which
+    # is nu (1 + nu^2)^(-1/2) for nu = tan(theta), and by Lemma 14
+    # d2(U_{AR,k}, U_{A,k}) <= (sigma_{k+1} / sigma_k) tan(theta) <= nu.
+    k, theta = 3, 0.3
+    model = _model(k=k)
+    f = model.svd(k)
+    params = {"r": rotated_basis(f.v_k, f.v_rest, theta), "nu": math.tan(theta)}
+    rep = ev.risk_bound_check(model, k, kind, None if kind == "pcr_corollary" else params)
+    assert rep.prerequisite_ok
+    assert rep.risk <= rep.bound

@@ -35,8 +35,10 @@ class TestThinSvd:
         f = thin_svd(a, k=2)
         _, s_ref, _ = jacobi_svd(a)
         assert np.allclose(f.sigma, s_ref, atol=1e-10)
-        assert np.allclose(f.reconstruct(), a, atol=1e-12)
-        assert np.allclose(f.u.T @ f.u, np.eye(4), atol=1e-12)
+        full = thin_svd(a, k=4)
+        assert np.allclose((full.u_k * full.sigma_k) @ full.v_k.T, a, atol=1e-12)
+        assert np.allclose(full.u_k.T @ full.u_k, np.eye(4), atol=1e-12)
+        assert np.array_equal(f.u_k, full.u_k[:, :2])
 
     def test_invariants_on_random_shapes(self):
         rng = np.random.default_rng(42)
@@ -47,21 +49,23 @@ class TestThinSvd:
             k = int(rng.integers(1, min(m, n) + 1))
             f = thin_svd(a, k)
             r = min(m, n)
-            assert np.linalg.norm(f.u.T @ f.u - np.eye(r)) < 1e-10
+            full = thin_svd(a, r)
+            assert np.array_equal(f.u_k, full.u_k[:, :k])
+            assert np.linalg.norm(full.u_k.T @ full.u_k - np.eye(r)) < 1e-10
             assert np.linalg.norm(f.v.T @ f.v - np.eye(r)) < 1e-10
             sigma = f.sigma
             assert np.all(np.diff(sigma) <= 1e-12)
-            rel = np.linalg.norm(f.reconstruct() - a) / np.linalg.norm(a)
-            assert rel < 1e-8
+            recon = (full.u_k * full.sigma_k) @ full.v_k.T
+            assert np.linalg.norm(recon - a) / np.linalg.norm(a) < 1e-8
 
     def test_determinism_and_sign_convention(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((8, 5))
-        f1, f2 = thin_svd(a, 3), thin_svd(a, 3)
+        f1, f2 = thin_svd(a, 5), thin_svd(a, 5)
         assert np.array_equal(f1.u_k, f2.u_k)
         assert np.array_equal(f1.v_k, f2.v_k)
-        peaks = np.abs(f1.u).argmax(axis=0)
-        assert np.all(f1.u[peaks, np.arange(f1.u.shape[1])] > 0)
+        peaks = np.abs(f1.u_k).argmax(axis=0)
+        assert np.all(f1.u_k[peaks, np.arange(f1.u_k.shape[1])] > 0)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):

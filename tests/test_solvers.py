@@ -93,8 +93,8 @@ class TestExactPcp:
 
     def test_b_orthogonal_maps_to_zero(self):
         p = random_problem(5)
-        f = thin_svd(p.a, p.k)
-        b = f.u_rest @ np.arange(1.0, f.u_rest.shape[1] + 1)
+        u_rest = jacobi_svd(p.a)[0][:, p.k:]
+        b = u_rest @ np.arange(1.0, u_rest.shape[1] + 1)
         p2 = PcrProblem(a=p.a, b=b, k=p.k)
         assert np.linalg.norm(exact_pcp(p2)) < 1e-10
 
@@ -319,6 +319,16 @@ class TestExactReference:
             with pytest.raises(error):
                 exact_pcp(p)
 
+    def test_rank_tolerance_uses_the_shape_of_a(self):
+        # sigma_2 = 1e-14 lies below sigma_1 * 1000 * eps, the tolerance for a
+        # 1000 x 3 A, though above sigma_1 * 3 * eps.
+        rng = np.random.default_rng(50)
+        u = np.linalg.qr(rng.standard_normal((1000, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        a = (u * [1.0, 1e-14, 1e-15]) @ v.T
+        with pytest.raises(RankDeficiencyError):
+            exact_pcr(PcrProblem(a=a, b=np.ones(1000), k=2))
+
     @pytest.mark.parametrize("exact_first", [True, False])
     def test_exact_wall_time_includes_the_svd_in_either_order(self, exact_first, monkeypatch):
         def slow_thin_svd(m, k):
@@ -357,13 +367,13 @@ class TestExactReference:
             for name in ("u_k", "sigma_k", "v_k", "sigma_rest", "v_rest"):
                 assert np.array_equal(getattr(ref.svd, name), getattr(fresh, name))
                 assert getattr(ref.svd, name).flags.c_contiguous
-            assert ref.svd.u_rest is None and ref.svd.k == k
+            assert ref.svd.k == k
             assert ref.seconds == refs[5].seconds
 
     def test_single_rank_keeps_u_k_only(self):
         p = random_problem(48)
         f = p.reference.svd
-        assert f.u_k.shape == (p.shape[0], p.k) and f.u_rest is None
+        assert f.u_k.shape == (p.shape[0], p.k)
 
     def test_svd_from_needs_same_shape_and_a_rank_at_least_k(self):
         p = random_problem(49)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sketchpcr.errors import RankDeficiencyError
 from sketchpcr.evaluation import planted_matrix
 from sketchpcr.linalg import pinv_solve
 from sketchpcr.sketch import apply_left, gen_countsketch
@@ -74,3 +75,12 @@ class TestStreaming:
             stream_update(st, row, b_entry)
             sizes.append(st.memory_bytes())
         assert set(sizes) == {(24 * D + 60 * D + 60) * 8}
+
+    def test_fewer_rows_of_t_than_k_raises(self):
+        a = planted_matrix(400, 20, 5, 0.4, seed=63)
+        b = a @ np.random.default_rng(64).standard_normal(20)
+        st = stream_init(20, 40, 3, 0, s_kind="subgaussian")
+        for row, b_entry in zip(a, b):
+            stream_update(st, row, b_entry)
+        with pytest.raises(RankDeficiencyError, match="T A R has rank below k=5"):
+            stream_finalize(st, 5)
