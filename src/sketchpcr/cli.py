@@ -29,6 +29,7 @@ from . import evaluation as ev
 from . import io as data_io
 from . import kernel as kpcr
 from . import sketch, solvers, streaming
+from .errors import ConvergenceError
 
 SCHEMA_VERSION = 1
 DEFAULT_SVD_BUDGET = 300_000_000  # n * d * min(n, d) ceiling for exact references
@@ -377,6 +378,10 @@ def cmd_stream(args):
     _single_values(args, ("k", "s", "t"))
     k, = args.k
     (s_rows, t_rows), = _cells(args, k, "stream", axes=("s", "t"))
+    for flag, rows in (("s", s_rows), ("t", t_rows)):
+        if rows < k:
+            raise CliError(f"--{flag} {rows} is below --k {k}: a sketch of fewer than "
+                           "k rows cannot keep a rank-k fit")
     state = None
     for row, b_entry in _stream_rows(args):
         if state is None:
@@ -447,28 +452,38 @@ def build_parser():
     common.add_argument("--out", help="report output path (default stdout)")
     stream_data = argparse.ArgumentParser(add_help=False)
     stream_data.add_argument("--data", help="CSV (dense, last column response) or svmlight path")
-    stream_data.add_argument("--k", type=_int_list, help="target rank, or comma list")
     stream_data.add_argument("--dims", type=int,
                              help="feature count of svmlight input (required to stream it)")
     data = argparse.ArgumentParser(add_help=False, parents=[stream_data])
     data.add_argument("--synthetic", help="planted instance spec: n,d,k,gap")
     data.add_argument("--center-response", action="store_true",
                       help="subtract the response mean when loading svmlight data")
-    sizes = argparse.ArgumentParser(add_help=False)
-    sizes.add_argument("--s", type=_int_list, help="left/row sketch size(s)")
-    sizes.add_argument("--t", type=_int_list, help="right/column sketch size(s)")
-    sizes.add_argument("--ratio", type=int, help="sets s = t = ratio * k when unset")
+
+    def grid(lists):
+        """--k, and --s/--t/--ratio; only a grid (solve, sweep) takes comma lists."""
+        more = ", or comma list" if lists else ""
+        rank = argparse.ArgumentParser(add_help=False)
+        rank.add_argument("--k", type=_int_list, help="target rank" + more)
+        sizes = argparse.ArgumentParser(add_help=False)
+        sizes.add_argument("--s", type=_int_list, help="left/row sketch size" + more)
+        sizes.add_argument("--t", type=_int_list, help="right/column sketch size" + more)
+        sizes.add_argument("--ratio", type=int, help="sets s = t = ratio * k when unset")
+        return rank, sizes
+
+    rank, sizes = grid(lists=False)
+    ranks, size_lists = grid(lists=True)
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--solver", default="exact",
                         help="|".join(SOLVERS) + ", or comma list")
 
     parser = _Parser(prog="pcr", description=__doc__)
     sub = parser.add_subparsers(dest="task", required=True)
-    sub.add_parser("solve", parents=[common, data, sizes, solver]).set_defaults(seeds=1)
-    sweep = sub.add_parser("sweep", parents=[common, data, sizes, solver])
+    grid_flags = [common, data, ranks, size_lists, solver]
+    sub.add_parser("solve", parents=grid_flags).set_defaults(seeds=1)
+    sweep = sub.add_parser("sweep", parents=grid_flags)
     sweep.add_argument("--seeds", type=int, default=1, help="number of seeds per cell")
-    sub.add_parser("stream", parents=[common, stream_data, sizes])
-    kern = sub.add_parser("kernel", parents=[common, data])
+    sub.add_parser("stream", parents=[common, stream_data, rank, sizes])
+    kern = sub.add_parser("kernel", parents=[common, data, rank])
     kern.add_argument("--degree", type=int, default=2, help="polynomial kernel degree")
     kern.add_argument("--offset", type=float, default=0.0, help="polynomial kernel offset")
     kern.add_argument("--sketch-cols", dest="sketch_cols", type=int,
@@ -492,7 +507,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.task](args)
-    except (CliError, data_io.DataFormatError, FileNotFoundError, ValueError) as exc:
+    except (CliError, data_io.DataFormatError, FileNotFoundError, ValueError,
+            ConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

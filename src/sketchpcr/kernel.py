@@ -11,6 +11,12 @@ the t x t Gram matrix (Phi R)^T (Phi R). Both paths share one
 eigensolver and one rank floor and gap check. The non-homogeneous
 offset c is handled by appending a constant sqrt(c) feature to every
 data point.
+
+The eigensolver is implicitly restarted Lanczos (ARPACK, through
+``scipy.sparse.linalg.eigsh``): O(m^2 k) on an m x m Gram matrix against
+the O(m^3) of a dense tridiagonal reduction, converged to machine
+precision from a fixed seeded start vector, so a fit is bit-reproducible.
+ARPACK needs k+1 < m; only a fit at k >= m - 1 takes the dense ``eigh``.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
-from .errors import GapError, RankDeficiencyError
+from .errors import ConvergenceError, GapError, RankDeficiencyError
 from .linalg import as_matrix, as_vector
 from .sketch import tensorsketch_apply
 from .solvers import GAP_TOL
@@ -87,13 +94,28 @@ def _top_eigenpairs(gram, k, what):
     """The k largest eigenpairs of a symmetric PSD matrix, largest first.
 
     Only the top k+1 are computed: the k kept ones and the one that sets
-    the gap. Raises RankDeficiencyError unless lambda_k > EIG_CLAMP
-    lambda_1, and GapError unless (lambda_k - lambda_{k+1}) / lambda_1 is
-    at least GAP_TOL.
+    the gap. They come from Lanczos (ARPACK ``eigsh``, machine-precision
+    tolerance, start vector and restart vectors drawn from a fixed seed)
+    whenever k+1 < n; ARPACK cannot take n eigenpairs of an n x n matrix,
+    so k >= n - 1 takes the dense ``eigh``. Raises RankDeficiencyError
+    unless lambda_k > EIG_CLAMP lambda_1, GapError unless
+    (lambda_k - lambda_{k+1}) / lambda_1 is at least GAP_TOL, and
+    ConvergenceError if Lanczos does not converge.
     """
     n = gram.shape[0]
-    m = min(k + 1, n)
-    evals, evecs = scipy.linalg.eigh(gram, subset_by_index=[n - m, n - 1])
+    if k + 1 < n:
+        if not gram.any():   # Lanczos cannot start: every Krylov vector is zero
+            raise RankDeficiencyError(f"{what} has no positive eigenvalues")
+        rng = np.random.default_rng(0)
+        try:
+            evals, evecs = scipy.sparse.linalg.eigsh(
+                gram, k + 1, which="LA", v0=rng.standard_normal(n), rng=rng)
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"{what}: Lanczos converged {len(exc.eigenvalues)} of the top "
+                f"{k + 1} eigenpairs") from exc
+    else:
+        evals, evecs = scipy.linalg.eigh(gram)   # k + 1 >= n: all n eigenpairs
     evals, evecs = evals[::-1].copy(), evecs[:, ::-1]
     top = evals[0]
     if top <= 0:

@@ -4,7 +4,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from sketchpcr import io as data_io
 from sketchpcr import kernel, sketch, solvers
 from sketchpcr.cli import SOLVERS, _parse_synthetic, main
 
@@ -221,6 +223,32 @@ def test_one_cell_subcommands_reject_a_comma_list(argv, flag, tmp_path, capsys, 
     (tmp_path / "ab.csv").write_text("1,2,3\n2,1,0\n0,1,1\n")
     assert main(argv) == 1
     assert f"runs one cell: {flag} takes one value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes, flag", [(["--s", "2", "--t", "8"], "--s 2"),
+                                         (["--s", "8", "--t", "2"], "--t 2")])
+def test_stream_rejects_a_sketch_below_k_before_reading_a_row(sizes, flag, capsys, monkeypatch):
+    monkeypatch.setattr(data_io, "csv_rows", lambda path: pytest.fail("a row was read"))
+    assert main(STREAM_CSV + ["--k", "3"] + sizes) == 1
+    assert f"{flag} is below --k 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, lists", [("solve", True), ("sweep", True),
+                                         ("stream", False), ("kernel", False)])
+def test_only_grid_subcommands_offer_a_comma_list(task, lists, capsys):
+    with pytest.raises(SystemExit):
+        main([task, "--help"])
+    assert ("comma list" in capsys.readouterr().out) == lists
+
+
+def test_kernel_non_convergence_exits_1(monkeypatch, capsys):
+    def no_convergence(gram, nev, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "no convergence", np.ones(1), np.ones((gram.shape[0], 1)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    assert main(["kernel"] + SYNTH + ["--k", "2"]) == 1
+    assert "kernel matrix: Lanczos converged 1 of the top 3" in capsys.readouterr().err
 
 
 def test_kernel_rank_is_not_held_to_the_planted_rank(tmp_path):

@@ -1,17 +1,20 @@
 """Kernel PCR against independent oracles: PCR on explicit polynomial
-features for the exact mode, and a full SVD of the sketched features for
-the sketched mode."""
+features for the exact mode, a full SVD of the sketched features for
+the sketched mode, and a Jacobi SVD for the Lanczos eigensolver."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sketchpcr.errors import GapError, RankDeficiencyError
+from sketchpcr.errors import ConvergenceError, GapError, RankDeficiencyError
 from sketchpcr.kernel import (
     EIG_CLAMP,
     KernelSpec,
+    _top_eigenpairs,
     augment_offset,
     exact_kernel_pcr,
     fit_exact,
@@ -101,6 +104,82 @@ def test_sketched_mode_rejects_degenerate_spectra(sigma, error):
     phi_r = with_spectrum(np.array(sigma), 20, seed=64)
     with pytest.raises(error):
         fit_sketched_features(phi_r, np.ones(20), 2, TS)
+
+
+def lanczos_case(sigma, seed=68):
+    """Features Phi (300 x 40) with singular values ``sigma``, and a response.
+    The exact mode factors K = Phi Phi^T (300 x 300), the sketched mode
+    Phi^T Phi (40 x 40); at k = 5 both take the Lanczos path."""
+    phi = np.ascontiguousarray(with_spectrum(np.asarray(sigma), 300, seed))
+    return phi, np.random.default_rng(seed + 1).standard_normal(300)
+
+
+SIGMA = np.geomspace(3.0, 0.1, 40)
+
+
+def test_lanczos_matches_the_dense_and_jacobi_oracles():
+    phi, b = lanczos_case(SIGMA)
+    k_mat, k = phi @ phi.T, 5
+    u, s, v = jacobi_svd(phi)
+    for gram in (k_mat, phi.T @ phi):
+        evals, _ = _top_eigenpairs(gram, k, "gram")
+        assert relative_error(evals, s[:k] ** 2) <= 1e-12
+        assert relative_error(evals, np.linalg.eigvalsh(gram)[::-1][:k]) <= 1e-12
+    alpha = exact_kernel_pcr(k_mat, b, k).alpha
+    assert relative_error(alpha, u[:, :k] @ ((u[:, :k].T @ b) / s[:k] ** 2)) <= 1e-12
+    gamma = fit_sketched_features(phi, b, k, TS).gamma
+    assert relative_error(gamma, v[:, :k] @ ((u[:, :k].T @ b) / s[:k])) <= 1e-12
+
+
+def test_lanczos_sees_an_eigenvalue_repeated_at_k_and_k_plus_1():
+    sigma = SIGMA.copy()
+    sigma[5] = sigma[4]                    # lambda_5 = lambda_6
+    phi, b = lanczos_case(sigma)
+    with pytest.raises(GapError):
+        exact_kernel_pcr(phi @ phi.T, b, 5)
+    with pytest.raises(GapError):
+        fit_sketched_features(phi, b, 5, TS)
+
+
+def test_two_fits_are_bit_identical():
+    phi, b = lanczos_case(SIGMA)
+    k_mat = phi @ phi.T
+
+    def fits():
+        return [exact_kernel_pcr(k_mat, b, 5).alpha, fit_sketched_features(phi, b, 5, TS).gamma,
+                # rank 1: the Krylov space is exhausted and ARPACK restarts
+                exact_kernel_pcr(np.ones((30, 30)), b[:30], 1).alpha]
+
+    assert all(np.array_equal(x, y) for x, y in zip(fits(), fits()))
+
+
+def test_dense_eigh_only_when_lanczos_cannot_run(monkeypatch):
+    def fail(*args, **kwargs):
+        pytest.fail("wrong eigensolver")
+
+    phi, b = lanczos_case(SIGMA)
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    exact_kernel_pcr(phi @ phi.T, b, 5)
+    fit_sketched_features(phi, b, 5, TS)
+    monkeypatch.undo()
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    k_mat = phi[:6, :6] @ phi[:6, :6].T    # n = 6: k = 5 has k + 1 = n, k = 6 has k = n
+    exact_kernel_pcr(k_mat, b[:6], 5)
+    alpha = exact_kernel_pcr(k_mat, b[:6], 6).alpha
+    assert relative_error(alpha, np.linalg.solve(k_mat, b[:6])) <= 1e-10
+
+
+def test_lanczos_non_convergence_is_a_convergence_error(monkeypatch):
+    def no_convergence(gram, nev, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.ones(2), np.ones((gram.shape[0], 2)))
+
+    phi, b = lanczos_case(SIGMA)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError, match="kernel matrix: Lanczos converged 2 of the top 6"):
+        exact_kernel_pcr(phi @ phi.T, b, 5)
+    with pytest.raises(ConvergenceError, match="Phi R"):
+        fit_sketched_features(phi, b, 5, TS)
 
 
 def test_sketched_rank_floor_is_the_exact_modes():
