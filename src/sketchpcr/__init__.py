@@ -47,7 +47,6 @@ from .sketch import (
     gen_subgaussian,
     gen_tensorsketch,
     gram_error,
-    identity_embedding,
     sketch_rows_for_gram,
     tensorsketch_apply,
 )

@@ -133,8 +133,7 @@ class _Solver(NamedTuple):
 
 
 def _twosided(p, s, t, seed):
-    rng = np.random.default_rng(seed)
-    seed_s, seed_g = (int(x) for x in rng.integers(0, 2**63 - 1, size=2))
+    seed_s, seed_g = sketch.child_seeds(seed, 2)
     s_op = sketch.gen_countsketch(s, p.shape[0], seed_s)
     g_op = sketch.gen_countsketch(t, p.shape[1], seed_g)
     return solvers.sketched_pcr(p, solvers.build_r_twosided(p, s_op, g_op))
@@ -174,7 +173,8 @@ def _cells(args, k, name, axes=None):
             raise CliError(f"unknown solver {name!r} (choose from {', '.join(SOLVERS)})")
         axes = SOLVERS[name].axes
     ratio = [] if args.ratio is None else [args.ratio]
-    for flag, sizes in (("ratio", ratio), ("s", args.s or []), ("t", args.t or [])):
+    for flag, sizes in (("k", args.k or []), ("ratio", ratio), ("s", args.s or []),
+                        ("t", args.t or [])):
         if sizes and min(sizes) < 1:
             raise CliError(f"--{flag} must be at least 1, got {min(sizes)}")
     lists = []
@@ -259,7 +259,9 @@ def _rotation_basis(f, k, theta):
 
 
 def _verify_checks(args):
-    """Each check is (name, lhs, rhs) asserting lhs <= rhs."""
+    """Each check is (name, lhs, rhs) asserting lhs <= rhs, or (name, lhs,
+    rhs, prerequisite_ok) for a bound that holds only under a prerequisite,
+    which must hold too."""
     from .linalg import spectral_norm, stable_rank, subspace_distance, thin_svd
 
     n, d, k, gap = 96, 64, 5, 0.4
@@ -298,7 +300,7 @@ def _verify_checks(args):
         ("struct_stat_pcp", {"r": r, "nu": subspace_distance(f_ar.u_k, fsvd.u_k)}),
     ]:
         rep = ev.risk_bound_check(model, k, kind, params)
-        checks.append((f"risk_{kind}", rep.risk, rep.bound))
+        checks.append((f"risk_{kind}", rep.risk, rep.bound, rep.prerequisite_ok))
     checks.append(("risk_classic_pcr",
                    ev.exact_risk(model, fsvd.v_k), ev.classic_pcr_risk_bound(model, k)))
 
@@ -325,13 +327,15 @@ def cmd_verify(args):
     report = RunReport(task="verify")
     rows = []
     all_ok = True
-    for name, lhs, rhs in checks:
+    for name, lhs, rhs, *prerequisite in checks:
         slack = rhs - lhs
-        ok = bool(slack >= -1e-8)
+        met = all(prerequisite)
+        ok = bool(met and slack >= -1e-8)
         all_ok = all_ok and ok
         rows.append({"check": name, "lhs": lhs, "rhs": rhs,
                      "slack": slack, "pass": ok})
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: lhs={lhs:.6g} rhs={rhs:.6g} slack={slack:.3g}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: lhs={lhs:.6g} rhs={rhs:.6g} slack={slack:.3g}"
+              + ("" if met else " (prerequisite not met)"))
     report.aggregates = rows
     if args.out:
         emit_report(report, args.out)
@@ -349,9 +353,15 @@ def _single_values(args, flags):
 
 
 def cmd_sweep(args):
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be at least 1, got {args.seeds}")
+    solver_list = args.solver.split(",")
+    for flag, values in (("solver", solver_list), ("k", args.k), ("s", args.s), ("t", args.t)):
+        if values and len(set(values)) < len(values):
+            raise CliError(f"--{flag} repeats a value: {','.join(map(str, values))}")
     a, b, k_list = _load_problem(args)
     problems = solvers.PcrProblem.for_ranks(a, b, k_list)
-    report = run_sweep(problems, args.solver.split(","), args)
+    report = run_sweep(problems, solver_list, args)
     emit_report(report, args.out)
     return 2 if any(r.error is not None for r in report.records) else 0
 
@@ -402,22 +412,23 @@ def cmd_stream(args):
 
 def cmd_kernel(args):
     _single_values(args, ("k",))
+    spec = kpcr.KernelSpec(args.degree, args.offset)
+    if args.mode == "sketched" and not args.sketch_cols:
+        raise CliError("sketched kernel mode needs --sketch-cols")
     a, b, (rank,) = _load_problem(args, pcr_rank=False)
     if sp.issparse(a):
         a = a.toarray()
     t0 = time.perf_counter()
     if args.mode == "exact":
-        spec = kpcr.KernelSpec(args.degree, args.offset)
         k_mat = kpcr.kernel_matrix(a, spec)
         model = kpcr.exact_kernel_pcr(k_mat, b, rank, train=a, spec=spec)
         preds = k_mat @ model.alpha
     else:
-        if not args.sketch_cols:
-            raise CliError("sketched kernel mode needs --sketch-cols")
-        d_eff = a.shape[1] + (1 if args.offset > 0 else 0)
-        ts = sketch.gen_tensorsketch(args.degree, d_eff, args.sketch_cols, args.seed0)
-        phi_r = kpcr.sketched_feature_matrix(a, ts, args.offset)
-        model = kpcr.fit_sketched_features(phi_r, b, rank, ts, offset=args.offset)
+        # The sketch's input width: the features plus the offset's one, if any.
+        in_dim = kpcr.augment_offset(a[:1], spec.offset).shape[1]
+        ts = sketch.gen_tensorsketch(spec.degree, in_dim, args.sketch_cols, args.seed0)
+        phi_r = kpcr.sketched_feature_matrix(a, ts, spec.offset)
+        model = kpcr.fit_sketched_features(phi_r, b, rank, ts, offset=spec.offset)
         preds = phi_r @ model.gamma
     elapsed = time.perf_counter() - t0
     rmse = float(np.linalg.norm(preds - b) / math.sqrt(len(b)))

@@ -25,6 +25,9 @@ from .linalg import (
     subspace_distance,
     thin_svd,
 )
+from .sketch import child_seeds
+
+TAIL_DECAY = 0.25  # ratio of consecutive squared singular values past k
 
 
 @dataclass(frozen=True)
@@ -32,13 +35,14 @@ class FixedDesignModel:
     """The design A, the mean f of b and the noise level sigma.
 
     A is held as a read-only view and factored once per model; x_star, the
-    risk bounds and other readers split that SVD at their k (:meth:`svd`).
+    minimum-norm solution of A x = P_A f, comes from that SVD, and the
+    risk bounds and other readers split it at their k (:meth:`svd`).
     """
 
     a: np.ndarray
     f: np.ndarray
     sigma: float
-    x_star: np.ndarray | None = None
+    x_star: np.ndarray = field(init=False)
 
     def __post_init__(self):
         a = as_matrix(self.a, "a").view()
@@ -48,15 +52,7 @@ class FixedDesignModel:
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         full = self._svd
-        x_pinv = pinv_apply(full.u_k, full.sigma_k, full.v_k, self.f)
-        if self.x_star is None:
-            object.__setattr__(self, "x_star", x_pinv)
-        else:
-            xs = as_vector(self.x_star, length=a.shape[1], name="x_star")
-            resid = np.linalg.norm(a @ xs - a @ x_pinv)
-            if resid > 1e-8:
-                raise ValueError("x_star does not reproduce the projected mean")
-            object.__setattr__(self, "x_star", xs)
+        object.__setattr__(self, "x_star", pinv_apply(full.u_k, full.sigma_k, full.v_k, self.f))
 
     @functools.cached_property
     def _svd(self):
@@ -87,20 +83,23 @@ class RiskEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
-def planted_spectrum(n, d, k, gap_target, tail_decay=0.25):
-    """Singular values with top-k flat at 1 and relative gap_k == gap_target."""
+def planted_spectrum(n, d, k, gap_target):
+    """Singular values with top-k flat at 1 and relative gap_k == gap_target;
+    past k the squares fall geometrically by ``TAIL_DECAY``."""
     m = min(n, d)
     s2 = np.ones(m)
-    s2[k:] = (1.0 - gap_target) * tail_decay ** np.arange(m - k)
+    s2[k:] = (1.0 - gap_target) * TAIL_DECAY ** np.arange(m - k)
     return np.sqrt(s2)
 
 
-def planted_matrix(n, d, k, gap_target, seed, tail_decay=0.25):
-    """Random-orientation matrix with a controlled spectral gap at k.
+def planted_matrix(n, d, k, gap_target, seed):
+    """Random-orientation n x d matrix with a controlled spectral gap at k.
 
-    A = U diag(s) V^T with Haar-distributed orthogonal factors and the
-    spectrum from :func:`planted_spectrum`, so relative_gap(A, k) equals
-    gap_target by construction.
+    A = U diag(s) V^T with Haar-distributed orthogonal factors drawn from
+    ``seed`` and s from :func:`planted_spectrum`, so the relative gap of
+    its singular values at k (:func:`sketchpcr.linalg.relative_gap`)
+    equals gap_target by construction. Needs 1 <= k < min(n, d) and
+    0 < gap_target < 1.
     """
     if not 1 <= k < min(n, d):
         raise ValueError(f"k={k} must lie in [1, {min(n, d) - 1}]")
@@ -110,7 +109,7 @@ def planted_matrix(n, d, k, gap_target, seed, tail_decay=0.25):
     m = min(n, d)
     u = _haar(rng, n, m)
     v = _haar(rng, d, m)
-    return (u * planted_spectrum(n, d, k, gap_target, tail_decay)) @ v.T
+    return (u * planted_spectrum(n, d, k, gap_target)) @ v.T
 
 
 def _haar(rng, rows, cols):
@@ -131,10 +130,9 @@ def excess_risk_mc(model: FixedDesignModel, estimator, trials, seed) -> RiskEsti
     if trials < 2:
         raise ValueError("trials must be at least 2")
     opt = model.optimal_prediction()
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
     samples = np.empty(trials)
-    for i, si in enumerate(seeds):
-        b = sample_response(model, int(si))
+    for i, si in enumerate(child_seeds(seed, trials)):
+        b = sample_response(model, si)
         try:
             x = estimator(model.a, b)
         except Exception as exc:
@@ -182,16 +180,9 @@ def classic_pcr_risk_bound(model: FixedDesignModel, k):
 
 @dataclass(frozen=True)
 class RiskBoundReport:
-    kind: str
     risk: float
     bound: float
-    slack: float
-    prerequisite_ok: bool
-    details: dict = field(default_factory=dict)
-
-    @property
-    def holds(self):
-        return self.prerequisite_ok and self.slack >= -1e-10
+    prerequisite_ok: bool   # the bound applies only when this holds
 
 
 def risk_bound_check(model: FixedDesignModel, k, kind, params=None) -> RiskBoundReport:
@@ -213,7 +204,7 @@ def risk_bound_check(model: FixedDesignModel, k, kind, params=None) -> RiskBound
     if kind == "pcr_corollary":
         risk = exact_risk(model, f.v_k)
         bound = xs2 * sk1**2 / n + model.sigma**2 * k / n
-        return RiskBoundReport(kind, risk, bound, bound - risk, True)
+        return RiskBoundReport(risk, bound, True)
 
     if kind == "stat_structural":
         r = as_matrix(params["r"], "r")
@@ -222,8 +213,7 @@ def risk_bound_check(model: FixedDesignModel, k, kind, params=None) -> RiskBound
         ok = dist <= nu / math.sqrt(1.0 + nu**2) + 1e-12
         risk = exact_risk(model, r)
         bound = (1.0 + nu) * xs2 * sk1**2 / n + model.sigma**2 * k / n
-        return RiskBoundReport(kind, risk, bound, bound - risk, ok,
-                               details={"d2": dist, "nu": nu})
+        return RiskBoundReport(risk, bound, ok)
 
     if kind == "struct_stat_pcp":
         r = as_matrix(params["r"], "r")
@@ -234,7 +224,6 @@ def risk_bound_check(model: FixedDesignModel, k, kind, params=None) -> RiskBound
         ok = dist <= nu + 1e-12
         risk = exact_risk(model, r @ f_ar.v_k)
         bound = exact_risk(model, f.v_k) + (2.0 * nu + nu**2) * float(model.f @ model.f) / n
-        return RiskBoundReport(kind, risk, bound, bound - risk, ok,
-                               details={"d2": dist, "nu": nu})
+        return RiskBoundReport(risk, bound, ok)
 
     raise ValueError(f"unknown risk bound kind {kind!r}")

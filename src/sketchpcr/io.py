@@ -3,9 +3,7 @@
 One row iterator per format (:func:`csv_rows`, :func:`svmlight_rows`)
 parses and validates each line; the loaders and the streaming CLI both
 read through them. Malformed input is rejected with the offending
-position in the error message instead of guessing. The svmlight writer
-uses shortest round-trip float formatting, so write-then-read
-reproduces values bit-for-bit.
+position in the error message instead of guessing.
 """
 
 from __future__ import annotations
@@ -155,18 +153,3 @@ def load_svmlight(path, center_response=False, n_features=None):
     if center_response:
         b = b - b.mean()
     return x, b
-
-
-def write_svmlight(path, x, b):
-    """Write (x, b) in svmlight format with bit-preserving float text."""
-    x = sp.csr_matrix(x)
-    b = np.asarray(b, dtype=float)
-    if x.shape[0] != b.shape[0]:
-        raise ValueError("row count of x and length of b differ")
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(x.shape[0]):
-            lo, hi = x.indptr[i], x.indptr[i + 1]
-            pairs = " ".join(
-                f"{x.indices[j] + 1}:{repr(float(x.data[j]))}" for j in range(lo, hi)
-            )
-            fh.write(f"{repr(float(b[i]))} {pairs}".rstrip() + "\n")

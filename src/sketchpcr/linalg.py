@@ -3,6 +3,9 @@ subspace distances and spectral diagnostics.
 
 Everything here is deterministic. Matrices are plain 2-D float64
 ``numpy.ndarray`` objects; bases are matrices with orthonormal columns.
+The spectral diagnostics take what their callers already hold:
+:func:`stable_rank` a matrix, :func:`relative_gap` the singular values
+of a factored one.
 """
 
 from __future__ import annotations
@@ -138,14 +141,6 @@ def thin_svd(m, k):
     )
 
 
-def singular_values(m):
-    m = as_matrix(m)
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
-
-
 def pinv_solve(m, rhs):
     """Minimum-norm least-squares solution ``m^+ @ rhs``.
 
@@ -194,18 +189,12 @@ def stable_rank(m):
     return float(np.linalg.norm(m, "fro") ** 2 / s2)
 
 
-def relative_gap(m, k):
-    """(sigma_k^2 - sigma_{k+1}^2) / sigma_1^2 for the matrix ``m``."""
-    m = as_matrix(m)
-    r = min(m.shape)
-    if not 1 <= k < r:
-        raise ValueError(f"gap index k={k} out of range [1, {r - 1}]")
-    return relative_gap_from_sigma(singular_values(m), k)
-
-
-def relative_gap_from_sigma(s, k):
-    """Same as :func:`relative_gap` but from precomputed singular values."""
+def relative_gap(s, k):
+    """(sigma_k^2 - sigma_{k+1}^2) / sigma_1^2 from the nonincreasing
+    singular values ``s``, 1 <= k <= len(s); sigma_{k+1} is 0 at k = len(s)."""
     s = np.asarray(s, dtype=float)
+    if not 1 <= k <= len(s):
+        raise ValueError(f"gap index k={k} out of range [1, {len(s)}]")
     if s[0] == 0.0:
         raise ValueError("relative gap is undefined for the zero matrix")
     sk1 = s[k] if k < len(s) else 0.0

@@ -60,6 +60,13 @@ class PolyHash:
         return 1.0 if (self.value(key) & 1) == 0 else -1.0
 
 
+def child_seeds(seed, n):
+    """n independent seeds drawn from ``seed``, one per random draw of the
+    caller; the first m of them do not depend on n."""
+    rng = np.random.default_rng(seed)
+    return [int(x) for x in rng.integers(0, 2**63 - 1, size=n)]
+
+
 def _hash_pair(seed):
     rng = np.random.default_rng(seed)
     return PolyHash.draw(rng, HASH_DEGREE), PolyHash.draw(rng, SIGN_DEGREE)
@@ -110,11 +117,6 @@ def gen_countsketch(out_dim, in_dim, seed):
         raise ValueError("sketch dimensions must be positive")
     rows, signs = _hash_tables(*_hash_pair(seed), in_dim, out_dim)
     return _countsketch_csr(rows, signs, out_dim)
-
-
-def identity_embedding(dim):
-    """CountSketch that is the identity: a degenerate but handy sketch."""
-    return _countsketch_csr(np.arange(dim, dtype=np.int64), np.ones(dim), dim)
 
 
 def gen_tensorsketch(q, in_dim, out_dim, seed):
@@ -203,13 +205,13 @@ def gram_error(op, x, eps):
     )
 
 
-def sketch_rows_for_gram(kind, stable_rank, eps, delta, const=DEFAULT_GRAM_CONST):
+def sketch_rows_for_gram(kind, stable_rank, eps, delta):
     """Rows needed for the (eps, delta)-approximate Gram property.
 
-    Uses const * (sr + ln(1/delta)) / eps^2 for subgaussian maps and
-    const * sr^2 / (eps^2 * delta) for CountSketch. The asymptotic
-    statements leave the constant open; ``const`` defaults to a value
-    calibrated on the synthetic Monte Carlo suite.
+    Uses c * (sr + ln(1/delta)) / eps^2 for subgaussian maps and
+    c * sr^2 / (eps^2 * delta) for CountSketch, with c =
+    ``DEFAULT_GRAM_CONST``. The asymptotic statements leave the constant
+    open; this one is calibrated on the synthetic Monte Carlo suite.
     """
     if not 0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
@@ -218,9 +220,9 @@ def sketch_rows_for_gram(kind, stable_rank, eps, delta, const=DEFAULT_GRAM_CONST
     if stable_rank <= 0:
         raise ValueError("stable rank must be positive")
     if kind == "subgaussian":
-        raw = const * (stable_rank + math.log(1.0 / delta)) / eps**2
+        raw = DEFAULT_GRAM_CONST * (stable_rank + math.log(1.0 / delta)) / eps**2
     elif kind == "countsketch":
-        raw = const * stable_rank**2 / (eps**2 * delta)
+        raw = DEFAULT_GRAM_CONST * stable_rank**2 / (eps**2 * delta)
     else:
         raise ValueError(f"no Gram sizing rule for kind {kind!r}")
     return max(1, math.ceil(raw))

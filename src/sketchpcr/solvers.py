@@ -35,10 +35,10 @@ from .linalg import (
     as_vector,
     pinv_solve,
     rank_tolerance,
-    relative_gap_from_sigma,
+    relative_gap,
     thin_svd,
 )
-from .sketch import _dense, apply_left, gen_countsketch
+from .sketch import _dense, apply_left, child_seeds, gen_countsketch
 
 GAP_TOL = 1e-12
 
@@ -136,7 +136,7 @@ class ApproxCertificate:
     reference_objective: float
 
 
-def require_gap(f: TruncatedSvd, what="matrix"):
+def require_gap(f: TruncatedSvd, what):
     """Reject a factored matrix without a usable rank or eigengap at f.k;
     singular values within the rank tolerance of its shape count as zero."""
     sigma, k = f.sigma, f.k
@@ -144,7 +144,7 @@ def require_gap(f: TruncatedSvd, what="matrix"):
         raise RankDeficiencyError(f"{what} is zero")
     if sigma[k - 1] <= rank_tolerance(sigma, (len(f.u_k), len(f.v_k))):
         raise RankDeficiencyError(f"{what} has rank below k={k}")
-    if relative_gap_from_sigma(sigma, k) < GAP_TOL:
+    if relative_gap(sigma, k) < GAP_TOL:
         raise GapError(f"{what} has a vanishing eigengap at k={k}")
 
 
@@ -158,6 +158,18 @@ def _checked_reference(p: PcrProblem) -> TruncatedSvd:
     return f
 
 
+def _pcr_solve(f: TruncatedSvd, b):
+    """V_k Sigma_k^-1 U_k^T b: rank-k PCR on the matrix that ``f`` factors."""
+    return f.v_k @ ((f.u_k.T @ b) / f.sigma_k)
+
+
+def _top_right_basis(m, k, what):
+    """V_k of ``m``, which must have rank k and a gap at k."""
+    f = thin_svd(m, k)
+    require_gap(f, what)
+    return f.v_k
+
+
 def exact_pcr(p: PcrProblem) -> PcrSolution:
     """PCR solution x_k = V_{A,k} Sigma_{A,k}^-1 U_{A,k}^T b.
 
@@ -167,7 +179,7 @@ def exact_pcr(p: PcrProblem) -> PcrSolution:
     svd_seconds = p.reference.seconds
     t0 = time.perf_counter()
     f = _checked_reference(p)
-    x = f.v_k @ ((f.u_k.T @ p.b) / f.sigma_k)
+    x = _pcr_solve(f, p.b)
     elapsed = time.perf_counter() - t0 + svd_seconds
     return PcrSolution(
         x=x,
@@ -194,10 +206,7 @@ def _as_r(r):
 
 def build_r_left(p: PcrProblem, s_op) -> np.ndarray:
     """R = top-k right singular basis of the row-compressed matrix S A."""
-    sa = apply_left(s_op, p.a)
-    f = thin_svd(sa, p.k)
-    require_gap(f, "S A")
-    return f.v_k
+    return _top_right_basis(apply_left(s_op, p.a), p.k, "S A")
 
 
 def build_r_right(g_op):
@@ -212,10 +221,7 @@ def build_r_twosided(p: PcrProblem, s_op, g_op) -> np.ndarray:
     directly instead of A G^T a second time.
     """
     g_t = build_r_right(g_op)
-    d = apply_left(s_op, _dense(p.a @ g_t))
-    f = thin_svd(d, p.k)
-    require_gap(f, "S A G^T")
-    return g_t @ f.v_k
+    return g_t @ _top_right_basis(apply_left(s_op, _dense(p.a @ g_t)), p.k, "S A G^T")
 
 
 def sketched_pcr(p: PcrProblem, r) -> PcrSolution:
@@ -231,8 +237,7 @@ def sketched_pcr(p: PcrProblem, r) -> PcrSolution:
         raise ValueError(f"R has {r.shape[1]} columns, fewer than k={p.k}")
     f = thin_svd(_dense(p.a @ r), p.k)
     require_gap(f, "A R")
-    gamma = f.v_k @ ((f.u_k.T @ p.b) / f.sigma_k)
-    x = r @ gamma
+    x = r @ _pcr_solve(f, p.b)
     elapsed = time.perf_counter() - t0
     return PcrSolution(
         x=x,
@@ -274,15 +279,12 @@ def certify(p: PcrProblem, sol: PcrSolution, mode: str) -> ApproxCertificate:
     nb = float(np.linalg.norm(p.b))
     if nb == 0.0:
         raise ValueError("b is zero; certificates are undefined")
+    obj = _objective(p.a, sol.x, p.b)
     if mode == "pcr":
-        x_k = f.v_k @ ((f.u_k.T @ p.b) / f.sigma_k)
-        ref = _objective(p.a, x_k, p.b)
-        obj = _objective(p.a, sol.x, p.b)
+        ref = _objective(p.a, _pcr_solve(f, p.b), p.b)
         leak = float(np.linalg.norm(f.v_rest.T @ sol.x))
     else:
-        b_k = f.u_k @ (f.u_k.T @ p.b)
-        ref = float(np.linalg.norm(b_k - p.b))
-        obj = _objective(p.a, sol.x, p.b)
+        ref = float(np.linalg.norm(exact_pcp(p) - p.b))
         leak = float(np.linalg.norm(f.sigma_rest * (f.v_rest.T @ sol.x)))
     return ApproxCertificate(
         eps_observed=abs(obj - ref) / nb,
@@ -300,21 +302,18 @@ PRECOND_SKETCH_FACTOR = 4  # CountSketch rows = 4 k^2 for the preconditioner
 def precond_iterative_ls(c, b, eps, seed=0, max_iter=None):
     """Approximate argmin_g |c g - b| to relative metric accuracy eps.
 
-    ``c`` is a dense n x k matrix, or a pair ``(left, right)`` that stands
-    for the n x k product ``left @ right``, which is never formed; a dense
-    c is the pair (c, I_k). Returns g with |c (g - g*)|^2 <= eps |c g*|^2
-    for the exact minimizer g*. The column space metric is controlled by
-    CountSketching c to O(k^2) rows, QR-factorizing the sketch, and
-    running CGLS with the triangular factor as a right preconditioner; the
-    preconditioned system has O(1) condition number with high probability,
-    so O(log(1/eps)) iterations suffice. When the sketch would not compress
+    ``c`` is a pair ``(left, right)`` that stands for the n x k product
+    c = ``left @ right``, which is never formed; pass (c, I_k) for a
+    dense c. Returns g with |c (g - g*)|^2 <= eps |c g*|^2 for the exact
+    minimizer g*. The column space metric is controlled by CountSketching
+    c to O(k^2) rows, QR-factorizing the sketch, and running CGLS with the
+    triangular factor as a right preconditioner; the preconditioned
+    system has O(1) condition number with high probability, so
+    O(log(1/eps)) iterations suffice. When the sketch would not compress
     (4 k^2 >= n) the preconditioner comes from a QR of c itself.
+    ``max_iter`` defaults to 4 ceil(ln(max(n, 2) / eps)).
     """
-    if isinstance(c, tuple):
-        left, right = c
-    else:
-        left = np.asarray(c, dtype=float)
-        right = np.eye(left.shape[1])
+    left, right = c
     n, k = left.shape[0], right.shape[1]
     b = as_vector(b, length=n, name="b")
     if not 0 < eps < 1:
@@ -378,40 +377,32 @@ def precond_iterative_ls(c, b, eps, seed=0, max_iter=None):
     return solve_r(z)
 
 
-def input_sparsity_pcp(p: PcrProblem, s=None, t=None, eps=1e-3, seed=0,
-                       s_op=None, g_op=None):
+def input_sparsity_pcp(p: PcrProblem, s, t, eps=1e-3, seed=0):
     """Approximate PCP via two-sided CountSketch compression.
 
-    Sketches rows with S (s x n) and columns with G (t x d), drops empty
-    rows of G, extracts the dominant right basis of D = S A G^T, and
-    solves the inner least-squares problem iteratively without forming
-    A G^T V. Returns y with |y - x_R|^2 <= eps |x_R|^2 (with constant
-    probability) for x_R the exact minimizer over the range of
-    R = G^T V_{D,k}. Cost is dominated by one pass over the nonzeros.
+    Draws CountSketches S (s x n) for the rows and G (t x d) for the
+    columns, and the preconditioner's sketch, from three child seeds of
+    ``seed``; s and t must be at least k. Drops empty rows of G, extracts
+    the dominant right basis of D = S A G^T, and solves the inner
+    least-squares problem iteratively without forming A G^T V. Returns y
+    with |y - x_R|^2 <= eps |x_R|^2 (with constant probability) for x_R
+    the exact minimizer over the range of R = G^T V_{D,k}. Cost is
+    dominated by one pass over the nonzeros.
     """
     n, d = p.shape
-    if s is None:
-        s = max(p.k + 1, min(n, 4 * p.k * p.k))
-    if t is None:
-        t = max(p.k + 1, min(d, 4 * p.k * p.k))
     if s < p.k or t < p.k:
         raise ValueError("sketch sizes must be at least k")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    seed_s, seed_g, seed_ls = (int(x) for x in rng.integers(0, 2**63 - 1, size=3))
-
-    if s_op is None:
-        s_op = gen_countsketch(s, n, seed_s)
-    if g_op is None:
-        g_op = gen_countsketch(t, d, seed_g)
+    seed_s, seed_g, seed_ls = child_seeds(seed, 3)
+    s_op = gen_countsketch(s, n, seed_s)
+    g_op = gen_countsketch(t, d, seed_g)
 
     # Drop the zero rows of G so that G^T has no zero columns and
     # sigma_min(G^T) >= 1.
     g_t = g_op[np.diff(g_op.indptr) > 0].T
     c = _dense(p.a @ g_t)
-    f = thin_svd(apply_left(s_op, c), p.k)
-    require_gap(f, "S A G^T")
+    v_k = _top_right_basis(apply_left(s_op, c), p.k, "S A G^T")
 
-    gamma = precond_iterative_ls((c, f.v_k), p.b, eps / d, seed=seed_ls)
-    return g_t @ (f.v_k @ gamma)
+    gamma = precond_iterative_ls((c, v_k), p.b, eps / d, seed=seed_ls)
+    return g_t @ (v_k @ gamma)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import RankDeficiencyError
 from .linalg import as_vector, pinv_apply, rank_tolerance, thin_svd
-from .sketch import _hash_pair
+from .sketch import _hash_pair, child_seeds
 from .solvers import PcrSolution, require_gap
 
 
@@ -91,8 +91,7 @@ def stream_init(d, s_rows, t_rows, seed, s_kind="countsketch", t_kind="countsket
     """Fresh zeroed accumulators with seeded hashing state."""
     if d < 1 or s_rows < 1 or t_rows < 1:
         raise ValueError("dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    seed_s, seed_t = (int(x) for x in rng.integers(0, 2**63 - 1, size=2))
+    seed_s, seed_t = child_seeds(seed, 2)
     return StreamState(
         d=d,
         s_spec=_make_spec(s_kind, s_rows, seed_s),

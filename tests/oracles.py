@@ -4,13 +4,15 @@ These deliberately avoid the code paths under test: the SVD oracle is a
 one-sided Jacobi iteration rather than LAPACK, feature maps are built by
 explicit enumeration, CountSketch hash tables by evaluating the hash
 polynomials one key at a time, and subspace distances come straight from
-projector differences.
+projector differences. ``write_svmlight`` writes what
+``sketchpcr.io.load_svmlight`` must read back bit for bit.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from sketchpcr.sketch import MERSENNE_P, _hash_pair
 
@@ -170,3 +172,15 @@ def reduced_ls_objective(a, b, basis):
     gamma, *_ = np.linalg.lstsq(ab, b, rcond=None)
     x = basis @ gamma
     return float(np.linalg.norm(a @ x - b)), x
+
+
+def write_svmlight(path, x, b):
+    """Write (x, b) in svmlight format, each float as its shortest
+    round-trip repr, so that reading it back reproduces it bit for bit."""
+    x = sp.csr_matrix(x)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(x.shape[0]):
+            lo, hi = x.indptr[i], x.indptr[i + 1]
+            pairs = " ".join(f"{j + 1}:{float(v)!r}"
+                             for j, v in zip(x.indices[lo:hi], x.data[lo:hi]))
+            fh.write(f"{float(b[i])!r} {pairs}".rstrip() + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from sketchpcr import evaluation as ev
 from sketchpcr import io as data_io
 from sketchpcr import kernel, sketch, solvers
 from sketchpcr.cli import SOLVERS, _parse_synthetic, main
@@ -15,6 +17,15 @@ STREAM = ["stream", "--k", "1", "--s", "2", "--t", "2"]
 
 def test_verify_passes_with_defaults():
     assert main(["verify"]) == 0
+
+
+def test_verify_fails_a_risk_bound_whose_prerequisite_fails(monkeypatch, capsys):
+    real = ev.risk_bound_check
+    monkeypatch.setattr(ev, "risk_bound_check", lambda *args: dataclasses.replace(
+        real(*args), prerequisite_ok=False))
+    assert main(["verify"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  risk_pcr_corollary" in out and "prerequisite not met" in out
 
 
 def test_verify_factors_a_once(tmp_path, monkeypatch):
@@ -198,6 +209,13 @@ def test_input_sparsity_is_certified_as_a_projection(tmp_path):
     (["solve"] + SYNTH + ["--solver", "left", "--ratio", "0"], "--ratio must be at least 1"),
     (["sweep"] + SYNTH + ["--k", "2,3", "--solver", "exact,left", "--ratio", "4"],
      "--k 2 is below the planted rank k=3"),
+    (["sweep"] + SYNTH + ["--seeds", "0"], "--seeds must be at least 1, got 0"),
+    (["sweep"] + SYNTH + ["--solver", "exact,exact"], "--solver repeats a value: exact,exact"),
+    (["sweep"] + SYNTH + ["--k", "3,4,3"], "--k repeats a value: 3,4,3"),
+    (["solve"] + SYNTH + ["--solver", "left", "--s", "8,9,8"], "--s repeats a value: 8,9,8"),
+    (["sweep"] + SYNTH + ["--solver", "right", "--t", "8,8"], "--t repeats a value: 8,8"),
+    # ab.csv does not exist: reading it first would fail with another message
+    (STREAM_CSV + ["--k", "0", "--s", "5", "--t", "5"], "--k must be at least 1, got 0"),
 ])
 def test_configuration_errors_exit_1_before_any_cell_runs(argv, message, capsys, monkeypatch):
     monkeypatch.setattr(solvers, "exact_pcr", lambda p: pytest.fail("a cell ran"))
@@ -231,6 +249,14 @@ def test_stream_rejects_a_sketch_below_k_before_reading_a_row(sizes, flag, capsy
     monkeypatch.setattr(data_io, "csv_rows", lambda path: pytest.fail("a row was read"))
     assert main(STREAM_CSV + ["--k", "3"] + sizes) == 1
     assert f"{flag} is below --k 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [["--mode", "exact"],
+                                  ["--mode", "sketched", "--sketch-cols", "16"]])
+def test_kernel_rejects_a_negative_offset_before_loading(mode, capsys, monkeypatch):
+    monkeypatch.setattr(ev, "planted_matrix", lambda *args, **kw: pytest.fail("data was loaded"))
+    assert main(["kernel"] + SYNTH + ["--k", "2", "--offset", "-1"] + mode) == 1
+    assert "kernel offset must be nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("task, lists", [("solve", True), ("sweep", True),

@@ -38,9 +38,6 @@ def test_x_star_is_the_pseudo_inverse_solution_and_a_is_read_only():
     want = pinv_solve(model.a, model.f)
     assert np.linalg.norm(model.x_star - want) <= 1e-12 * np.linalg.norm(want)
     assert not model.a.flags.writeable
-    ev.FixedDesignModel(a=model.a, f=model.f, sigma=0.1, x_star=want)
-    with pytest.raises(ValueError, match="projected mean"):
-        ev.FixedDesignModel(a=model.a, f=model.f, sigma=0.1, x_star=2 * want)
 
 
 def test_bias_variance_of_pcr_is_the_closed_form():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sketchpcr.io import DataFormatError, load_dense_csv, load_svmlight, write_svmlight
+from sketchpcr.io import DataFormatError, load_dense_csv, load_svmlight
+from oracles import write_svmlight
 
 
 class TestDenseCsv:

@@ -159,18 +159,22 @@ class TestSpectralDiagnostics:
             stable_rank(np.zeros((3, 3)))
 
     def test_relative_gap_diag(self):
-        assert abs(relative_gap(np.diag([3.0, 2.0, 1.0]), 1) - 5.0 / 9.0) < 1e-12
+        assert abs(relative_gap([3.0, 2.0, 1.0], 1) - 5.0 / 9.0) < 1e-12
 
     def test_relative_gap_identity(self):
-        assert relative_gap(np.eye(4), 2) == 0.0
+        assert relative_gap(np.ones(4), 2) == 0.0
 
     def test_relative_gap_consistent_with_svd(self):
         rng = np.random.default_rng(15)
         a = rng.standard_normal((7, 5))
-        f = thin_svd(a, 2)
-        want = (f.sigma[1] ** 2 - f.sigma[2] ** 2) / f.sigma[0] ** 2
-        assert abs(relative_gap(a, 2) - want) < 1e-12
+        _, s, _ = jacobi_svd(a)
+        want = (s[1] ** 2 - s[2] ** 2) / s[0] ** 2
+        assert abs(relative_gap(thin_svd(a, 2).sigma, 2) - want) < 1e-12
+        assert relative_gap(s, 5) == pytest.approx(s[4] ** 2 / s[0] ** 2, rel=1e-12)
 
     def test_relative_gap_range(self):
-        with pytest.raises(ValueError):
-            relative_gap(np.eye(3), 3)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                relative_gap([3.0, 2.0, 1.0], k)
+        with pytest.raises(ValueError, match="zero matrix"):
+            relative_gap(np.zeros(3), 1)

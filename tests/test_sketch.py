@@ -11,7 +11,6 @@ from sketchpcr.sketch import (
     gen_subgaussian,
     gen_tensorsketch,
     gram_error,
-    identity_embedding,
     sketch_rows_for_gram,
     tensorsketch_apply,
 )
@@ -133,7 +132,7 @@ class TestGramError:
     def test_identity_embedding_exact(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((8, 3))
-        rep = gram_error(identity_embedding(8), x, eps=1e-12)
+        rep = gram_error(sp.identity(8, format="csr"), x, eps=1e-12)
         assert rep.spectral_error < 1e-12 and rep.passed
 
     def test_single_row_fails_on_rank_two(self):
@@ -162,14 +161,16 @@ class TestGramError:
 
 class TestSketchSizing:
     def test_subgaussian_formula(self):
-        assert sketch_rows_for_gram("subgaussian", 4.0, 0.5, 0.25, const=1.0) == 22
+        # 8 (4 + ln 4) / 0.25 = 172.4
+        assert sketch_rows_for_gram("subgaussian", 4.0, 0.5, 0.25) == 173
 
     def test_countsketch_formula(self):
-        assert sketch_rows_for_gram("countsketch", 4.0, 0.5, 0.25, const=1.0) == 256
+        # 8 * 16 / (0.25 * 0.25)
+        assert sketch_rows_for_gram("countsketch", 4.0, 0.5, 0.25) == 2048
 
     def test_halving_eps_quadruples(self):
-        base = sketch_rows_for_gram("subgaussian", 4.0, 0.4, 0.25, const=1.0)
-        finer = sketch_rows_for_gram("subgaussian", 4.0, 0.2, 0.25, const=1.0)
+        base = sketch_rows_for_gram("subgaussian", 4.0, 0.4, 0.25)
+        finer = sketch_rows_for_gram("subgaussian", 4.0, 0.2, 0.25)
         assert finer == pytest.approx(4 * base, abs=2)
 
     def test_monotone_in_eps_and_delta(self):

@@ -11,7 +11,7 @@ from sketchpcr import solvers
 from sketchpcr.errors import GapError, RankDeficiencyError
 from sketchpcr.evaluation import planted_matrix
 from sketchpcr.linalg import pinv_solve, spectral_norm, subspace_distance, thin_svd
-from sketchpcr.sketch import gen_countsketch, gen_subgaussian, identity_embedding
+from sketchpcr.sketch import gen_countsketch, gen_subgaussian
 from sketchpcr.solvers import (
     PcrProblem,
     PcrSolution,
@@ -155,7 +155,7 @@ class TestCls:
 class TestBuildR:
     def test_left_identity_sketch_gives_vk(self):
         p = random_problem(16)
-        r = build_r_left(p, identity_embedding(40))
+        r = build_r_left(p, sp.identity(40, format="csr"))
         f = thin_svd(p.a, p.k)
         assert np.allclose(r, f.v_k, atol=1e-12)
 
@@ -178,7 +178,7 @@ class TestBuildR:
     def test_right_identity_gives_a(self):
         rng = np.random.default_rng(21)
         a = rng.standard_normal((7, 5))
-        right = build_r_right(identity_embedding(5))
+        right = build_r_right(sp.identity(5, format="csr"))
         assert np.allclose(a @ right, a, atol=0)
 
     def test_right_implicit_matches_materialized(self):
@@ -199,7 +199,7 @@ class TestBuildR:
 
     def test_twosided_identity_recovers_top_subspace(self):
         p = random_problem(26)
-        r = build_r_twosided(p, identity_embedding(40), identity_embedding(12))
+        r = build_r_twosided(p, sp.identity(40, format="csr"), sp.identity(12, format="csr"))
         f = thin_svd(p.a, p.k)
         # sqrt(1 - sigma_min^2) has a ~1e-8 precision floor near zero distance
         assert subspace_distance(r, f.v_k) < 1e-7
@@ -388,7 +388,7 @@ class TestPrecondIterativeLs:
         rng = np.random.default_rng(37)
         c = rng.standard_normal((60, 4))
         b = rng.standard_normal(60)
-        got = precond_iterative_ls(c, b, eps=1e-14, seed=38)
+        got = precond_iterative_ls((c, np.eye(4)), b, eps=1e-14, seed=38)
         want, *_ = np.linalg.lstsq(c, b, rcond=None)
         assert np.allclose(got, want, atol=1e-8)
 
@@ -396,7 +396,7 @@ class TestPrecondIterativeLs:
         rng = np.random.default_rng(39)
         q, _ = np.linalg.qr(rng.standard_normal((30, 3)))
         b = rng.standard_normal(30)
-        got = precond_iterative_ls(q, b, eps=1e-12, seed=40, max_iter=2)
+        got = precond_iterative_ls((q, np.eye(3)), b, eps=1e-12, seed=40, max_iter=2)
         assert np.allclose(got, q.T @ b, atol=1e-10)
 
     def test_metric_contract_on_ill_conditioned(self):
@@ -406,7 +406,7 @@ class TestPrecondIterativeLs:
         c = u @ np.diag([1.0, 1e-2, 1e-4, 1e-6]) @ v.T
         b = rng.standard_normal(500)
         eps = 1e-6
-        got = precond_iterative_ls(c, b, eps=eps, seed=42)
+        got = precond_iterative_ls((c, np.eye(4)), b, eps=eps, seed=42)
         want, *_ = np.linalg.lstsq(c, b, rcond=None)
         lhs = np.linalg.norm(c @ (got - want))
         assert lhs <= math.sqrt(eps) * np.linalg.norm(c @ want)
@@ -427,25 +427,40 @@ class TestPrecondIterativeLs:
         right = rng.standard_normal((t, k))
         b = rng.standard_normal(n)
         got = precond_iterative_ls((left, right), b, eps=1e-10, seed=5)
-        want = precond_iterative_ls(left @ right, b, eps=1e-10, seed=5)
+        want = precond_iterative_ls((left @ right, np.eye(k)), b, eps=1e-10, seed=5)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_rank_deficiency_signaled(self):
         c = np.zeros((50, 3))
         c[:, 0] = 1.0
         with pytest.raises(RankDeficiencyError):
-            precond_iterative_ls(c, np.ones(50), eps=1e-6, seed=45)
+            precond_iterative_ls((c, np.eye(3)), np.ones(50), eps=1e-6, seed=45)
+
+
+def _draws_sketches(monkeypatch, s_op, g_op):
+    """Make input_sparsity_pcp draw ``s_op`` as its S and ``g_op`` as its G;
+    the preconditioner's sketch is drawn as usual."""
+    queue, real = [s_op, g_op], solvers.gen_countsketch
+
+    def gen(out_dim, in_dim, seed):
+        if not queue:
+            return real(out_dim, in_dim, seed)
+        op = queue.pop(0)
+        assert op.shape == (out_dim, in_dim)
+        return op
+
+    monkeypatch.setattr(solvers, "gen_countsketch", gen)
 
 
 class TestInputSparsityPcp:
-    def test_matches_materialized_oracle(self):
+    def test_matches_materialized_oracle(self, monkeypatch):
         rng = np.random.default_rng(46)
         a = planted_matrix(50, 40, 3, 0.4, seed=47)
         b = a @ rng.standard_normal(40) + 0.1 * rng.standard_normal(50)
         p = PcrProblem(a=a, b=b, k=3)
-        s_op = gen_countsketch(30, 50, seed=48)
-        g_op = gen_countsketch(20, 40, seed=49)
-        y = input_sparsity_pcp(p, eps=1e-10, seed=50, s_op=s_op, g_op=g_op)
+        _draws_sketches(monkeypatch, gen_countsketch(30, 50, seed=48),
+                        gen_countsketch(20, 40, seed=49))
+        y = input_sparsity_pcp(p, 30, 20, eps=1e-10, seed=50)
         # rebuild R = G'^T V_{D,k} exactly as the algorithm does
         g_rows, g_signs = countsketch_tables(20, 40, 49)
         occupied = np.unique(g_rows)
@@ -458,7 +473,7 @@ class TestInputSparsityPcp:
         x_r = r_mat @ (np.linalg.pinv(a @ r_mat) @ b)
         assert np.linalg.norm(y - x_r) <= 1e-4 * np.linalg.norm(x_r)
 
-    def test_degenerate_sketches_recover_exact(self):
+    def test_degenerate_sketches_recover_exact(self, monkeypatch):
         rng = np.random.default_rng(51)
         a = planted_matrix(30, 12, 3, 0.5, seed=52)
         b = a @ rng.standard_normal(12)
@@ -466,11 +481,11 @@ class TestInputSparsityPcp:
         perm = rng.permutation(12)
         g_perm = sp.csr_matrix((rng.choice([-1.0, 1.0], size=12), (perm, np.arange(12))),
                                shape=(12, 12))
-        y = input_sparsity_pcp(p, eps=1e-12, seed=53,
-                               s_op=identity_embedding(30), g_op=g_perm)
+        _draws_sketches(monkeypatch, sp.identity(30, format="csr"), g_perm)
+        y = input_sparsity_pcp(p, 30, 12, eps=1e-12, seed=53)
         assert np.allclose(y, exact_pcr(p).x, atol=1e-8)
 
-    def test_probabilistic_contract_sample(self):
+    def test_probabilistic_contract_sample(self, monkeypatch):
         # small-sample version of the acceptance Monte Carlo
         hits = 0
         trials = 20
@@ -479,9 +494,9 @@ class TestInputSparsityPcp:
             a = planted_matrix(100, 80, 4, 0.4, seed=2000 + seed)
             b = a @ rng.standard_normal(80) + 0.1 * rng.standard_normal(100)
             p = PcrProblem(a=a, b=b, k=4)
-            s_op = gen_countsketch(48, 100, seed=3000 + seed)
-            g_op = gen_countsketch(32, 80, seed=4000 + seed)
-            y = input_sparsity_pcp(p, eps=1e-3, seed=5000 + seed, s_op=s_op, g_op=g_op)
+            _draws_sketches(monkeypatch, gen_countsketch(48, 100, seed=3000 + seed),
+                            gen_countsketch(32, 80, seed=4000 + seed))
+            y = input_sparsity_pcp(p, 48, 32, eps=1e-3, seed=5000 + seed)
             g_rows, g_signs = countsketch_tables(32, 80, 4000 + seed)
             occupied = np.unique(g_rows)
             g_mat = np.zeros((len(occupied), 80))
