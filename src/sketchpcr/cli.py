@@ -413,7 +413,9 @@ def cmd_stream(args):
 def cmd_kernel(args):
     _single_values(args, ("k",))
     spec = kpcr.KernelSpec(args.degree, args.offset)
-    if args.mode == "sketched" and not args.sketch_cols:
+    if args.sketch_cols is not None and args.sketch_cols < 1:
+        raise CliError(f"--sketch-cols must be at least 1, got {args.sketch_cols}")
+    if args.mode == "sketched" and args.sketch_cols is None:
         raise CliError("sketched kernel mode needs --sketch-cols")
     a, b, (rank,) = _load_problem(args, pcr_rank=False)
     if sp.issparse(a):

@@ -131,11 +131,12 @@ def _top_eigenpairs(gram, k, what):
     return evals[:k], evecs[:, :k].copy()
 
 
-def exact_kernel_pcr(k_mat, b, k, train=None, spec=None) -> KernelModel:
+def exact_kernel_pcr(k_mat, b, k, train, spec: KernelSpec) -> KernelModel:
     """Dual rank-k PCR coefficients from the top-k eigenpairs of K.
 
-    alpha = U_{K,k} diag(lambda_i^-1) U_{K,k}^T b. Pass the training rows
-    to enable prediction.
+    alpha = U_{K,k} diag(lambda_i^-1) U_{K,k}^T b, where K is
+    ``kernel_matrix(train, spec)``; the model keeps the training rows and
+    the spec to predict.
     """
     k_mat = as_matrix(k_mat, "k_mat")
     n = k_mat.shape[0]
@@ -146,8 +147,7 @@ def exact_kernel_pcr(k_mat, b, k, train=None, spec=None) -> KernelModel:
         raise ValueError(f"rank k={k} out of range [1, {n}]")
     lam_k, u_k = _top_eigenpairs(k_mat, k, "kernel matrix")
     alpha = u_k @ ((u_k.T @ b) / lam_k)
-    return KernelModel(mode="exact", k=k, spec=spec or KernelSpec(degree=1),
-                       train=None if train is None else as_matrix(train),
+    return KernelModel(mode="exact", k=k, spec=spec, train=as_matrix(train, "train"),
                        alpha=alpha)
 
 
@@ -155,8 +155,6 @@ def kernel_predict(model: KernelModel, z):
     """f(z) = sum_i K(z, a_i) alpha_i for an exact model."""
     if model.mode != "exact":
         raise ValueError("kernel_predict needs an exact model")
-    if model.train is None:
-        raise ValueError("model was fit without training rows")
     z = as_vector(z, length=model.train.shape[1], name="z")
     kvec = model.train @ z
     kvec += model.spec.offset

@@ -14,7 +14,10 @@ matrices and combines their images by one length-t circular convolution.
 Hash functions are realized as random polynomials over the Mersenne
 prime field 2^61 - 1 (degree 3 for bucket hashes, degree 4 for sign
 hashes), which gives the limited independence the sketches need while
-staying reproducible and cheap to evaluate on a stream of indices.
+staying reproducible. A hash is evaluated vectorized over an array of
+keys, by Horner's rule in uint64 limbs with exact reduction modulo
+2^61 - 1; batch sketches and the stream's CountSketch share that one
+path (``_hash_tables``).
 """
 
 from __future__ import annotations
@@ -44,20 +47,47 @@ class PolyHash:
         coeffs = [int(rng.integers(0, MERSENNE_P)) for _ in range(degree + 1)]
         return cls(coeffs)
 
-    def value(self, key):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * key + c) % MERSENNE_P
+    def values(self, keys):
+        """The polynomial at every key in [0, 2^64), as a uint64 array, by
+        Horner's rule with each step reduced in :func:`_mul_add_mod_p`."""
+        x = _mod_p(np.asarray(keys, dtype=np.uint64))
+        acc = np.full(x.shape, self.coeffs[-1], dtype=np.uint64)
+        for c in reversed(self.coeffs[:-1]):
+            acc = _mul_add_mod_p(acc, x, np.uint64(c))
         return acc
 
-    def values(self, keys):
-        out = np.empty(len(keys), dtype=np.uint64)
-        for i, key in enumerate(keys):
-            out[i] = self.value(int(key))
-        return out
 
-    def sign(self, key):
-        return 1.0 if (self.value(key) & 1) == 0 else -1.0
+_P = np.uint64(MERSENNE_P)
+_LO32 = np.uint64(0xFFFFFFFF)
+_LO29 = np.uint64((1 << 29) - 1)
+
+
+def _mod_p(x):
+    """x mod 2^61 - 1 for uint64 x: fold the bits above 2^61, as 2^61 = 1."""
+    x = (x & _P) + (x >> np.uint64(61))   # < 2^61 + 8
+    x[x >= _P] -= _P
+    return x
+
+
+def _mul_add_mod_p(a, b, c):
+    """a * b + c mod 2^61 - 1 for uint64 a, b, c < 2^61, exactly, in uint64 limbs.
+
+    With a = a1 2^32 + a0 and b = b1 2^32 + b0 (a1, b1 < 2^29), the
+    product is a1 b1 2^64 + (a1 b0 + a0 b1) 2^32 + a0 b0. Modulo p,
+    2^64 = 8 and the middle term m 2^32 = (m >> 29) + (m mod 2^29) 2^32;
+    the sum of the folded terms and c stays below 2^64.
+    """
+    a0, a1 = a & _LO32, a >> np.uint64(32)
+    b0, b1 = b & _LO32, b >> np.uint64(32)
+    mid = a1 * b0 + a0 * b1                 # < 2^62
+    low = a0 * b0                           # < 2^64
+    out = (a1 * b1) << np.uint64(3)         # < 2^61
+    out += mid >> np.uint64(29)             # < 2^33
+    out += (mid & _LO29) << np.uint64(32)   # < 2^61
+    out += low & _P                         # < 2^61
+    out += low >> np.uint64(61)             # < 8
+    out += c                                # < 2^61
+    return _mod_p(out)
 
 
 def child_seeds(seed, n):
@@ -72,10 +102,11 @@ def _hash_pair(seed):
     return PolyHash.draw(rng, HASH_DEGREE), PolyHash.draw(rng, SIGN_DEGREE)
 
 
-def _hash_tables(h, g, in_dim, out_dim):
-    """Bucket and sign of every column index 0..in_dim-1 under hashes (h, g)."""
-    keys = range(in_dim)
-    rows = (h.values(keys) % out_dim).astype(np.int64)
+def _hash_tables(h, g, in_dim, out_dim, start=0):
+    """Bucket and sign of every column index start..start+in_dim-1 under
+    hashes (h, g)."""
+    keys = np.arange(start, start + in_dim, dtype=np.uint64)
+    rows = (h.values(keys) % np.uint64(out_dim)).astype(np.int64)
     signs = np.where((g.values(keys) & 1) == 0, 1.0, -1.0)
     return rows, signs
 

@@ -8,12 +8,14 @@ of the number of rows seen.
 
 Each sketch spec yields column i of its sketch as a pair (rows, values)
 that indexes the accumulator, so one update statement serves both kinds.
-CountSketch columns are realized lazily by hashing the running row
-index, so no stream length needs fixing in advance: column i is (bucket,
-sign), the column i of ``gen_countsketch`` under the same seed.
-Subgaussian columns are (all rows, a Gaussian vector) from a
-counter-based generator keyed on the row index, which makes replays
-reproducible.
+CountSketch columns are realized lazily, so no stream length needs
+fixing in advance: column i is (bucket, sign), read from the tables of
+its block of ``HASH_BLOCK`` consecutive row indices, which are hashed at
+once by the ``_hash_tables`` that ``gen_countsketch`` uses; column i is
+therefore the column i of ``gen_countsketch`` under the same seed.
+Subgaussian columns are (all rows, a Gaussian vector) drawn from one
+Philox counter-based generator per spec, re-keyed to counter i << 128
+for column i, which makes replays reproducible in any access order.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import numpy as np
 
 from .errors import RankDeficiencyError
 from .linalg import as_vector, pinv_apply, rank_tolerance, thin_svd
-from .sketch import _hash_pair, child_seeds
+from .sketch import _hash_pair, _hash_tables, child_seeds
 from .solvers import PcrSolution, require_gap
+
+HASH_BLOCK = 4096          # CountSketch columns hashed per table
 
 
 class StreamingCountSketch:
@@ -39,10 +43,16 @@ class StreamingCountSketch:
         self.out_dim = out_dim
         self.seed = seed
         self._h, self._g = _hash_pair(seed)
+        self._block = None   # index of the block whose tables are held
 
     def column(self, index):
         """Column ``index`` as (rows, values): its one bucket and its sign."""
-        return int(self._h.value(index) % self.out_dim), self._g.sign(index)
+        block, offset = divmod(index, HASH_BLOCK)
+        if block != self._block:
+            rows, signs = _hash_tables(self._h, self._g, HASH_BLOCK, self.out_dim,
+                                       start=block * HASH_BLOCK)
+            self._rows, self._signs, self._block = rows.tolist(), signs.tolist(), block
+        return self._rows[offset], self._signs[offset]
 
 
 class StreamingGaussian:
@@ -54,13 +64,26 @@ class StreamingGaussian:
         self.out_dim = out_dim
         self.seed = seed
         self._scale = 1.0 / math.sqrt(out_dim)
+        bitgen = np.random.Philox(key=seed)
+        self._bitgen, self._rng = bitgen, np.random.Generator(bitgen)
+        # The state of a fresh Philox(key=seed, counter=c): empty buffer, no
+        # cached 32-bit half; column() fills in the counter.
+        self._state = bitgen.state
+        self._counter = self._state["state"]["counter"]
 
     def column(self, index):
-        """Column ``index`` as (rows, values): every row, a Gaussian vector."""
-        # Disjoint counter blocks per row index keep the streams independent.
-        bitgen = np.random.Philox(key=self.seed, counter=index << 128)
-        rng = np.random.Generator(bitgen)
-        return slice(None), rng.standard_normal(self.out_dim) * self._scale
+        """Column ``index`` < 2^64 as (rows, values): every row, a Gaussian
+        vector.
+
+        Drawn as Generator(Philox(key=seed, counter=index << 128)) would draw
+        it, by re-keying the one generator to that counter; disjoint counter
+        blocks per row index keep the columns independent.
+        """
+        self._counter[2] = index   # the third 64-bit word: index << 128
+        self._bitgen.state = self._state
+        values = self._rng.standard_normal(self.out_dim)
+        values *= self._scale
+        return slice(None), values
 
 
 def _make_spec(kind, rows, seed):

@@ -91,15 +91,17 @@ def poly_feature_vector(z, degree):
     return poly_features(np.asarray(z)[None, :], degree)[0]
 
 
+def poly(coeffs, key):
+    """The polynomial with coefficients ``coeffs`` (constant first) at
+    ``key``, modulo 2^61 - 1, in Python's unbounded integers."""
+    return sum(c * pow(key, j, MERSENNE_P) for j, c in enumerate(coeffs)) % MERSENNE_P
+
+
 def countsketch_tables(out_dim, in_dim, seed):
     """Row and sign of every column of the seeded CountSketch, from the two
     hash polynomials of ``_hash_pair(seed)`` evaluated one key at a time
     straight from their coefficients (even hash value: sign +1)."""
     h, g = _hash_pair(seed)
-
-    def poly(coeffs, key):
-        return sum(c * pow(key, j, MERSENNE_P) for j, c in enumerate(coeffs)) % MERSENNE_P
-
     rows = np.array([poly(h.coeffs, i) % out_dim for i in range(in_dim)], dtype=np.int64)
     signs = np.array([1.0 if poly(g.coeffs, i) % 2 == 0 else -1.0 for i in range(in_dim)])
     return rows, signs

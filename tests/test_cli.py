@@ -259,6 +259,14 @@ def test_kernel_rejects_a_negative_offset_before_loading(mode, capsys, monkeypat
     assert "kernel offset must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cols", ["-5", "0"])
+def test_kernel_rejects_a_sketch_width_below_1_before_loading(cols, capsys, monkeypatch):
+    monkeypatch.setattr(ev, "planted_matrix", lambda *args, **kw: pytest.fail("data was loaded"))
+    argv = ["kernel"] + SYNTH + ["--k", "2", "--mode", "sketched", "--sketch-cols", cols]
+    assert main(argv) == 1
+    assert f"--sketch-cols must be at least 1, got {cols}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("task, lists", [("solve", True), ("sweep", True),
                                          ("stream", False), ("kernel", False)])
 def test_only_grid_subcommands_offer_a_comma_list(task, lists, capsys):

@@ -48,6 +48,8 @@ def with_spectrum(sigma, n, seed):
 
 # Only the degree of the operator enters a model fit on given features.
 TS = gen_tensorsketch(2, 3, 16, seed=0)
+# A Gram matrix of explicit features is their degree-1 kernel matrix.
+LINEAR = KernelSpec(1)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -96,7 +98,7 @@ def test_exact_mode_rejects_degenerate_spectra(sigma, error):
     lam[:5] = np.square(sigma)
     k_mat = (q * lam) @ q.T
     with pytest.raises(error):
-        exact_kernel_pcr(k_mat, np.ones(8), 2)
+        exact_kernel_pcr(k_mat, np.ones(8), 2, q * np.sqrt(lam), LINEAR)
 
 
 @pytest.mark.parametrize("sigma, error", DEGENERATE)
@@ -125,7 +127,7 @@ def test_lanczos_matches_the_dense_and_jacobi_oracles():
         evals, _ = _top_eigenpairs(gram, k, "gram")
         assert relative_error(evals, s[:k] ** 2) <= 1e-12
         assert relative_error(evals, np.linalg.eigvalsh(gram)[::-1][:k]) <= 1e-12
-    alpha = exact_kernel_pcr(k_mat, b, k).alpha
+    alpha = exact_kernel_pcr(k_mat, b, k, phi, LINEAR).alpha
     assert relative_error(alpha, u[:, :k] @ ((u[:, :k].T @ b) / s[:k] ** 2)) <= 1e-12
     gamma = fit_sketched_features(phi, b, k, TS).gamma
     assert relative_error(gamma, v[:, :k] @ ((u[:, :k].T @ b) / s[:k])) <= 1e-12
@@ -136,7 +138,7 @@ def test_lanczos_sees_an_eigenvalue_repeated_at_k_and_k_plus_1():
     sigma[5] = sigma[4]                    # lambda_5 = lambda_6
     phi, b = lanczos_case(sigma)
     with pytest.raises(GapError):
-        exact_kernel_pcr(phi @ phi.T, b, 5)
+        exact_kernel_pcr(phi @ phi.T, b, 5, phi, LINEAR)
     with pytest.raises(GapError):
         fit_sketched_features(phi, b, 5, TS)
 
@@ -146,9 +148,10 @@ def test_two_fits_are_bit_identical():
     k_mat = phi @ phi.T
 
     def fits():
-        return [exact_kernel_pcr(k_mat, b, 5).alpha, fit_sketched_features(phi, b, 5, TS).gamma,
+        return [exact_kernel_pcr(k_mat, b, 5, phi, LINEAR).alpha,
+                fit_sketched_features(phi, b, 5, TS).gamma,
                 # rank 1: the Krylov space is exhausted and ARPACK restarts
-                exact_kernel_pcr(np.ones((30, 30)), b[:30], 1).alpha]
+                exact_kernel_pcr(np.ones((30, 30)), b[:30], 1, np.ones((30, 1)), LINEAR).alpha]
 
     assert all(np.array_equal(x, y) for x, y in zip(fits(), fits()))
 
@@ -159,13 +162,13 @@ def test_dense_eigh_only_when_lanczos_cannot_run(monkeypatch):
 
     phi, b = lanczos_case(SIGMA)
     monkeypatch.setattr(scipy.linalg, "eigh", fail)
-    exact_kernel_pcr(phi @ phi.T, b, 5)
+    exact_kernel_pcr(phi @ phi.T, b, 5, phi, LINEAR)
     fit_sketched_features(phi, b, 5, TS)
     monkeypatch.undo()
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
     k_mat = phi[:6, :6] @ phi[:6, :6].T    # n = 6: k = 5 has k + 1 = n, k = 6 has k = n
-    exact_kernel_pcr(k_mat, b[:6], 5)
-    alpha = exact_kernel_pcr(k_mat, b[:6], 6).alpha
+    exact_kernel_pcr(k_mat, b[:6], 5, phi[:6, :6], LINEAR)
+    alpha = exact_kernel_pcr(k_mat, b[:6], 6, phi[:6, :6], LINEAR).alpha
     assert relative_error(alpha, np.linalg.solve(k_mat, b[:6])) <= 1e-10
 
 
@@ -177,7 +180,7 @@ def test_lanczos_non_convergence_is_a_convergence_error(monkeypatch):
     phi, b = lanczos_case(SIGMA)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(ConvergenceError, match="kernel matrix: Lanczos converged 2 of the top 6"):
-        exact_kernel_pcr(phi @ phi.T, b, 5)
+        exact_kernel_pcr(phi @ phi.T, b, 5, phi, LINEAR)
     with pytest.raises(ConvergenceError, match="Phi R"):
         fit_sketched_features(phi, b, 5, TS)
 

@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchpcr.kernel import sketched_feature_matrix
 from sketchpcr.sketch import (
+    HASH_DEGREE,
+    MERSENNE_P,
+    SIGN_DEGREE,
+    PolyHash,
     apply_left,
     gen_countsketch,
     gen_subgaussian,
@@ -18,6 +24,7 @@ from oracles import (
     countsketch_apply_loop,
     countsketch_dense,
     countsketch_tables,
+    poly,
     poly_feature_vector,
     poly_features,
     tensorsketch_bruteforce,
@@ -42,6 +49,31 @@ class TestSubgaussian:
         e3 = np.zeros((5, 1))
         e3[3] = 1.0
         assert np.allclose(apply_left(op, e3).ravel(), op[:, 3])
+
+
+# Keys at the edges of the uint64 limbs and of the field 2^61 - 1.
+LIMB_EDGES = [0, 2**32 - 1, 2**32, 2**61 - 2, 2**61 - 1, 2**61, 2**62, 2**63 - 1]
+
+
+class TestPolyHash:
+    @pytest.mark.parametrize("degree", [HASH_DEGREE, SIGN_DEGREE])
+    def test_limb_edges_match_the_integer_oracle(self, degree):
+        # Random coefficients and the largest ones, p - 1, which maximize
+        # every partial product.
+        for h in (PolyHash.draw(np.random.default_rng(degree), degree),
+                  PolyHash([MERSENNE_P - 1] * (degree + 1))):
+            got = h.values(np.array(LIMB_EDGES, dtype=np.uint64))
+            assert got.dtype == np.uint64
+            assert got.tolist() == [poly(h.coeffs, key) for key in LIMB_EDGES]
+
+    @pytest.mark.parametrize("degree", [HASH_DEGREE, SIGN_DEGREE])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           keys=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=20))
+    def test_values_match_the_integer_oracle(self, degree, seed, keys):
+        h = PolyHash.draw(np.random.default_rng(seed), degree)
+        got = h.values(np.array(keys, dtype=np.int64))
+        assert got.tolist() == [poly(h.coeffs, key) for key in keys]
 
 
 class TestCountSketch:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,13 @@ from sketchpcr.evaluation import planted_matrix
 from sketchpcr.linalg import pinv_solve
 from sketchpcr.sketch import apply_left, gen_countsketch
 from sketchpcr.solvers import PcrProblem, build_r_left
-from sketchpcr.streaming import stream_finalize, stream_init, stream_update
+from sketchpcr.streaming import (
+    StreamingCountSketch,
+    StreamingGaussian,
+    stream_finalize,
+    stream_init,
+    stream_update,
+)
 
 N, D, K = 150, 10, 3
 
@@ -84,3 +92,22 @@ class TestStreaming:
             stream_update(st, row, b_entry)
         with pytest.raises(RankDeficiencyError, match="T A R has rank below k=5"):
             stream_finalize(st, 5)
+
+
+class TestColumnReplay:
+    def test_gaussian_column_is_a_philox_keyed_on_its_index(self):
+        out, seed = 24, 987654321
+        spec = StreamingGaussian(out, seed)
+        for i in (0, 3, 7, 2**33, 7, 3, 7):   # out of order and repeated
+            rows, values = spec.column(i)
+            want = np.random.Generator(np.random.Philox(key=seed, counter=i << 128))
+            assert rows == slice(None)
+            assert np.array_equal(values, want.standard_normal(out) * (1 / math.sqrt(out)))
+
+    def test_countsketch_columns_across_hash_blocks(self):
+        spec = StreamingCountSketch(40, 55)
+        batch = gen_countsketch(40, 10_000, 55).tocsc()
+        for i in (4095, 4096, 8191, 8192, 9999, 0, 8192):
+            bucket, sign = spec.column(i)
+            assert batch.indices[batch.indptr[i]] == bucket
+            assert batch.data[batch.indptr[i]] == sign
