@@ -33,7 +33,6 @@ from .kernel import (
 )
 from .linalg import (
     TruncatedSvd,
-    pinv_solve,
     relative_gap,
     stable_rank,
     subspace_distance,

@@ -142,10 +142,11 @@ def _twosided(p, s, t, seed):
 def _input_sparsity(p, s, t, seed):
     t0 = time.perf_counter()
     y = solvers.input_sparsity_pcp(p, s=s, t=t, seed=seed)
+    elapsed = time.perf_counter() - t0
     return solvers.PcrSolution(
         x=y, method="input-sparsity", r_cols=t,
         objective=float(np.linalg.norm(p.a @ y - p.b)),
-        constraint_norm=None, wall_time=time.perf_counter() - t0,
+        constraint_norm=None, wall_time=elapsed,
     )
 
 
@@ -276,11 +277,9 @@ def _verify_checks(args):
     r = _rotation_basis(fsvd, k, theta)
     nu = math.sin(theta)
     checks.append(("lemma11_leakage", spectral_norm(fsvd.v_rest.T @ r), nu))
-    checks.append(("lemma11_sigma_min",
-                   sk * (math.sqrt(1 - nu**2) - nu),
-                   float(np.linalg.svd(a @ r, compute_uv=False)[-1])))
+    f_ar = thin_svd(a @ r, k)   # R has k columns: sigma_k(A R) is sigma_min
+    checks.append(("lemma11_sigma_min", sk * (math.sqrt(1 - nu**2) - nu), f_ar.sigma_k[-1]))
     nu_tan = math.tan(theta)
-    f_ar = thin_svd(a @ r, k)
     checks.append(("lemma14", subspace_distance(f_ar.u_k, fsvd.u_k), (sk1 / sk) * nu_tan))
 
     sym = a.T @ a

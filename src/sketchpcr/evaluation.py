@@ -20,10 +20,10 @@ import numpy as np
 from .linalg import (
     as_matrix,
     as_vector,
-    pinv_apply,
-    rank_tolerance,
+    numerical_rank,
     subspace_distance,
     thin_svd,
+    truncated_solve,
 )
 from .sketch import child_seeds
 
@@ -52,7 +52,8 @@ class FixedDesignModel:
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         full = self._svd
-        object.__setattr__(self, "x_star", pinv_apply(full.u_k, full.sigma_k, full.v_k, self.f))
+        object.__setattr__(self, "x_star", truncated_solve(
+            full.v_k, full.sigma_k, full.u_k.T @ self.f, numerical_rank(full.sigma_k, a.shape)))
 
     @functools.cached_property
     def _svd(self):
@@ -154,14 +155,11 @@ def bias_variance(model: FixedDesignModel, m):
     m = as_matrix(m, "m")
     am = model.a @ m
     u, s, _ = np.linalg.svd(am, full_matrices=False)
-    rank = int(np.sum(s > rank_tolerance(s, am.shape)))
+    rank = numerical_rank(s, am.shape)
     opt = model.optimal_prediction()
-    if rank == 0:
-        bias = float(opt @ opt) / model.n
-    else:
-        ur = u[:, :rank]
-        resid = opt - ur @ (ur.T @ opt)
-        bias = float(resid @ resid) / model.n
+    ur = u[:, :rank]   # empty at rank 0, where the bias is |opt|^2 / n
+    resid = opt - ur @ (ur.T @ opt)
+    bias = float(resid @ resid) / model.n
     variance = model.sigma**2 * rank / model.n
     return bias, variance
 

@@ -28,6 +28,14 @@ def _parse_float(token, where):
     return value
 
 
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_row(fields, path, lineno):
     """Floats of one row's fields; a bad field is reported with its column."""
     try:
@@ -43,8 +51,8 @@ def _parse_row(fields, path, lineno):
 def csv_rows(path):
     """Yield (line number, values) for each data row of a dense CSV.
 
-    A leading header row is skipped when any of its fields fails to parse
-    as a number. Blank lines are ignored. Ragged rows, rows of fewer than
+    A leading header row is skipped when none of its fields parses as a
+    number. Blank lines are ignored. Ragged rows, rows of fewer than
     two fields and NaN/Inf entries are rejected with their location.
     """
     first, width = True, None
@@ -56,9 +64,7 @@ def csv_rows(path):
             fields = line.split(",")
             if first:
                 first = False
-                try:
-                    [float(tok) for tok in fields]
-                except ValueError:
+                if not any(map(_is_number, fields)):
                     continue  # header row
             if width is None:
                 width = len(fields)

@@ -1,4 +1,5 @@
-"""Dense linear algebra kernels: truncated SVD, pseudo-inverse solves,
+"""Dense linear algebra kernels: truncated SVD, the one least-squares rule
+for compressed matrices (:func:`qr_svd`, then :func:`truncated_solve`),
 subspace distances and spectral diagnostics.
 
 Everything here is deterministic. Matrices are plain 2-D float64
@@ -38,14 +39,10 @@ def as_vector(v, length=None, name="vector"):
     return x
 
 
-def rank_tolerance(sigma, shape):
-    """Cutoff below which singular values are treated as zero.
-
-    Uses the standard sigma_max * max(m, n) * machine-epsilon rule.
-    """
-    if len(sigma) == 0:
-        return 0.0
-    return sigma[0] * max(shape) * np.finfo(float).eps
+def numerical_rank(sigma, shape):
+    """Count of the nonincreasing singular values ``sigma`` of a matrix of
+    ``shape`` above sigma_max * max(shape) * machine epsilon."""
+    return int(np.sum(sigma > sigma[:1] * (max(shape) * np.finfo(float).eps)))
 
 
 def check_orthonormal(q, name="basis", tol=ORTHO_TOL):
@@ -141,23 +138,27 @@ def thin_svd(m, k):
     )
 
 
-def pinv_solve(m, rhs):
-    """Minimum-norm least-squares solution ``m^+ @ rhs``.
+def qr_svd(m, b):
+    """(sigma, V, U^T b) of the thin SVD m = U diag(sigma) V^T, U unformed.
 
-    Singular values at or below the rank tolerance are inverted to zero,
-    so the output has no component along numerically-null directions.
+    The leading p = min(m.shape) rows of the R-factor of [m | b] are
+    Q_1^T m and Q_1^T b; their SVD U' diag(sigma) V^T gives U = Q_1 U'
+    (the R-SVD of Chan, ACM TOMS 1982), so U^T b = U'^T Q_1^T b.
     """
     m = as_matrix(m)
-    rhs = as_vector(rhs, length=m.shape[0], name="rhs")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return pinv_apply(u, s, vt.T, rhs)
+    b = as_vector(b, length=m.shape[0], name="b")
+    r_fac = np.linalg.qr(np.column_stack([m, b]), mode="r")[:min(m.shape)]
+    try:
+        u, sigma, vt = np.linalg.svd(r_fac[:, :-1], full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
+    return sigma, vt.T, u.T @ r_fac[:, -1]
 
 
-def pinv_apply(u, s, v, rhs):
-    """:func:`pinv_solve` from the thin SVD U diag(s) V^T of the matrix."""
-    tol = rank_tolerance(s, (u.shape[0], v.shape[0]))
-    inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
-    return v @ (inv * (u.T @ rhs))
+def truncated_solve(v, sigma, c, j):
+    """V_j Sigma_j^-1 c_j from the SVD (sigma, v) of M and c = U^T b: the
+    least-squares solution of M x = b over the top j right singular vectors."""
+    return v[:, :j] @ (c[:j] / sigma[:j])
 
 
 def subspace_distance(u, w):

@@ -7,7 +7,8 @@ right sketching uses G^T itself, and two-sided sketching composes both.
 Compressed least squares (plain OLS on A R) is included for comparison.
 Sketches are plain matrices (see :mod:`sketchpcr.sketch`), and so is R:
 dense, or the sparse transpose of a CountSketch. Every solver forms
-A @ R and maps back with R @ gamma.
+M = A R and solves on it by one rule, :func:`compressed_solve`, which the
+stream applies to M = T A R; it maps back with R @ gamma.
 
 The input-sparsity solver avoids dense factorizations of A entirely:
 CountSketch compressions are applied in one pass over the nonzeros and
@@ -33,10 +34,11 @@ from .linalg import (
     TruncatedSvd,
     as_matrix,
     as_vector,
-    pinv_solve,
-    rank_tolerance,
+    numerical_rank,
+    qr_svd,
     relative_gap,
     thin_svd,
+    truncated_solve,
 )
 from .sketch import _dense, apply_left, child_seeds, gen_countsketch
 
@@ -136,13 +138,12 @@ class ApproxCertificate:
     reference_objective: float
 
 
-def require_gap(f: TruncatedSvd, what):
-    """Reject a factored matrix without a usable rank or eigengap at f.k;
-    singular values within the rank tolerance of its shape count as zero."""
-    sigma, k = f.sigma, f.k
+def require_gap(sigma, k, shape, what):
+    """Reject a matrix of ``shape`` and singular values ``sigma`` without
+    numerical rank k (:func:`~sketchpcr.linalg.numerical_rank`) or a gap at k."""
     if sigma[0] == 0.0:
         raise RankDeficiencyError(f"{what} is zero")
-    if sigma[k - 1] <= rank_tolerance(sigma, (len(f.u_k), len(f.v_k))):
+    if numerical_rank(sigma, shape) < k:
         raise RankDeficiencyError(f"{what} has rank below k={k}")
     if relative_gap(sigma, k) < GAP_TOL:
         raise GapError(f"{what} has a vanishing eigengap at k={k}")
@@ -154,20 +155,27 @@ def _objective(a, x, b):
 
 def _checked_reference(p: PcrProblem) -> TruncatedSvd:
     f = p.reference.svd
-    require_gap(f, "A")
+    require_gap(f.sigma, f.k, p.shape, "A")
     return f
-
-
-def _pcr_solve(f: TruncatedSvd, b):
-    """V_k Sigma_k^-1 U_k^T b: rank-k PCR on the matrix that ``f`` factors."""
-    return f.v_k @ ((f.u_k.T @ b) / f.sigma_k)
 
 
 def _top_right_basis(m, k, what):
     """V_k of ``m``, which must have rank k and a gap at k."""
     f = thin_svd(m, k)
-    require_gap(f, what)
+    require_gap(f.sigma, k, m.shape, what)
     return f.v_k
+
+
+def compressed_solve(r, m, b, k, what):
+    """x = R V_j Sigma_j^-1 (U^T b)_j from the R-factor SVD of the compressed
+    matrix m (:func:`~sketchpcr.linalg.qr_svd`): rank-k PCR at j = k, which
+    :func:`require_gap` checks, or R m^+ b at j = rank(m) when k is None."""
+    sigma, v, c = qr_svd(m, b)
+    if k is None:
+        k = numerical_rank(sigma, m.shape)
+    else:
+        require_gap(sigma, k, m.shape, what)
+    return r @ truncated_solve(v, sigma, c, k)
 
 
 def exact_pcr(p: PcrProblem) -> PcrSolution:
@@ -179,7 +187,7 @@ def exact_pcr(p: PcrProblem) -> PcrSolution:
     svd_seconds = p.reference.seconds
     t0 = time.perf_counter()
     f = _checked_reference(p)
-    x = _pcr_solve(f, p.b)
+    x = truncated_solve(f.v_k, f.sigma_k, f.u_k.T @ p.b, p.k)
     elapsed = time.perf_counter() - t0 + svd_seconds
     return PcrSolution(
         x=x,
@@ -224,45 +232,33 @@ def build_r_twosided(p: PcrProblem, s_op, g_op) -> np.ndarray:
     return g_t @ _top_right_basis(apply_left(s_op, _dense(p.a @ g_t)), p.k, "S A G^T")
 
 
-def sketched_pcr(p: PcrProblem, r) -> PcrSolution:
-    """Rank-k PCR on the compressed matrix A R, mapped back through R.
-
-    x = R V_{AR,k} (A R V_{AR,k})^+ b. The product A R is formed first
-    (in one pass over the nonzeros when R is a sparse CountSketch
-    transpose) and then factorized, which is the cheap ordering.
-    """
+def _solve_on_ar(p: PcrProblem, r, method, k) -> PcrSolution:
+    """:func:`compressed_solve` on A R, formed first (in one pass over the
+    nonzeros for a sparse R), timed without |A x - b|."""
     t0 = time.perf_counter()
     r = _as_r(r)
-    if r.shape[1] < p.k:
-        raise ValueError(f"R has {r.shape[1]} columns, fewer than k={p.k}")
-    f = thin_svd(_dense(p.a @ r), p.k)
-    require_gap(f, "A R")
-    x = r @ _pcr_solve(f, p.b)
+    if k is not None and r.shape[1] < k:
+        raise ValueError(f"R has {r.shape[1]} columns, fewer than k={k}")
+    x = compressed_solve(r, _dense(p.a @ r), p.b, k, "A R")
     elapsed = time.perf_counter() - t0
     return PcrSolution(
         x=x,
-        method="sketched",
+        method=method,
         r_cols=r.shape[1],
         objective=_objective(p.a, x, p.b),
         constraint_norm=None,
         wall_time=elapsed,
     )
+
+
+def sketched_pcr(p: PcrProblem, r) -> PcrSolution:
+    """Rank-k PCR on A R mapped back through R: x = R V_{AR,k} (A R V_{AR,k})^+ b."""
+    return _solve_on_ar(p, r, "sketched", p.k)
 
 
 def cls(p: PcrProblem, r) -> PcrSolution:
     """Compressed least squares: x = R (A R)^+ b, no rank truncation."""
-    t0 = time.perf_counter()
-    r = _as_r(r)
-    x = r @ pinv_solve(_dense(p.a @ r), p.b)
-    elapsed = time.perf_counter() - t0
-    return PcrSolution(
-        x=x,
-        method="cls",
-        r_cols=r.shape[1],
-        objective=_objective(p.a, x, p.b),
-        constraint_norm=None,
-        wall_time=elapsed,
-    )
+    return _solve_on_ar(p, r, "cls", None)
 
 
 def certify(p: PcrProblem, sol: PcrSolution, mode: str) -> ApproxCertificate:
@@ -281,7 +277,7 @@ def certify(p: PcrProblem, sol: PcrSolution, mode: str) -> ApproxCertificate:
         raise ValueError("b is zero; certificates are undefined")
     obj = _objective(p.a, sol.x, p.b)
     if mode == "pcr":
-        ref = _objective(p.a, _pcr_solve(f, p.b), p.b)
+        ref = _objective(p.a, truncated_solve(f.v_k, f.sigma_k, f.u_k.T @ p.b, p.k), p.b)
         leak = float(np.linalg.norm(f.v_rest.T @ sol.x))
     else:
         ref = float(np.linalg.norm(exact_pcp(p) - p.b))
@@ -324,10 +320,10 @@ def precond_iterative_ls(c, b, eps, seed=0, max_iter=None):
         sc = left @ right
     else:
         sc = apply_left(gen_countsketch(m, n, seed), left) @ right
-    sc_sigma = np.linalg.svd(sc, compute_uv=False)
-    if sc_sigma[-1] <= rank_tolerance(sc_sigma, sc.shape):
-        raise RankDeficiencyError("least-squares matrix is rank deficient")
     r_fac = np.linalg.qr(sc, mode="r")
+    # sigma(R) = sigma(S C): the rank check needs no second factorization.
+    if numerical_rank(np.linalg.svd(r_fac, compute_uv=False), sc.shape) < k:
+        raise RankDeficiencyError("least-squares matrix is rank deficient")
 
     def solve_r(v):
         return scipy.linalg.solve_triangular(r_fac, v, lower=False)

@@ -4,7 +4,8 @@ Rows of A (and entries of b) arrive one at a time. Two sketch
 accumulators are maintained: S A (to extract the compression basis R)
 and T A together with T b (to solve the compressed regression without
 storing A). Memory is a function of the sketch sizes and d only, never
-of the number of rows seen.
+of the number of rows seen. The final solve is the solvers' one rule,
+:func:`sketchpcr.solvers.compressed_solve`, on T A R and T b.
 
 Each sketch spec yields column i of its sketch as a pair (rows, values)
 that indexes the accumulator, so one update statement serves both kinds.
@@ -26,10 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RankDeficiencyError
-from .linalg import as_vector, pinv_apply, rank_tolerance, thin_svd
+from .linalg import as_vector, thin_svd
 from .sketch import _hash_pair, _hash_tables, child_seeds
-from .solvers import PcrSolution, require_gap
+from .solvers import PcrSolution, compressed_solve, require_gap
 
 HASH_BLOCK = 4096          # CountSketch columns hashed per table
 
@@ -149,21 +149,17 @@ def stream_update(st: StreamState, a_row, b_entry) -> StreamState:
 def stream_finalize(st: StreamState, k) -> PcrSolution:
     """Close the stream and return x = R (T A R)^+ T b with R = V_{SA,k}.
 
-    T A R is factored once; a rank below k (fewer than k rows of T, say)
-    raises RankDeficiencyError. Final work is polynomial in d and the
-    sketch sizes only. The state is consumed.
+    S A and T A R are each checked for rank k and a gap at k: a rank below
+    k (fewer than k rows of T, say) raises RankDeficiencyError. Final work
+    is polynomial in d and the sketch sizes only. The state is consumed.
     """
     if st.finalized:
         raise RuntimeError("stream state was already finalized")
     t0 = time.perf_counter()
     st.finalized = True
     f = thin_svd(st.sa, k)
-    require_gap(f, "S A")
-    r = f.v_k
-    u, s, vt = np.linalg.svd(st.ta @ r, full_matrices=False)
-    if np.sum(s > rank_tolerance(s, (len(u), k))) < k:
-        raise RankDeficiencyError(f"T A R has rank below k={k}")
-    x = r @ pinv_apply(u, s, vt.T, st.tb)
+    require_gap(f.sigma, k, st.sa.shape, "S A")
+    x = compressed_solve(f.v_k, st.ta @ f.v_k, st.tb, k, "T A R")
     return PcrSolution(
         x=x,
         method="stream",

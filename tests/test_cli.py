@@ -186,6 +186,30 @@ def test_solve_records_what_sweep_records(solver, sizes, cells, tmp_path):
         assert (record["s"] is None) == ("s" not in SOLVERS[solver].axes)
 
 
+def test_cls_with_more_columns_than_the_planted_rank_exits_0(tmp_path):
+    # t = 40 > d = 30: A R has rank 30 at most, and CLS takes its pseudo-inverse.
+    out = tmp_path / "solve.json"
+    assert main(["solve"] + SYNTH + ["--solver", "cls", "--t", "40", "--k", "5",
+                                     "--out", str(out)]) == 0
+    assert _record(out)["error"] is None
+
+
+def test_input_sparsity_wall_time_excludes_the_objective(monkeypatch):
+    a, b, k = _parse_synthetic("200,30,3,0.5", 0)
+    monkeypatch.setattr(solvers, "input_sparsity_pcp",
+                        lambda p, s, t, seed: np.zeros(p.shape[1]))
+    real = np.linalg.norm
+
+    def slow_norm(*args, **kwargs):
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", slow_norm)
+    sol = SOLVERS["input-sparsity"].fn(solvers.PcrProblem(a=a, b=b, k=k), 12, 12, 0)
+    assert sol.objective == pytest.approx(real(b))
+    assert sol.wall_time < 0.05
+
+
 def test_input_sparsity_is_certified_as_a_projection(tmp_path):
     out = tmp_path / "solve.json"
     assert main(["solve"] + SYNTH + ["--solver", "input-sparsity", "--ratio", "4",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sketchpcr import evaluation as ev
-from sketchpcr.linalg import pinv_solve, thin_svd
+from sketchpcr.linalg import thin_svd
 from oracles import jacobi_svd, rotated_basis
 
 
@@ -35,7 +35,7 @@ def test_a_is_factored_once(monkeypatch):
 
 def test_x_star_is_the_pseudo_inverse_solution_and_a_is_read_only():
     model = _model()
-    want = pinv_solve(model.a, model.f)
+    want = np.linalg.lstsq(model.a, model.f, rcond=None)[0]
     assert np.linalg.norm(model.x_star - want) <= 1e-12 * np.linalg.norm(want)
     assert not model.a.flags.writeable
 

@@ -22,6 +22,7 @@ class TestDenseCsv:
         ("1,2,3\n4,5\n", ":2: ragged row"),
         ("1\n2\n", ":1: need at least two columns"),
         ("a,b\n", ": no data rows"),
+        ("1.0,2.x,3\n4,5,6\n", ":1:col 2: not a number"),
     ])
     def test_malformed_rejected_with_position(self, tmp_path, text, where):
         path = tmp_path / "d.csv"

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from sketchpcr.linalg import (
-    pinv_solve,
+    numerical_rank,
+    qr_svd,
     relative_gap,
     stable_rank,
     subspace_distance,
     thin_svd,
+    truncated_solve,
 )
 from oracles import jacobi_svd, subspace_distance_projectors
 
@@ -80,34 +82,39 @@ class TestThinSvd:
             thin_svd(a, 1)
 
 
-class TestPinvSolve:
-    def test_identity(self):
-        assert np.allclose(pinv_solve(np.eye(3), [1.0, 2.0, 3.0]), [1, 2, 3])
+def _rank_three(rng, rows, cols):
+    return rng.standard_normal((rows, 3)) @ rng.standard_normal((3, cols))
 
-    def test_zero_singular_value_maps_to_zero(self):
-        m = np.array([[2.0, 0.0], [0.0, 0.0]])
-        assert np.allclose(pinv_solve(m, [4.0, 1.0]), [2.0, 0.0])
 
-    def test_normal_equations_residual(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((8, 3))
-        rhs = rng.standard_normal(8)
-        x = pinv_solve(m, rhs)
-        assert np.linalg.norm(m.T @ (m @ x - rhs)) < 1e-8
-
-    def test_min_norm_on_rank_deficient(self):
-        rng = np.random.default_rng(12)
-        base = rng.standard_normal((6, 2))
-        m = np.hstack([base, base @ rng.standard_normal((2, 2))])  # rank 2
-        rhs = rng.standard_normal(6)
-        x = pinv_solve(m, rhs)
-        _, s, vt = np.linalg.svd(m)
-        null_dirs = vt[2:]
-        assert np.linalg.norm(null_dirs @ x) < 1e-10
+class TestQrSvd:
+    @pytest.mark.parametrize("shape, make", [
+        ((30, 6), None),            # rows > cols: A R
+        ((3, 5), None),             # rows < cols: T A R with t < k
+        ((20, 6), _rank_three),     # rank-deficient
+    ], ids=["tall", "wide", "rank-deficient"])
+    def test_against_jacobi_oracle(self, shape, make):
+        rng = np.random.default_rng(sum(shape))
+        m = make(rng, *shape) if make else rng.standard_normal(shape)
+        b = rng.standard_normal(shape[0])
+        sigma, v, c = qr_svd(m, b)
+        u_ref, s_ref, v_ref = jacobi_svd(m)
+        p = min(shape)
+        assert sigma.shape == (p,) and v.shape == (shape[1], p) and c.shape == (p,)
+        assert np.allclose(sigma, s_ref[:p], rtol=0, atol=1e-12 * s_ref[0])
+        rank = numerical_rank(sigma, shape)
+        assert rank == (3 if make else p)
+        for j in range(1, rank + 1):
+            want = v_ref[:, :j] @ ((u_ref[:, :j].T @ b) / s_ref[:j])
+            got = truncated_solve(v, sigma, c, j)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        # At the numerical rank: the minimum-norm least-squares solution.
+        want = np.linalg.lstsq(m, b, rcond=None)[0]
+        got = truncated_solve(v, sigma, c, rank)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            pinv_solve(np.eye(3), [1.0, 2.0])
+            qr_svd(np.eye(3), [1.0, 2.0])
 
 
 class TestSubspaceDistance:

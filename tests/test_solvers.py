@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from sketchpcr import solvers
 from sketchpcr.errors import GapError, RankDeficiencyError
 from sketchpcr.evaluation import planted_matrix
-from sketchpcr.linalg import pinv_solve, spectral_norm, subspace_distance, thin_svd
+from sketchpcr.linalg import spectral_norm, subspace_distance, thin_svd
 from sketchpcr.sketch import gen_countsketch, gen_subgaussian
 from sketchpcr.solvers import (
     PcrProblem,
@@ -61,7 +62,7 @@ class TestExactPcr:
         a = rng.standard_normal((20, 6))
         b = rng.standard_normal(20)
         sol = exact_pcr(PcrProblem(a=a, b=b, k=6))
-        assert np.allclose(sol.x, pinv_solve(a, b), atol=1e-10)
+        assert np.allclose(sol.x, np.linalg.lstsq(a, b, rcond=None)[0], atol=1e-10)
 
     def test_matches_reduced_ls_oracle(self):
         p = random_problem(2)
@@ -135,7 +136,27 @@ class TestCls:
     def test_identity_is_ols(self):
         p = random_problem(12)
         sol = cls(p, np.eye(12))
-        assert np.allclose(sol.x, pinv_solve(p.a, p.b), atol=1e-10)
+        assert np.allclose(sol.x, np.linalg.lstsq(p.a, p.b, rcond=None)[0], atol=1e-10)
+
+    def test_rank_deficient_ar_gives_the_minimum_norm_solution(self):
+        # A has rank 3 and R has 5 columns, so A R has rank 3: x = R (A R)^+ b.
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 12))
+        b = rng.standard_normal(40)
+        r = rng.standard_normal((12, 5))
+        sol = cls(PcrProblem(a=a, b=b, k=3), r)
+        want = r @ np.linalg.lstsq(a @ r, b, rcond=None)[0]
+        assert np.linalg.norm(sol.x - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_zero_ar_gives_zero_without_a_warning(self):
+        a = np.zeros((10, 4))
+        a[:, 0] = 1.0                     # A R = 0 for an R that misses column 0
+        r = np.eye(4)[:, 1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = cls(PcrProblem(a=a, b=np.ones(10), k=1), r)
+        assert np.array_equal(sol.x, np.zeros(4))
+        assert np.array_equal(sol.x, r @ np.linalg.lstsq(a @ r, np.ones(10), rcond=None)[0])
 
     def test_coincides_with_sketched_for_k_orthonormal_columns(self):
         p = random_problem(13)
@@ -236,7 +257,7 @@ class TestCertify:
         x_true = rng.standard_normal(30)
         b = a @ x_true + 0.5 * rng.standard_normal(60)
         p = PcrProblem(a=a, b=b, k=4)
-        ols = PcrSolution(x=pinv_solve(a, b), method="ols", r_cols=0,
+        ols = PcrSolution(x=np.linalg.lstsq(a, b, rcond=None)[0], method="ols", r_cols=0,
                           objective=0.0, constraint_norm=None, wall_time=0.0)
         cert_ols = certify(p, ols, mode="pcr")
         cert_exact = certify(p, exact_pcr(p), mode="pcr")
