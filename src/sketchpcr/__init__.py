@@ -15,10 +15,12 @@ from .evaluation import (
     classic_pcr_risk_bound,
     exact_risk,
     excess_risk_mc,
+    pcr_corollary_bound,
     planted_matrix,
     planted_spectrum,
-    risk_bound_check,
     sample_response,
+    stat_structural_bound,
+    struct_stat_pcp_bound,
 )
 from .kernel import (
     KernelModel,
@@ -32,7 +34,7 @@ from .kernel import (
     sketched_kernel_predict,
 )
 from .linalg import (
-    TruncatedSvd,
+    Svd,
     relative_gap,
     stable_rank,
     subspace_distance,

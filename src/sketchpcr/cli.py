@@ -253,10 +253,10 @@ def run_sweep(problem_by_k, solvers_list, args) -> RunReport:
 
 def _rotation_basis(f, k, theta):
     """Orthonormal d x k basis at principal angle theta from V_{A,k}."""
-    w = f.v_rest[:, :k]
+    w = f.v[:, k:2 * k]
     if w.shape[1] < k:
         raise ValueError("not enough trailing directions to rotate into")
-    return f.v_k * math.cos(theta) + w * math.sin(theta)
+    return f.v[:, :k] * math.cos(theta) + w * math.sin(theta)
 
 
 def _verify_checks(args):
@@ -269,18 +269,20 @@ def _verify_checks(args):
     seed = args.seed0
     a, f_vec, sigma, rng = _planted(n, d, k, gap, seed)
     model = ev.FixedDesignModel(a=a, f=f_vec, sigma=sigma)
-    fsvd = model.svd(k)
-    sk, sk1 = fsvd.sigma_k[-1], fsvd.sigma_rest[0]
+    fsvd = model.svd
+    sk, sk1 = fsvd.sigma[k - 1], fsvd.sigma[k]
+    v_k = fsvd.v[:, :k]
     checks = []
 
     theta = 0.25
     r = _rotation_basis(fsvd, k, theta)
     nu = math.sin(theta)
-    checks.append(("lemma11_leakage", spectral_norm(fsvd.v_rest.T @ r), nu))
-    f_ar = thin_svd(a @ r, k)   # R has k columns: sigma_k(A R) is sigma_min
-    checks.append(("lemma11_sigma_min", sk * (math.sqrt(1 - nu**2) - nu), f_ar.sigma_k[-1]))
+    checks.append(("lemma11_leakage", spectral_norm(fsvd.v[:, k:].T @ r), nu))
+    f_ar = thin_svd(a @ r)   # R has k columns: sigma_k(A R) is sigma_min
+    checks.append(("lemma11_sigma_min", sk * (math.sqrt(1 - nu**2) - nu), f_ar.sigma[k - 1]))
     nu_tan = math.tan(theta)
-    checks.append(("lemma14", subspace_distance(f_ar.u_k, fsvd.u_k), (sk1 / sk) * nu_tan))
+    nu_pcp = subspace_distance(f_ar.u, fsvd.u[:, :k])
+    checks.append(("lemma14", nu_pcp, (sk1 / sk) * nu_tan))
 
     sym = a.T @ a
     pert = rng.standard_normal((d, d))
@@ -288,23 +290,22 @@ def _verify_checks(args):
     lam = np.sort(np.linalg.eigvalsh(sym))[::-1]
     pert *= 0.4 * (lam[k - 1] - lam[k]) / spectral_norm(pert)
     lam_tilde = np.sort(np.linalg.eigvalsh(sym + pert))[::-1]
-    v1 = thin_svd(sym, k).v_k
-    v2 = thin_svd(sym + pert, k).v_k
+    v1 = thin_svd(sym).v[:, :k]
+    v2 = thin_svd(sym + pert).v[:, :k]
     checks.append(("davis_kahan", subspace_distance(v1, v2),
                    spectral_norm(pert) / (lam[k - 1] - lam_tilde[k])))
 
-    for kind, params in [
-        ("pcr_corollary", None),
-        ("stat_structural", {"r": r, "nu": nu_tan}),
-        ("struct_stat_pcp", {"r": r, "nu": subspace_distance(f_ar.u_k, fsvd.u_k)}),
+    for name, rep in [
+        ("pcr_corollary", ev.pcr_corollary_bound(model, k)),
+        ("stat_structural", ev.stat_structural_bound(model, k, r, nu_tan)),
+        ("struct_stat_pcp", ev.struct_stat_pcp_bound(model, k, r, nu_pcp)),
     ]:
-        rep = ev.risk_bound_check(model, k, kind, params)
-        checks.append((f"risk_{kind}", rep.risk, rep.bound, rep.prerequisite_ok))
+        checks.append((f"risk_{name}", rep.risk, rep.bound, rep.prerequisite_ok))
     checks.append(("risk_classic_pcr",
-                   ev.exact_risk(model, fsvd.v_k), ev.classic_pcr_risk_bound(model, k)))
+                   ev.exact_risk(model, v_k), ev.classic_pcr_risk_bound(model, k)))
 
-    bias, var = ev.bias_variance(model, fsvd.v_k)
-    est_v = fsvd.v_k @ np.linalg.pinv(a @ fsvd.v_k)
+    bias, var = ev.bias_variance(model, v_k)
+    est_v = v_k @ np.linalg.pinv(a @ v_k)
     mc = ev.excess_risk_mc(model, lambda _a, b: est_v @ b, trials=400, seed=seed + 2)
     checks.append(("bias_variance_identity",
                    abs(bias + var - mc.mean), 3 * mc.std_error))
@@ -368,12 +369,12 @@ def cmd_sweep(args):
 def _stream_rows(args):
     """Yield (row, b_entry) pairs one at a time from the input file."""
     if args.data.endswith(".csv"):
-        for _, values in data_io.csv_rows(args.data):
+        for values in data_io.csv_rows(args.data):
             yield np.asarray(values[:-1]), values[-1]
         return
     if args.dims is None:
         raise CliError("streaming svmlight input needs --dims")
-    for _, label, cols, values in data_io.svmlight_rows(args.data, args.dims):
+    for label, cols, values in data_io.svmlight_rows(args.data, args.dims):
         row = np.zeros(args.dims)
         row[cols] = values
         yield row, label

@@ -34,9 +34,10 @@ TAIL_DECAY = 0.25  # ratio of consecutive squared singular values past k
 class FixedDesignModel:
     """The design A, the mean f of b and the noise level sigma.
 
-    A is held as a read-only view and factored once per model; x_star, the
-    minimum-norm solution of A x = P_A f, comes from that SVD, and the
-    risk bounds and other readers split it at their k (:meth:`svd`).
+    A is held as a read-only view and factored once per model: ``svd`` is
+    its full thin SVD (:class:`~sketchpcr.linalg.Svd`), cached, which the
+    risk bounds and other readers slice at their own k. x_star, the
+    minimum-norm solution of A x = P_A f, comes from it.
     """
 
     a: np.ndarray
@@ -51,17 +52,13 @@ class FixedDesignModel:
         object.__setattr__(self, "f", as_vector(self.f, length=a.shape[0], name="f"))
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        full = self._svd
+        f = self.svd
         object.__setattr__(self, "x_star", truncated_solve(
-            full.v_k, full.sigma_k, full.u_k.T @ self.f, numerical_rank(full.sigma_k, a.shape)))
+            f.v, f.sigma, f.u.T @ self.f, numerical_rank(f.sigma, a.shape)))
 
     @functools.cached_property
-    def _svd(self):
-        return thin_svd(self.a, min(self.a.shape))
-
-    def svd(self, k):
-        """The thin SVD of A split at k, without U_rest."""
-        return self._svd.split(k)
+    def svd(self):
+        return thin_svd(self.a)
 
     @property
     def n(self):
@@ -170,58 +167,53 @@ def exact_risk(model: FixedDesignModel, m):
 
 def classic_pcr_risk_bound(model: FixedDesignModel, k):
     """|V_A^T x*|_inf^2 sum_{i>k} sigma_i^2 / n + sigma^2 k / n."""
-    f = model.svd(k)
+    f = model.svd
     coeff = np.max(np.abs(f.v.T @ model.x_star)) ** 2
-    return float(coeff * np.sum(f.sigma_rest**2) / model.n
+    return float(coeff * np.sum(f.sigma[k:]**2) / model.n
                  + model.sigma**2 * k / model.n)
 
 
 @dataclass(frozen=True)
 class RiskBoundReport:
+    """One excess-risk bound against the exact risk. A prerequisite that
+    fails is reported here, never silently skipped."""
+
     risk: float
     bound: float
     prerequisite_ok: bool   # the bound applies only when this holds
 
 
-def risk_bound_check(model: FixedDesignModel, k, kind, params=None) -> RiskBoundReport:
-    """Evaluate one of the excess-risk bounds against the exact risk.
+def _tail_bias(model: FixedDesignModel, k):
+    """|x*|^2 sigma_{k+1}^2 / n, where sigma_{k+1} is 0 at k = min(n, d)."""
+    s = model.svd.sigma
+    sk1 = s[k] if k < len(s) else 0.0
+    return float(model.x_star @ model.x_star) * sk1**2 / model.n
 
-    kind 'pcr_corollary' needs no parameters. 'stat_structural' takes an
-    orthonormal d x k matrix ``r`` and a level ``nu`` and requires
-    d2(R, V_{A,k}) <= nu (1 + nu^2)^(-1/2). 'struct_stat_pcp' takes a
-    d x s matrix ``r`` and ``nu`` and requires
-    d2(U_{AR,k}, U_{A,k}) <= nu. Prerequisite violations are reported in
-    the result, never silently skipped.
-    """
-    params = params or {}
-    f = model.svd(k)
-    sk1 = f.sigma_rest[0] if len(f.sigma_rest) else 0.0
-    xs2 = float(model.x_star @ model.x_star)
-    n = model.n
 
-    if kind == "pcr_corollary":
-        risk = exact_risk(model, f.v_k)
-        bound = xs2 * sk1**2 / n + model.sigma**2 * k / n
-        return RiskBoundReport(risk, bound, True)
+def pcr_corollary_bound(model: FixedDesignModel, k) -> RiskBoundReport:
+    """Exact rank-k PCR's risk against |x*|^2 sigma_{k+1}^2 / n + sigma^2 k / n."""
+    risk = exact_risk(model, model.svd.v[:, :k])
+    return RiskBoundReport(risk, _tail_bias(model, k) + model.sigma**2 * k / model.n, True)
 
-    if kind == "stat_structural":
-        r = as_matrix(params["r"], "r")
-        nu = float(params["nu"])
-        dist = subspace_distance(r, f.v_k)
-        ok = dist <= nu / math.sqrt(1.0 + nu**2) + 1e-12
-        risk = exact_risk(model, r)
-        bound = (1.0 + nu) * xs2 * sk1**2 / n + model.sigma**2 * k / n
-        return RiskBoundReport(risk, bound, ok)
 
-    if kind == "struct_stat_pcp":
-        r = as_matrix(params["r"], "r")
-        nu = float(params["nu"])
-        ar = model.a @ r
-        f_ar = thin_svd(ar, k)
-        dist = subspace_distance(f_ar.u_k, f.u_k)
-        ok = dist <= nu + 1e-12
-        risk = exact_risk(model, r @ f_ar.v_k)
-        bound = exact_risk(model, f.v_k) + (2.0 * nu + nu**2) * float(model.f @ model.f) / n
-        return RiskBoundReport(risk, bound, ok)
+def stat_structural_bound(model: FixedDesignModel, k, r, nu) -> RiskBoundReport:
+    """The risk of compressing by the orthonormal d x k matrix ``r`` against
+    (1 + nu) |x*|^2 sigma_{k+1}^2 / n + sigma^2 k / n, which requires
+    d2(R, V_{A,k}) <= nu (1 + nu^2)^(-1/2)."""
+    r = as_matrix(r, "r")
+    ok = subspace_distance(r, model.svd.v[:, :k]) <= nu / math.sqrt(1.0 + nu**2) + 1e-12
+    bound = (1.0 + nu) * _tail_bias(model, k) + model.sigma**2 * k / model.n
+    return RiskBoundReport(exact_risk(model, r), bound, ok)
 
-    raise ValueError(f"unknown risk bound kind {kind!r}")
+
+def struct_stat_pcp_bound(model: FixedDesignModel, k, r, nu) -> RiskBoundReport:
+    """The risk of rank-k PCR on A R, for a d x s matrix ``r``, against exact
+    PCR's risk + (2 nu + nu^2) |f|^2 / n, which requires
+    d2(U_{AR,k}, U_{A,k}) <= nu."""
+    r = as_matrix(r, "r")
+    f_ar = thin_svd(model.a @ r)
+    ok = subspace_distance(f_ar.u[:, :k], model.svd.u[:, :k]) <= nu + 1e-12
+    risk = exact_risk(model, r @ f_ar.v[:, :k])
+    bound = (exact_risk(model, model.svd.v[:, :k])
+             + (2.0 * nu + nu**2) * float(model.f @ model.f) / model.n)
+    return RiskBoundReport(risk, bound, ok)

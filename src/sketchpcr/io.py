@@ -49,7 +49,7 @@ def _parse_row(fields, path, lineno):
 
 
 def csv_rows(path):
-    """Yield (line number, values) for each data row of a dense CSV.
+    """Yield the values of each data row of a dense CSV.
 
     A leading header row is skipped when none of its fields parses as a
     number. Blank lines are ignored. Ragged rows, rows of fewer than
@@ -74,11 +74,11 @@ def csv_rows(path):
                 raise DataFormatError(
                     f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {width})"
                 )
-            yield lineno, _parse_row(fields, path, lineno)
+            yield _parse_row(fields, path, lineno)
 
 
 def svmlight_rows(path, n_features=None):
-    """Yield (line number, label, columns, values) per svmlight line.
+    """Yield (label, columns, values) per svmlight line.
 
     Lines read ``label idx:val idx:val ...``; ``#`` starts a comment.
     Indices are 1-based, strictly increasing within a line and, when
@@ -116,7 +116,7 @@ def svmlight_rows(path, n_features=None):
                 raise DataFormatError(
                     f"{path}:{lineno}: index {prev} exceeds the feature count {n_features}"
                 )
-            yield lineno, label, cols, values
+            yield label, cols, values
 
 
 def load_dense_csv(path):
@@ -124,7 +124,7 @@ def load_dense_csv(path):
 
     Returns (A, b). Rows are read and validated by :func:`csv_rows`.
     """
-    rows = [values for _, values in csv_rows(path)]
+    rows = list(csv_rows(path))
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
@@ -142,7 +142,7 @@ def load_svmlight(path, center_response=False, n_features=None):
     labels = []
     data, indices, indptr = [], [], [0]
     largest = 0
-    for _, label, cols, values in svmlight_rows(path, n_features):
+    for label, cols, values in svmlight_rows(path, n_features):
         labels.append(label)
         data.extend(values)
         indices.extend(cols)

@@ -1,6 +1,10 @@
-"""Dense linear algebra kernels: truncated SVD, the one least-squares rule
+"""Dense linear algebra kernels: the thin SVD record, the one least-squares rule
 for compressed matrices (:func:`qr_svd`, then :func:`truncated_solve`),
 subspace distances and spectral diagnostics.
+
+A thin SVD is one record, :class:`Svd`: every singular value, and all
+columns of U and V or their leading ones. It stores no split index;
+each reader slices at its own k.
 
 Everything here is deterministic. Matrices are plain 2-D float64
 ``numpy.ndarray`` objects; bases are matrices with orthonormal columns.
@@ -45,12 +49,12 @@ def numerical_rank(sigma, shape):
     return int(np.sum(sigma > sigma[:1] * (max(shape) * np.finfo(float).eps)))
 
 
-def check_orthonormal(q, name="basis", tol=ORTHO_TOL):
-    """Require Q^T Q = I within ``tol`` in Frobenius norm."""
+def check_orthonormal(q, name="basis"):
+    """Require Q^T Q = I within ``ORTHO_TOL`` in Frobenius norm."""
     q = as_matrix(q, name)
     gram = q.T @ q
     err = np.linalg.norm(gram - np.eye(q.shape[1]))
-    if err > tol:
+    if err > ORTHO_TOL:
         raise ValueError(f"{name} columns are not orthonormal (|Q^T Q - I|_F = {err:.3e})")
     return q
 
@@ -63,37 +67,24 @@ def spectral_norm(a):
 
 
 @dataclass(frozen=True)
-class TruncatedSvd:
-    """A thin SVD split at index k: U_k, and the singular values and right
-    singular vectors on both sides of the split.
+class Svd:
+    """A thin SVD m = u diag(sigma) v^T, or its leading columns.
 
-    Singular values are nonincreasing across the split and column signs
-    are fixed so the largest-magnitude entry of each left singular vector
-    is positive. The factored matrix is ``len(u_k)`` x ``len(v_k)``.
+    ``sigma`` holds every singular value, nonincreasing; ``u`` and ``v``
+    hold all of the thin factors' columns or only their leading ones
+    (:meth:`lead`). Readers slice at their own k: U_k is ``u[:, :k]``,
+    sigma_{k+1} is ``sigma[k]``. Column signs are fixed so that the
+    largest-magnitude entry of each left singular vector is positive.
     """
 
-    u_k: np.ndarray
-    sigma_k: np.ndarray
-    v_k: np.ndarray
-    sigma_rest: np.ndarray
-    v_rest: np.ndarray
-    k: int
+    u: np.ndarray
+    sigma: np.ndarray
+    v: np.ndarray
 
-    @property
-    def sigma(self):
-        return np.concatenate([self.sigma_k, self.sigma_rest])
-
-    @property
-    def v(self):
-        return np.hstack([self.v_k, self.v_rest])
-
-    def split(self, k):
-        """This SVD split again at k <= self.k, with arrays laid out as
-        :func:`thin_svd` lays them out."""
-        sigma, v = self.sigma, self.v
-        return TruncatedSvd(u_k=self.u_k[:, :k].copy(), sigma_k=sigma[:k],
-                            v_k=v[:, :k].copy(), sigma_rest=sigma[k:],
-                            v_rest=v[:, k:].copy(), k=k)
+    def lead(self, k):
+        """This SVD with copies of the first k columns of U and V only:
+        contiguous blocks that do not keep the full factors alive."""
+        return Svd(u=self.u[:, :k].copy(), sigma=self.sigma, v=self.v[:, :k].copy())
 
 
 def _fix_signs(u, vt):
@@ -105,37 +96,15 @@ def _fix_signs(u, vt):
     return u * flip, vt * flip[:, None]
 
 
-def thin_svd(m, k):
-    """Thin SVD of ``m`` split at index ``k``.
-
-    Parameters
-    ----------
-    m : array-like, (rows, cols)
-    k : int
-        Split index, 1 <= k <= min(rows, cols).
-
-    Returns
-    -------
-    TruncatedSvd
-    """
+def thin_svd(m):
+    """The thin SVD of ``m`` as an :class:`Svd`."""
     m = as_matrix(m)
-    r = min(m.shape)
-    if not 1 <= k <= r:
-        raise ValueError(f"split index k={k} out of range [1, {r}]")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
     u, vt = _fix_signs(u, vt)
-    v = vt.T
-    return TruncatedSvd(
-        u_k=u[:, :k].copy(),
-        sigma_k=s[:k].copy(),
-        v_k=v[:, :k].copy(),
-        sigma_rest=s[k:].copy(),
-        v_rest=v[:, k:].copy(),
-        k=k,
-    )
+    return Svd(u=u, sigma=s, v=vt.T)
 
 
 def qr_svd(m, b):

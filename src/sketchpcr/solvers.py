@@ -10,6 +10,10 @@ dense, or the sparse transpose of a CountSketch. Every solver forms
 M = A R and solves on it by one rule, :func:`compressed_solve`, which the
 stream applies to M = T A R; it maps back with R @ gamma.
 
+The exact reference is U_k, V_k and the singular values of A, cut from
+one cached thin SVD. :func:`certify` measures leakage from U_k and V_k
+alone, as the part of a vector outside their span, for any shape of A.
+
 The input-sparsity solver avoids dense factorizations of A entirely:
 CountSketch compressions are applied in one pass over the nonzeros and
 the inner least-squares problem is solved by a sketch-preconditioned
@@ -31,7 +35,7 @@ import scipy.sparse as sp
 
 from .errors import ConvergenceError, GapError, RankDeficiencyError
 from .linalg import (
-    TruncatedSvd,
+    Svd,
     as_matrix,
     as_vector,
     numerical_rank,
@@ -47,13 +51,10 @@ GAP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExactReference:
-    """The thin SVD of A split at k and the seconds it took to compute.
+    """U_k, V_k and every singular value of A, cut from one thin SVD, and
+    the seconds that SVD took."""
 
-    The leakage U_rest^T A y equals sigma_rest * (V_rest^T y) for the thin
-    SVD, so no consumer needs U_rest.
-    """
-
-    svd: TruncatedSvd
+    svd: Svd
     seconds: float
 
 
@@ -67,7 +68,7 @@ class PcrProblem:
     must not change afterwards.
 
     ``svd_from`` is a problem over the same A with a rank of at least k
-    whose SVD this one splits at k instead of factoring A again; see
+    whose SVD this one cuts at k instead of factoring A again; see
     :meth:`for_ranks`.
     """
 
@@ -106,18 +107,19 @@ class PcrProblem:
 
     @functools.cached_property
     def reference(self) -> ExactReference:
-        """Thin SVD of A split at k: one full SVD per problem, on first use,
-        or none when ``svd_from`` supplies it.
+        """U_k, V_k and all singular values of A (:meth:`Svd.lead` at k):
+        one full SVD per problem, on first use, or none when ``svd_from``
+        supplies it.
 
         Callers check the spectrum with :func:`require_gap` themselves, so
         a degenerate A raises on every call, not only the first.
         """
         if self.svd_from is not None:
             ref = self.svd_from.reference
-            return ExactReference(svd=ref.svd.split(self.k), seconds=ref.seconds)
+            return ExactReference(svd=ref.svd.lead(self.k), seconds=ref.seconds)
         t0 = time.perf_counter()
         a = self.a.toarray() if sp.issparse(self.a) else self.a
-        f = thin_svd(a, self.k)
+        f = thin_svd(a).lead(self.k)
         return ExactReference(svd=f, seconds=time.perf_counter() - t0)
 
 
@@ -127,7 +129,7 @@ class PcrSolution:
     method: str
     r_cols: int                      # columns of R used; 0 for exact
     objective: float | None          # |A x - b|; None when A was not retained
-    constraint_norm: float | None    # |V_{A,k+}^T x| when the exact SVD was at hand
+    constraint_norm: float | None    # |(I - V_{A,k} V_{A,k}^T) x| when the exact SVD was at hand
     wall_time: float
 
 
@@ -153,17 +155,22 @@ def _objective(a, x, b):
     return float(np.linalg.norm(a @ x - b))
 
 
-def _checked_reference(p: PcrProblem) -> TruncatedSvd:
+def _outside(q, y):
+    """|(I - Q Q^T) y|: the part of y outside the range of the orthonormal Q."""
+    return float(np.linalg.norm(y - q @ (q.T @ y)))
+
+
+def _checked_reference(p: PcrProblem) -> Svd:
     f = p.reference.svd
-    require_gap(f.sigma, f.k, p.shape, "A")
+    require_gap(f.sigma, p.k, p.shape, "A")
     return f
 
 
 def _top_right_basis(m, k, what):
     """V_k of ``m``, which must have rank k and a gap at k."""
-    f = thin_svd(m, k)
+    f = thin_svd(m)
     require_gap(f.sigma, k, m.shape, what)
-    return f.v_k
+    return f.lead(k).v
 
 
 def compressed_solve(r, m, b, k, what):
@@ -187,14 +194,14 @@ def exact_pcr(p: PcrProblem) -> PcrSolution:
     svd_seconds = p.reference.seconds
     t0 = time.perf_counter()
     f = _checked_reference(p)
-    x = truncated_solve(f.v_k, f.sigma_k, f.u_k.T @ p.b, p.k)
+    x = truncated_solve(f.v, f.sigma, f.u.T @ p.b, p.k)
     elapsed = time.perf_counter() - t0 + svd_seconds
     return PcrSolution(
         x=x,
         method="exact",
         r_cols=0,
         objective=_objective(p.a, x, p.b),
-        constraint_norm=float(np.linalg.norm(f.v_rest.T @ x)),
+        constraint_norm=_outside(f.v, x),
         wall_time=elapsed,
     )
 
@@ -202,7 +209,7 @@ def exact_pcr(p: PcrProblem) -> PcrSolution:
 def exact_pcp(p: PcrProblem) -> np.ndarray:
     """Projection of b onto the span of the top-k left singular vectors."""
     f = _checked_reference(p)
-    return f.u_k @ (f.u_k.T @ p.b)
+    return f.u @ (f.u.T @ p.b)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +272,12 @@ def certify(p: PcrProblem, sol: PcrSolution, mode: str) -> ApproxCertificate:
     """Measure the additive objective error and constraint leakage of a
     candidate solution against the exact rank-k reference.
 
+    The reference objective is |(I - U_k U_k^T) b|, that of x_k, in both
+    modes. The leakage is the part outside a span: of x outside
+    span(V_{A,k}) in mode 'pcr', and of A x outside span(U_{A,k}) in mode
+    'pcp'. Both read only U_k and V_k, so they hold for every shape of A,
+    d > n included, where the thin SVD's trailing V misses null(A).
+
     Diagnostic only: needs the full SVD of A, computed once per problem
     (see :attr:`PcrProblem.reference`), so intended for problem sizes
     where the exact solution is tractable.
@@ -275,13 +288,10 @@ def certify(p: PcrProblem, sol: PcrSolution, mode: str) -> ApproxCertificate:
     nb = float(np.linalg.norm(p.b))
     if nb == 0.0:
         raise ValueError("b is zero; certificates are undefined")
-    obj = _objective(p.a, sol.x, p.b)
-    if mode == "pcr":
-        ref = _objective(p.a, truncated_solve(f.v_k, f.sigma_k, f.u_k.T @ p.b, p.k), p.b)
-        leak = float(np.linalg.norm(f.v_rest.T @ sol.x))
-    else:
-        ref = float(np.linalg.norm(exact_pcp(p) - p.b))
-        leak = float(np.linalg.norm(f.sigma_rest * (f.v_rest.T @ sol.x)))
+    ax = p.a @ sol.x
+    obj = float(np.linalg.norm(ax - p.b))
+    ref = _outside(f.u, p.b)
+    leak = _outside(f.v, sol.x) if mode == "pcr" else _outside(f.u, ax)
     return ApproxCertificate(
         eps_observed=abs(obj - ref) / nb,
         upsilon_observed=leak / nb,
@@ -295,7 +305,7 @@ def certify(p: PcrProblem, sol: PcrSolution, mode: str) -> ApproxCertificate:
 PRECOND_SKETCH_FACTOR = 4  # CountSketch rows = 4 k^2 for the preconditioner
 
 
-def precond_iterative_ls(c, b, eps, seed=0, max_iter=None):
+def precond_iterative_ls(c, b, eps, seed, max_iter=None):
     """Approximate argmin_g |c g - b| to relative metric accuracy eps.
 
     ``c`` is a pair ``(left, right)`` that stands for the n x k product
@@ -373,7 +383,7 @@ def precond_iterative_ls(c, b, eps, seed=0, max_iter=None):
     return solve_r(z)
 
 
-def input_sparsity_pcp(p: PcrProblem, s, t, eps=1e-3, seed=0):
+def input_sparsity_pcp(p: PcrProblem, s, t, seed, eps=1e-3):
     """Approximate PCP via two-sided CountSketch compression.
 
     Draws CountSketches S (s x n) for the rows and G (t x d) for the

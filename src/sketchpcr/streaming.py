@@ -157,9 +157,10 @@ def stream_finalize(st: StreamState, k) -> PcrSolution:
         raise RuntimeError("stream state was already finalized")
     t0 = time.perf_counter()
     st.finalized = True
-    f = thin_svd(st.sa, k)
+    f = thin_svd(st.sa)
     require_gap(f.sigma, k, st.sa.shape, "S A")
-    x = compressed_solve(f.v_k, st.ta @ f.v_k, st.tb, k, "T A R")
+    r = f.lead(k).v
+    x = compressed_solve(r, st.ta @ r, st.tb, k, "T A R")
     return PcrSolution(
         x=x,
         method="stream",

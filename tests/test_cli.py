@@ -20,8 +20,8 @@ def test_verify_passes_with_defaults():
 
 
 def test_verify_fails_a_risk_bound_whose_prerequisite_fails(monkeypatch, capsys):
-    real = ev.risk_bound_check
-    monkeypatch.setattr(ev, "risk_bound_check", lambda *args: dataclasses.replace(
+    real = ev.pcr_corollary_bound
+    monkeypatch.setattr(ev, "pcr_corollary_bound", lambda *args: dataclasses.replace(
         real(*args), prerequisite_ok=False))
     assert main(["verify"]) == 2
     out = capsys.readouterr().out
@@ -89,6 +89,19 @@ def test_solve_svmlight_honours_dims(tmp_path, capsys):
     assert f"{path}:2: index 2 exceeds the feature count 1" in capsys.readouterr().err
 
 
+def test_solve_svmlight_centers_the_response_when_asked(tmp_path):
+    path = tmp_path / "d.svm"
+    path.write_text("1.0 1:2.0\n2.0 1:1.0 2:4.0\n3.0 2:1.0 3:0.5\n7.0 1:-1.0 3:3.0\n")
+    out = tmp_path / "r.json"
+    assert main(["solve", "--data", str(path), "--k", "1", "--dims", "3",
+                 "--center-response", "--out", str(out)]) == 0
+    a, b = data_io.load_svmlight(path, center_response=True, n_features=3)
+    sol = solvers.exact_pcr(solvers.PcrProblem(a=a, b=b, k=1))
+    got = json.loads(out.read_text())["records"][0]["objective_over_b"]
+    assert got == pytest.approx(sol.objective / np.linalg.norm(b), rel=1e-12)
+    assert abs(b.mean()) < 1e-15
+
+
 def test_sketched_kernel_features_computed_once(tmp_path, monkeypatch):
     synthetic, seed, rank, width = "80,4,2,0.5", 3, 2, 64
     a, b, _ = _parse_synthetic(synthetic, seed)
@@ -112,9 +125,9 @@ def test_sketched_kernel_features_computed_once(tmp_path, monkeypatch):
 def test_sweep_exact_wall_time_includes_the_svd(order, tmp_path, monkeypatch):
     real = solvers.thin_svd
 
-    def slow_thin_svd(m, k):
+    def slow_thin_svd(m):
         time.sleep(0.05)
-        return real(m, k)
+        return real(m)
 
     monkeypatch.setattr(solvers, "thin_svd", slow_thin_svd)
     out = tmp_path / "sweep.json"

@@ -16,9 +16,10 @@ def _model(seed=0, n=40, d=12, k=3):
 
 @pytest.mark.parametrize("k", [1, 3, 11, 12])
 def test_svd_is_thin_svd_split_at_k(k):
+    # The cached record, cut at k, is a fresh thin SVD of A cut at k.
     model = _model()
-    got, want = model.svd(k), thin_svd(model.a, k)
-    for name in ("u_k", "sigma_k", "v_k", "sigma_rest", "v_rest"):
+    got, want = model.svd.lead(k), thin_svd(model.a).lead(k)
+    for name in ("u", "sigma", "v"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -29,7 +30,7 @@ def test_a_is_factored_once(monkeypatch):
     model = _model()
     for k in (2, 3):
         ev.classic_pcr_risk_bound(model, k)
-        ev.risk_bound_check(model, k, "pcr_corollary")
+        ev.pcr_corollary_bound(model, k)
     assert calls.count(model.a.shape) == 1
 
 
@@ -44,28 +45,31 @@ def test_bias_variance_of_pcr_is_the_closed_form():
     k = 3
     model = _model(k=k)
     u, _, _ = jacobi_svd(model.a)
-    bias, var = ev.bias_variance(model, model.svd(k).v_k)
+    bias, var = ev.bias_variance(model, model.svd.v[:, :k])
     assert bias == pytest.approx(np.sum((u[:, k:].T @ model.f) ** 2) / model.n, rel=1e-10)
     assert var == pytest.approx(model.sigma**2 * k / model.n, rel=1e-12)
 
 
 def test_monte_carlo_risk_is_bias_plus_variance():
     model = _model()
-    v_k = model.svd(3).v_k
+    v_k = model.svd.v[:, :3]
     est = ev.excess_risk_mc(model, lambda a, b: v_k @ np.linalg.pinv(a @ v_k) @ b,
                             trials=400, seed=7)
     assert abs(est.mean - sum(ev.bias_variance(model, v_k))) <= 4 * est.std_error
 
 
-@pytest.mark.parametrize("kind", ["pcr_corollary", "stat_structural", "struct_stat_pcp"])
-def test_risk_bounds_hold_on_a_planted_model(kind):
+@pytest.mark.parametrize("bound", [
+    lambda model, k, r, nu: ev.pcr_corollary_bound(model, k),
+    ev.stat_structural_bound,
+    ev.struct_stat_pcp_bound,
+], ids=["pcr_corollary", "stat_structural", "struct_stat_pcp"])
+def test_risk_bounds_hold_on_a_planted_model(bound):
     # R at principal angle theta to V_{A,k}: d2(R, V_{A,k}) = sin(theta), which
     # is nu (1 + nu^2)^(-1/2) for nu = tan(theta), and by Lemma 14
     # d2(U_{AR,k}, U_{A,k}) <= (sigma_{k+1} / sigma_k) tan(theta) <= nu.
     k, theta = 3, 0.3
     model = _model(k=k)
-    f = model.svd(k)
-    params = {"r": rotated_basis(f.v_k, f.v_rest, theta), "nu": math.tan(theta)}
-    rep = ev.risk_bound_check(model, k, kind, None if kind == "pcr_corollary" else params)
+    v = model.svd.v
+    rep = bound(model, k, rotated_basis(v[:, :k], v[:, k:], theta), math.tan(theta))
     assert rep.prerequisite_ok
     assert rep.risk <= rep.bound

@@ -22,25 +22,22 @@ def haar(rng, rows, cols):
 
 class TestThinSvd:
     def test_diagonal(self):
-        f = thin_svd(np.diag([3.0, 2.0, 1.0]), k=2)
-        assert np.allclose(f.sigma_k, [3.0, 2.0])
-        assert np.allclose(f.sigma_rest, [1.0])
-        assert np.allclose(np.abs(f.u_k), np.eye(3)[:, :2])
+        f = thin_svd(np.diag([3.0, 2.0, 1.0]))
+        assert np.allclose(f.sigma, [3.0, 2.0, 1.0])
+        assert np.allclose(np.abs(f.u[:, :2]), np.eye(3)[:, :2])
 
     def test_identity_ties(self):
-        f = thin_svd(np.eye(4), k=2)
+        f = thin_svd(np.eye(4))
         assert np.allclose(f.sigma, np.ones(4))
 
     def test_against_jacobi_oracle(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6, 4))
-        f = thin_svd(a, k=2)
+        f = thin_svd(a)
         _, s_ref, _ = jacobi_svd(a)
         assert np.allclose(f.sigma, s_ref, atol=1e-10)
-        full = thin_svd(a, k=4)
-        assert np.allclose((full.u_k * full.sigma_k) @ full.v_k.T, a, atol=1e-12)
-        assert np.allclose(full.u_k.T @ full.u_k, np.eye(4), atol=1e-12)
-        assert np.array_equal(f.u_k, full.u_k[:, :2])
+        assert np.allclose((f.u * f.sigma) @ f.v.T, a, atol=1e-12)
+        assert np.allclose(f.u.T @ f.u, np.eye(4), atol=1e-12)
 
     def test_invariants_on_random_shapes(self):
         rng = np.random.default_rng(42)
@@ -49,37 +46,33 @@ class TestThinSvd:
             n = int(rng.integers(2, 65))
             a = rng.standard_normal((m, n))
             k = int(rng.integers(1, min(m, n) + 1))
-            f = thin_svd(a, k)
+            f = thin_svd(a)
             r = min(m, n)
-            full = thin_svd(a, r)
-            assert np.array_equal(f.u_k, full.u_k[:, :k])
-            assert np.linalg.norm(full.u_k.T @ full.u_k - np.eye(r)) < 1e-10
+            assert f.u.shape == (m, r) and f.sigma.shape == (r,) and f.v.shape == (n, r)
+            assert np.linalg.norm(f.u.T @ f.u - np.eye(r)) < 1e-10
             assert np.linalg.norm(f.v.T @ f.v - np.eye(r)) < 1e-10
-            sigma = f.sigma
-            assert np.all(np.diff(sigma) <= 1e-12)
-            recon = (full.u_k * full.sigma_k) @ full.v_k.T
+            assert np.all(np.diff(f.sigma) <= 1e-12)
+            recon = (f.u * f.sigma) @ f.v.T
             assert np.linalg.norm(recon - a) / np.linalg.norm(a) < 1e-8
+            g = f.lead(k)
+            assert np.array_equal(g.u, f.u[:, :k]) and np.array_equal(g.v, f.v[:, :k])
+            assert np.array_equal(g.sigma, f.sigma)
+            assert g.u.flags.c_contiguous and g.v.flags.c_contiguous
 
     def test_determinism_and_sign_convention(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((8, 5))
-        f1, f2 = thin_svd(a, 5), thin_svd(a, 5)
-        assert np.array_equal(f1.u_k, f2.u_k)
-        assert np.array_equal(f1.v_k, f2.v_k)
-        peaks = np.abs(f1.u_k).argmax(axis=0)
-        assert np.all(f1.u_k[peaks, np.arange(f1.u_k.shape[1])] > 0)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            thin_svd(np.eye(3), 0)
-        with pytest.raises(ValueError):
-            thin_svd(np.eye(3), 4)
+        f1, f2 = thin_svd(a), thin_svd(a)
+        assert np.array_equal(f1.u, f2.u)
+        assert np.array_equal(f1.v, f2.v)
+        peaks = np.abs(f1.u).argmax(axis=0)
+        assert np.all(f1.u[peaks, np.arange(f1.u.shape[1])] > 0)
 
     def test_rejects_nonfinite(self):
         a = np.eye(3)
         a[0, 0] = np.nan
         with pytest.raises(ValueError):
-            thin_svd(a, 1)
+            thin_svd(a)
 
 
 def _rank_three(rng, rows, cols):
@@ -176,7 +169,7 @@ class TestSpectralDiagnostics:
         a = rng.standard_normal((7, 5))
         _, s, _ = jacobi_svd(a)
         want = (s[1] ** 2 - s[2] ** 2) / s[0] ** 2
-        assert abs(relative_gap(thin_svd(a, 2).sigma, 2) - want) < 1e-12
+        assert abs(relative_gap(thin_svd(a).sigma, 2) - want) < 1e-12
         assert relative_gap(s, 5) == pytest.approx(s[4] ** 2 / s[0] ** 2, rel=1e-12)
 
     def test_relative_gap_range(self):

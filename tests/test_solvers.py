@@ -67,15 +67,14 @@ class TestExactPcr:
     def test_matches_reduced_ls_oracle(self):
         p = random_problem(2)
         sol = exact_pcr(p)
-        f = thin_svd(p.a, p.k)
-        obj_ref, _ = reduced_ls_objective(p.a, p.b, f.v_k)
+        obj_ref, _ = reduced_ls_objective(p.a, p.b, thin_svd(p.a).v[:, :p.k])
         assert abs(sol.objective - obj_ref) <= 1e-9 * max(1.0, obj_ref)
 
     def test_solution_in_top_subspace(self):
         p = random_problem(3)
         sol = exact_pcr(p)
-        f = thin_svd(p.a, p.k)
-        assert np.linalg.norm(f.v_rest.T @ sol.x) <= 1e-10 * np.linalg.norm(sol.x)
+        v_rest = thin_svd(p.a).v[:, p.k:]
+        assert np.linalg.norm(v_rest.T @ sol.x) <= 1e-10 * np.linalg.norm(sol.x)
         assert sol.constraint_norm <= 1e-10 * np.linalg.norm(sol.x)
 
     def test_gap_is_zero_rejected(self):
@@ -87,8 +86,7 @@ class TestExactPcr:
 class TestExactPcp:
     def test_b_in_top_range_unchanged(self):
         p = random_problem(4)
-        f = thin_svd(p.a, p.k)
-        b = f.u_k @ np.arange(1.0, p.k + 1)
+        b = thin_svd(p.a).u[:, :p.k] @ np.arange(1.0, p.k + 1)
         p2 = PcrProblem(a=p.a, b=b, k=p.k)
         assert np.allclose(exact_pcp(p2), b, atol=1e-10)
 
@@ -107,8 +105,7 @@ class TestExactPcp:
 class TestSketchedPcr:
     def test_r_equals_vk_recovers_exact(self):
         p = random_problem(7)
-        f = thin_svd(p.a, p.k)
-        sol = sketched_pcr(p, f.v_k)
+        sol = sketched_pcr(p, thin_svd(p.a).v[:, :p.k])
         assert np.allclose(sol.x, exact_pcr(p).x, atol=1e-9)
 
     def test_r_identity_recovers_exact(self):
@@ -160,8 +157,8 @@ class TestCls:
 
     def test_coincides_with_sketched_for_k_orthonormal_columns(self):
         p = random_problem(13)
-        f = thin_svd(p.a, p.k)
-        r = rotated_basis(f.v_k, f.v_rest, theta=0.2)
+        v = thin_svd(p.a).v
+        r = rotated_basis(v[:, :p.k], v[:, p.k:], theta=0.2)
         assert np.allclose(cls(p, r).x, sketched_pcr(p, r).x, atol=1e-10)
 
     def test_normal_equations_orthogonality(self):
@@ -177,8 +174,7 @@ class TestBuildR:
     def test_left_identity_sketch_gives_vk(self):
         p = random_problem(16)
         r = build_r_left(p, sp.identity(40, format="csr"))
-        f = thin_svd(p.a, p.k)
-        assert np.allclose(r, f.v_k, atol=1e-12)
+        assert np.allclose(r, thin_svd(p.a).v[:, :p.k], atol=1e-12)
 
     def test_left_output_orthonormal(self):
         p = random_problem(17)
@@ -221,9 +217,8 @@ class TestBuildR:
     def test_twosided_identity_recovers_top_subspace(self):
         p = random_problem(26)
         r = build_r_twosided(p, sp.identity(40, format="csr"), sp.identity(12, format="csr"))
-        f = thin_svd(p.a, p.k)
         # sqrt(1 - sigma_min^2) has a ~1e-8 precision floor near zero distance
-        assert subspace_distance(r, f.v_k) < 1e-7
+        assert subspace_distance(r, thin_svd(p.a).v[:, :p.k]) < 1e-7
 
     def test_twosided_matches_algorithm_intermediates(self):
         p = random_problem(27)
@@ -232,8 +227,7 @@ class TestBuildR:
         r = build_r_twosided(p, s_op, g_op)
         c = p.a @ countsketch_dense(8, 12, 29).T
         d = countsketch_dense(20, 40, 28) @ c
-        f_d = thin_svd(d, p.k)
-        want = countsketch_dense(8, 12, 29).T @ f_d.v_k
+        want = countsketch_dense(8, 12, 29).T @ thin_svd(d).v[:, :p.k]
         assert np.allclose(r, want, atol=1e-9)
 
     def test_twosided_solution_matches_bruteforce(self):
@@ -269,17 +263,40 @@ class TestCertify:
             rng = np.random.default_rng(200 + seed)
             b = a @ rng.standard_normal(40) + 0.2 * rng.standard_normal(80)
             p = PcrProblem(a=a, b=b, k=4)
-            f = thin_svd(a, 4)
+            f = thin_svd(a)
             r = build_r_left(p, gen_subgaussian(160, 80, seed=300 + seed))
-            dist = subspace_distance(r, f.v_k)
+            dist = subspace_distance(r, f.v[:, :4])
             nu = dist / math.sqrt(1.0 - dist**2)
             if nu >= 0.6:
                 continue
             cert = certify(p, sketched_pcr(p, r), mode="pcr")
-            sk, sk1 = f.sigma_k[-1], f.sigma_rest[0]
+            sk, sk1 = f.sigma[3], f.sigma[4]
             assert cert.eps_observed <= (sk1 / sk) * nu + 1e-8
             ups_cap = nu / ((math.sqrt(1.0 - nu**2) - nu) * sk)
             assert cert.upsilon_observed <= ups_cap + 1e-8
+
+    @pytest.mark.parametrize("n, d", [(50, 100), (100, 50)], ids=["wide", "tall"])
+    def test_leakage_is_the_part_outside_the_top_k_of_a_full_svd(self, n, d):
+        # Against V_+ and U_+ of np.linalg.svd(full_matrices=True): when d > n,
+        # V_+ holds null(A) too, which a thin SVD leaves out.
+        rng = np.random.default_rng(60)
+        a = planted_matrix(n, d, 3, 0.5, seed=61)
+        b = a @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
+        p = PcrProblem(a=a, b=b, k=3)
+        u, _, vt = np.linalg.svd(a, full_matrices=True)
+        u_plus, v_plus = u[:, 3:], vt[3:].T
+        nb = np.linalg.norm(b)
+        for sol in (sketched_pcr(p, build_r_right(gen_countsketch(20, d, seed=62))),
+                    cls(p, build_r_right(gen_subgaussian(20, d, seed=63)))):
+            want = np.linalg.norm(v_plus.T @ sol.x) / nb
+            got = certify(p, sol, mode="pcr").upsilon_observed
+            assert abs(got - want) <= 1e-10 * want
+            want = np.linalg.norm(u_plus.T @ (a @ sol.x)) / nb
+            got = certify(p, sol, mode="pcp").upsilon_observed
+            assert abs(got - want) <= 1e-10 * want
+        x_k = exact_pcr(p)
+        assert x_k.constraint_norm <= 1e-12 * np.linalg.norm(x_k.x)
+        assert np.linalg.norm(v_plus.T @ x_k.x) <= 1e-12 * np.linalg.norm(x_k.x)
 
     def test_mode_validation(self):
         p = random_problem(36)
@@ -310,13 +327,13 @@ class TestExactReference:
     def test_cached_results_bit_identical_to_fresh_thin_svd(self):
         p = random_problem(41)
         first, again = exact_pcr(p), exact_pcr(p)
-        f = thin_svd(p.a, p.k)
-        x = f.v_k @ ((f.u_k.T @ p.b) / f.sigma_k)
+        f = thin_svd(p.a).lead(p.k)
+        x = f.v @ ((f.u.T @ p.b) / f.sigma[:p.k])
         assert np.array_equal(first.x, x) and np.array_equal(again.x, x)
-        assert first.constraint_norm == float(np.linalg.norm(f.v_rest.T @ x))
-        assert np.array_equal(exact_pcp(p), f.u_k @ (f.u_k.T @ p.b))
+        assert first.constraint_norm == float(np.linalg.norm(x - f.v @ (f.v.T @ x)))
+        assert np.array_equal(exact_pcp(p), f.u @ (f.u.T @ p.b))
         cert = certify(p, first, mode="pcr")
-        assert cert.reference_objective == float(np.linalg.norm(p.a @ x - p.b))
+        assert cert.reference_objective == float(np.linalg.norm(p.b - f.u @ (f.u.T @ p.b)))
 
     def test_pcp_leakage_matches_jacobi_u_rest(self):
         p = random_problem(42)
@@ -352,9 +369,9 @@ class TestExactReference:
 
     @pytest.mark.parametrize("exact_first", [True, False])
     def test_exact_wall_time_includes_the_svd_in_either_order(self, exact_first, monkeypatch):
-        def slow_thin_svd(m, k):
+        def slow_thin_svd(m):
             time.sleep(0.05)
-            return thin_svd(m, k)
+            return thin_svd(m)
 
         monkeypatch.setattr(solvers, "thin_svd", slow_thin_svd)
         p = random_problem(46)
@@ -385,16 +402,22 @@ class TestExactReference:
         assert shapes == [p.shape]
         for k, ref in refs.items():
             fresh = PcrProblem(a=p.a, b=p.b, k=k).reference.svd
-            for name in ("u_k", "sigma_k", "v_k", "sigma_rest", "v_rest"):
+            for name in ("u", "sigma", "v"):
                 assert np.array_equal(getattr(ref.svd, name), getattr(fresh, name))
                 assert getattr(ref.svd, name).flags.c_contiguous
-            assert ref.svd.k == k
+            assert ref.svd.u.shape[1] == ref.svd.v.shape[1] == k
             assert ref.seconds == refs[5].seconds
 
     def test_single_rank_keeps_u_k_only(self):
         p = random_problem(48)
         f = p.reference.svd
-        assert f.u_k.shape == (p.shape[0], p.k)
+        assert f.u.shape == (p.shape[0], p.k) and f.v.shape == (p.shape[1], p.k)
+        assert f.sigma.shape == (min(p.shape),)
+
+    @pytest.mark.parametrize("k", [0, 13])
+    def test_rank_out_of_range_rejected(self, k):
+        with pytest.raises(ValueError, match="out of range"):
+            PcrProblem(a=np.ones((40, 12)), b=np.ones(40), k=k)
 
     def test_svd_from_needs_same_shape_and_a_rank_at_least_k(self):
         p = random_problem(49)
@@ -489,8 +512,7 @@ class TestInputSparsityPcp:
         g_mat[np.searchsorted(occupied, g_rows), np.arange(40)] = g_signs
         c = a @ g_mat.T
         d_mat = countsketch_dense(30, 50, 48) @ c
-        f_d = thin_svd(d_mat, 3)
-        r_mat = g_mat.T @ f_d.v_k
+        r_mat = g_mat.T @ thin_svd(d_mat).v[:, :3]
         x_r = r_mat @ (np.linalg.pinv(a @ r_mat) @ b)
         assert np.linalg.norm(y - x_r) <= 1e-4 * np.linalg.norm(x_r)
 
@@ -523,8 +545,7 @@ class TestInputSparsityPcp:
             g_mat = np.zeros((len(occupied), 80))
             g_mat[np.searchsorted(occupied, g_rows), np.arange(80)] = g_signs
             c = a @ g_mat.T
-            f_d = thin_svd(countsketch_dense(48, 100, 3000 + seed) @ c, 4)
-            r_mat = g_mat.T @ f_d.v_k
+            r_mat = g_mat.T @ thin_svd(countsketch_dense(48, 100, 3000 + seed) @ c).v[:, :4]
             x_r = r_mat @ (np.linalg.pinv(a @ r_mat) @ b)
             if np.linalg.norm(y - x_r) ** 2 <= 1e-3 * np.linalg.norm(x_r) ** 2:
                 hits += 1
@@ -536,26 +557,25 @@ class TestDeterministicLemmas:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             a = planted_matrix(30, 20, 3, 0.5, seed=seed)
-            f = thin_svd(a, 3)
+            f = thin_svd(a)
             theta = float(rng.uniform(0.05, 0.6))
-            r = rotated_basis(f.v_k, f.v_rest, theta)
-            nu = subspace_distance(r, f.v_k)
-            assert spectral_norm(f.v_rest.T @ r) <= nu + 1e-10
+            r = rotated_basis(f.v[:, :3], f.v[:, 3:], theta)
+            nu = subspace_distance(r, f.v[:, :3])
+            assert spectral_norm(f.v[:, 3:].T @ r) <= nu + 1e-10
             if nu < math.sqrt(0.5):
                 smin = np.linalg.svd(a @ r, compute_uv=False)[-1]
-                assert smin >= f.sigma_k[-1] * (math.sqrt(1 - nu**2) - nu) - 1e-10
+                assert smin >= f.sigma[2] * (math.sqrt(1 - nu**2) - nu) - 1e-10
 
     def test_lemma_14_bound(self):
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             a = planted_matrix(30, 20, 3, 0.5, seed=300 + seed)
-            f = thin_svd(a, 3)
+            f = thin_svd(a)
             theta = float(rng.uniform(0.05, 0.6))
-            r = rotated_basis(f.v_k, f.v_rest, theta)
+            r = rotated_basis(f.v[:, :3], f.v[:, 3:], theta)
             nu = math.tan(theta)  # d2(R, V_k) = sin(theta) = nu (1 + nu^2)^{-1/2}
-            f_ar = thin_svd(a @ r, 3)
-            lhs = subspace_distance(f_ar.u_k, f.u_k)
-            assert lhs <= (f.sigma_rest[0] / f.sigma_k[-1]) * nu + 1e-8
+            lhs = subspace_distance(thin_svd(a @ r).u, f.u[:, :3])
+            assert lhs <= (f.sigma[3] / f.sigma[2]) * nu + 1e-8
 
     def test_structural_part1_pcp_certificate(self):
         for seed in range(15):
@@ -564,9 +584,7 @@ class TestDeterministicLemmas:
             b = a @ rng.standard_normal(24) + 0.2 * rng.standard_normal(40)
             p = PcrProblem(a=a, b=b, k=3)
             r = rng.standard_normal((24, 6))
-            f = thin_svd(a, 3)
-            f_ar = thin_svd(a @ r, 3)
-            nu = subspace_distance(f_ar.u_k, f.u_k)
+            nu = subspace_distance(thin_svd(a @ r).u[:, :3], thin_svd(a).u[:, :3])
             if nu >= 1.0 - 1e-9:
                 continue
             cert = certify(p, sketched_pcr(p, r), mode="pcp")
@@ -584,8 +602,8 @@ class TestDeterministicLemmas:
             pert = (pert + pert.T) / 2
             pert *= 0.45 * (lam[k - 1] - lam[k]) / spectral_norm(pert)
             lam_tilde = np.sort(np.linalg.eigvalsh(sym + pert))[::-1]
-            v1 = thin_svd(sym, k).v_k
-            v2 = thin_svd(sym + pert, k).v_k
+            v1 = thin_svd(sym).v[:, :k]
+            v2 = thin_svd(sym + pert).v[:, :k]
             bound = spectral_norm(pert) / (lam[k - 1] - lam_tilde[k])
             assert subspace_distance(v1, v2) <= bound + 1e-8
 
