@@ -25,9 +25,7 @@ from .evaluation import (
 from .kernel import (
     KernelModel,
     KernelSpec,
-    exact_kernel_pcr,
     fit_exact,
-    fit_sketched_features,
     kernel_matrix,
     kernel_predict,
     sketched_kernel_pcr,

@@ -310,15 +310,16 @@ def _verify_checks(args):
     checks.append(("bias_variance_identity",
                    abs(bias + var - mc.mean), 3 * mc.std_error))
 
-    eps, delta = 0.25, 0.1
-    rows = sketch.sketch_rows_for_gram("subgaussian", stable_rank(a), eps, delta)
-    fails = 0
-    n_draws = 200
-    for i in range(n_draws):
-        op = sketch.gen_subgaussian(rows, n, seed + 10_000 + i)
-        if not sketch.gram_error(op, a, eps).passed:
-            fails += 1
-    checks.append(("gram_subgaussian_failure_rate", fails / n_draws, delta))
+    # The Gram property where the solvers use it: on tall matrices, by
+    # sketches of at most a quarter of their rows (160 of 640, 2276 of 10^4).
+    eps, delta, n_draws = 0.5, 0.1, 200
+    for kind, n_tall, gen in (("subgaussian", 640, sketch.gen_subgaussian),
+                              ("countsketch", 10_000, sketch.gen_countsketch)):
+        tall = ev.planted_matrix(n_tall, 8, 2, 0.5, seed)
+        rows = sketch.sketch_rows_for_gram(kind, stable_rank(tall), eps, delta)
+        fails = sum(not sketch.gram_error(gen(rows, n_tall, seed + 10_000 + i), tall, eps).passed
+                    for i in range(n_draws))
+        checks.append((f"gram_{kind}_failure_rate", fails / n_draws, delta))
     return checks
 
 
@@ -422,18 +423,14 @@ def cmd_kernel(args):
         a = a.toarray()
     t0 = time.perf_counter()
     if args.mode == "exact":
-        k_mat = kpcr.kernel_matrix(a, spec)
-        model = kpcr.exact_kernel_pcr(k_mat, b, rank, train=a, spec=spec)
-        preds = k_mat @ model.alpha
+        model = kpcr.fit_exact(a, b, rank, spec)
     else:
         # The sketch's input width: the features plus the offset's one, if any.
         in_dim = kpcr.augment_offset(a[:1], spec.offset).shape[1]
         ts = sketch.gen_tensorsketch(spec.degree, in_dim, args.sketch_cols, args.seed0)
-        phi_r = kpcr.sketched_feature_matrix(a, ts, spec.offset)
-        model = kpcr.fit_sketched_features(phi_r, b, rank, ts, offset=spec.offset)
-        preds = phi_r @ model.gamma
+        model = kpcr.sketched_kernel_pcr(a, b, rank, ts, spec.offset)
     elapsed = time.perf_counter() - t0
-    rmse = float(np.linalg.norm(preds - b) / math.sqrt(len(b)))
+    rmse = float(np.linalg.norm(model.fitted - b) / math.sqrt(len(b)))
     report = RunReport(task="kernel")
     report.aggregates = [{
         "mode": args.mode, "degree": args.degree, "offset": args.offset,

@@ -1,16 +1,16 @@
 """Polynomial-kernel PCR: exact via the Gram matrix, sketched via
-TensorSketch.
+TensorSketch, one fit per mode.
 
 The degree-q polynomial kernel K(x, z) = (x^T z + c)^q corresponds to an
-implicit feature matrix Phi with d^q columns. The exact path never forms
-Phi: it takes the top k+1 eigenpairs of the n x n Gram matrix and keeps
-dual coefficients. The sketched path compresses Phi's columns with
-TensorSketch, one batched call over all rows, and runs rank-k PCR in the
-t-dimensional sketched feature space through the top k+1 eigenpairs of
-the t x t Gram matrix (Phi R)^T (Phi R). Both paths share one
-eigensolver and one rank floor and gap check. The non-homogeneous
-offset c is handled by appending a constant sqrt(c) feature to every
-data point.
+implicit feature matrix Phi with d^q columns. ``fit_exact`` never forms
+Phi: it solves on the n x n Gram matrix K and keeps dual coefficients.
+``sketched_kernel_pcr`` compresses Phi's columns with TensorSketch, one
+batched call over all rows, and solves in the t-dimensional sketched
+feature space on the t x t Gram matrix (Phi R)^T (Phi R). Both end in one
+Gram rule, which rejects an overflowed Gram matrix and takes its top k+1
+eigenpairs with one rank floor and gap check. A model keeps ``fitted``,
+its predictions on the training rows. The non-homogeneous offset c is
+handled by appending a constant sqrt(c) feature to every data point.
 
 The eigensolver is implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``): O(m^2 k) on an m x m Gram matrix against
@@ -44,8 +44,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("kernel degree must be at least 1")
-        if self.offset < 0:
-            raise ValueError("kernel offset must be nonnegative")
+        if not (math.isfinite(self.offset) and self.offset >= 0):
+            raise ValueError(f"kernel offset must be finite and nonnegative, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ class KernelModel:
     mode: str                 # "exact" or "sketched"
     k: int
     spec: KernelSpec
+    fitted: np.ndarray = field(repr=False)  # predictions on the training rows
     train: np.ndarray | None = field(default=None, repr=False)  # exact only
     alpha: np.ndarray | None = field(default=None, repr=False)  # exact only
     ts: object | None = None                                    # sketched only
@@ -73,12 +74,14 @@ def kernel_matrix(a, spec: KernelSpec):
     """n x n matrix with entries (a_i^T a_j + c)^q; symmetric PSD.
 
     On a contiguous ``a``, ``a @ a.T`` is one symmetric rank-update (syrk)
-    and comes out exactly symmetric, so the power is too.
+    and comes out exactly symmetric, so the power is too. An entry that
+    overflows is inf, which the fit rejects.
     """
     a = np.ascontiguousarray(as_matrix(a, "a"))
-    base = a @ a.T
-    base += spec.offset
-    return _power(base, spec.degree)
+    with np.errstate(over="ignore"):
+        base = a @ a.T
+        base += spec.offset
+        return _power(base, spec.degree)
 
 
 def augment_offset(a, offset):
@@ -131,23 +134,31 @@ def _top_eigenpairs(gram, k, what):
     return evals[:k], evecs[:, :k].copy()
 
 
-def exact_kernel_pcr(k_mat, b, k, train, spec: KernelSpec) -> KernelModel:
+def _gram_pcr(gram, rhs, k, what):
+    """U_k diag(lambda_i^-1) U_k^T rhs from the top k eigenpairs of a Gram
+    matrix. A non-finite Gram matrix of finite data has overflowed float64.
+    """
+    if not np.isfinite(gram).all():
+        raise ValueError(f"{what}: the Gram matrix overflowed float64; lower the "
+                         "kernel degree, the offset or the scale of the data")
+    lam_k, u_k = _top_eigenpairs(gram, k, what)
+    return u_k @ ((u_k.T @ rhs) / lam_k)
+
+
+def fit_exact(a, b, k, spec: KernelSpec) -> KernelModel:
     """Dual rank-k PCR coefficients from the top-k eigenpairs of K.
 
     alpha = U_{K,k} diag(lambda_i^-1) U_{K,k}^T b, where K is
-    ``kernel_matrix(train, spec)``; the model keeps the training rows and
+    ``kernel_matrix(a, spec)``; the model keeps the training rows and
     the spec to predict.
     """
-    k_mat = as_matrix(k_mat, "k_mat")
-    n = k_mat.shape[0]
-    if k_mat.shape[1] != n:
-        raise ValueError("kernel matrix must be square")
-    b = as_vector(b, length=n, name="b")
-    if not 1 <= k <= n:
-        raise ValueError(f"rank k={k} out of range [1, {n}]")
-    lam_k, u_k = _top_eigenpairs(k_mat, k, "kernel matrix")
-    alpha = u_k @ ((u_k.T @ b) / lam_k)
-    return KernelModel(mode="exact", k=k, spec=spec, train=as_matrix(train, "train"),
+    a = as_matrix(a, "a")
+    b = as_vector(b, length=a.shape[0], name="b")
+    if not 1 <= k <= len(b):
+        raise ValueError(f"rank k={k} out of range [1, {len(b)}]")
+    k_mat = kernel_matrix(a, spec)
+    alpha = _gram_pcr(k_mat, b, k, "kernel matrix")
+    return KernelModel(mode="exact", k=k, spec=spec, fitted=k_mat @ alpha, train=a,
                        alpha=alpha)
 
 
@@ -162,12 +173,6 @@ def kernel_predict(model: KernelModel, z):
     return float(kvec @ model.alpha)
 
 
-def fit_exact(a, b, k, spec: KernelSpec) -> KernelModel:
-    """Convenience wrapper: Gram matrix plus dual PCR in one call."""
-    a = as_matrix(a, "a")
-    return exact_kernel_pcr(kernel_matrix(a, spec), b, k, train=a, spec=spec)
-
-
 def sketched_feature_matrix(a, ts, offset=0.0):
     """Rows of Phi R: the TensorSketch images of all rows of ``a``."""
     a = augment_offset(as_matrix(a, "a"), offset)
@@ -180,36 +185,26 @@ def sketched_feature_matrix(a, ts, offset=0.0):
 
 
 def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:
-    """Rank-k PCR in the TensorSketched feature space.
+    """Rank-k PCR in the TensorSketched feature space, never forming the
+    d^q-column feature matrix Phi.
 
-    gamma = V_{Phi R, k} (Phi R V_{Phi R, k})^+ b, computed without ever
-    materializing the d^q-column feature matrix Phi.
+    gamma = V_k Lambda_k^-1 V_k^T (Phi R)^T b from the top k+1 eigenpairs
+    (lambda_i = sigma_i^2, V) of the t x t Gram matrix (Phi R)^T (Phi R),
+    the V_k Sigma_k^-1 U_k^T b of the SVD of Phi R. The exact path's rank
+    floor lambda_k > EIG_CLAMP lambda_1 keeps the accuracy lost to squaring,
+    of order machine epsilon times lambda_1 / lambda_k, small.
     """
+    spec = KernelSpec(ts.degree, offset)
     a = as_matrix(a, "a")
     b = as_vector(b, length=a.shape[0], name="b")
-    return fit_sketched_features(sketched_feature_matrix(a, ts, offset), b, k, ts, offset)
-
-
-def fit_sketched_features(phi_r, b, k, ts, offset=0.0) -> KernelModel:
-    """:func:`sketched_kernel_pcr` on features already computed by
-    :func:`sketched_feature_matrix` with the same ``ts`` and ``offset``.
-
-    Takes the top k+1 eigenpairs (lambda_i = sigma_i^2, V) of the t x t
-    Gram matrix (Phi R)^T (Phi R), so gamma = V_k Lambda_k^-1 V_k^T
-    (Phi R)^T b, the same vector as V_k Sigma_k^-1 U_k^T b from the SVD of
-    Phi R. The rank floor is the exact path's: lambda_k > EIG_CLAMP
-    lambda_1, i.e. sigma_k > sqrt(EIG_CLAMP) sigma_1, which keeps the
-    accuracy lost to squaring, of order machine epsilon times
-    lambda_1 / lambda_k, small.
-    """
-    phi_r = as_matrix(phi_r, "phi_r")
-    b = as_vector(b, length=phi_r.shape[0], name="b")
-    if not 1 <= k <= min(phi_r.shape):
+    if not 1 <= k <= min(a.shape[0], ts.out_dim):
         raise ValueError(f"rank k={k} out of range for the sketched features")
-    lam_k, v_k = _top_eigenpairs(phi_r.T @ phi_r, k, "Phi R")
-    gamma = v_k @ ((v_k.T @ (phi_r.T @ b)) / lam_k)
-    return KernelModel(mode="sketched", k=k, spec=KernelSpec(ts.degree, offset),
-                       ts=ts, gamma=gamma)
+    with np.errstate(over="ignore", invalid="ignore"):   # the Gram rule rejects inf or nan
+        phi_r = sketched_feature_matrix(a, ts, offset)
+        gram, rhs = phi_r.T @ phi_r, phi_r.T @ b
+    gamma = _gram_pcr(gram, rhs, k, "Phi R")
+    return KernelModel(mode="sketched", k=k, spec=spec, fitted=phi_r @ gamma, ts=ts,
+                       gamma=gamma)
 
 
 def sketched_kernel_predict(model: KernelModel, z):

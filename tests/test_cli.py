@@ -15,8 +15,16 @@ from sketchpcr.cli import SOLVERS, _parse_synthetic, main
 STREAM = ["stream", "--k", "1", "--s", "2", "--t", "2"]
 
 
-def test_verify_passes_with_defaults():
+def test_verify_passes_with_defaults(monkeypatch):
+    shapes = []
+    for name in ("gen_subgaussian", "gen_countsketch"):
+        real = getattr(sketch, name)
+        monkeypatch.setattr(sketch, name, lambda rows, n, seed, real=real:
+                            shapes.append((rows, n)) or real(rows, n, seed))
     assert main(["verify"]) == 0
+    # The Gram checks run where sketches compress: to at most a quarter of the rows.
+    assert {n for _, n in shapes} == {640, 10_000}
+    assert all(4 * rows <= n for rows, n in shapes)
 
 
 def test_verify_fails_a_risk_bound_whose_prerequisite_fails(monkeypatch, capsys):
@@ -119,6 +127,28 @@ def test_sketched_kernel_features_computed_once(tmp_path, monkeypatch):
                  "--sketch-cols", str(width), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["aggregates"][0]["train_rmse"] == want
     assert len(calls) == 1
+
+
+def test_exact_kernel_matrix_computed_once(tmp_path, monkeypatch):
+    synthetic, rank, spec = "80,4,2,0.5", 2, kernel.KernelSpec(3, 0.5)
+    a, b, _ = _parse_synthetic(synthetic, 0)
+    preds = kernel.kernel_matrix(a, spec) @ kernel.fit_exact(a, b, rank, spec).alpha
+    want = float(np.linalg.norm(preds - b) / math.sqrt(len(b)))
+
+    real, calls = kernel.kernel_matrix, []
+    monkeypatch.setattr(kernel, "kernel_matrix", lambda *args: calls.append(1) or real(*args))
+    out = tmp_path / "kernel.json"
+    assert main(["kernel", "--synthetic", synthetic, "--degree", "3", "--offset", "0.5",
+                 "--k", str(rank), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["aggregates"][0]["train_rmse"] == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "sketched", "--sketch-cols", "16"]])
+def test_kernel_rejects_an_overflowed_gram(mode, capsys):
+    argv = ["kernel", "--synthetic", "80,4,2,0.5", "--k", "2", "--offset", "10", "--degree", "400"]
+    assert main(argv + mode) == 1
+    assert "the Gram matrix overflowed float64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("order", ["exact,left", "left,exact"])
@@ -292,8 +322,9 @@ def test_stream_rejects_a_sketch_below_k_before_reading_a_row(sizes, flag, capsy
                                   ["--mode", "sketched", "--sketch-cols", "16"]])
 def test_kernel_rejects_a_negative_offset_before_loading(mode, capsys, monkeypatch):
     monkeypatch.setattr(ev, "planted_matrix", lambda *args, **kw: pytest.fail("data was loaded"))
-    assert main(["kernel"] + SYNTH + ["--k", "2", "--offset", "-1"] + mode) == 1
-    assert "kernel offset must be nonnegative" in capsys.readouterr().err
+    for offset in ("-1", "nan", "inf"):
+        assert main(["kernel"] + SYNTH + ["--k", "2", "--offset", offset] + mode) == 1
+        assert "kernel offset must be finite and nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cols", ["-5", "0"])

@@ -14,14 +14,14 @@ from sketchpcr.errors import ConvergenceError, GapError, RankDeficiencyError
 from sketchpcr.kernel import (
     EIG_CLAMP,
     KernelSpec,
+    _gram_pcr,
     _top_eigenpairs,
     augment_offset,
-    exact_kernel_pcr,
     fit_exact,
-    fit_sketched_features,
     kernel_matrix,
     kernel_predict,
     sketched_feature_matrix,
+    sketched_kernel_pcr,
     sketched_kernel_predict,
 )
 from sketchpcr.sketch import gen_tensorsketch
@@ -46,8 +46,11 @@ def with_spectrum(sigma, n, seed):
     return (u * sigma) @ v.T
 
 
-# Only the degree of the operator enters a model fit on given features.
-TS = gen_tensorsketch(2, 3, 16, seed=0)
+def features_gamma(phi, b, k):
+    """The sketched fit's rule on prescribed features Phi R = ``phi``."""
+    return _gram_pcr(phi.T @ phi, phi.T @ b, k, "Phi R")
+
+
 # A Gram matrix of explicit features is their degree-1 kernel matrix.
 LINEAR = KernelSpec(1)
 
@@ -65,6 +68,7 @@ def test_exact_predictions_match_pcr_on_explicit_features(degree, offset):
     x = v[:, :k] @ ((u[:, :k].T @ b) / s[:k])
     want = poly_features(augment_offset(z, offset), degree) @ x
     assert relative_error([kernel_predict(model, zi) for zi in z], want) <= 1e-9
+    assert relative_error(model.fitted, phi @ x) <= 1e-9
 
 
 def test_sketched_gamma_matches_full_svd():
@@ -72,11 +76,12 @@ def test_sketched_gamma_matches_full_svd():
     a, b = rng.standard_normal((200, 4)), rng.standard_normal(200)
     ts = gen_tensorsketch(3, 5, 16, seed=62)
     phi_r = sketched_feature_matrix(a, ts, offset=0.5)
-    s = np.linalg.svd(phi_r, compute_uv=False)
+    u, s, _ = np.linalg.svd(phi_r, full_matrices=False)
     assert s[0] / s[-1] < 1e3            # well-conditioned features
     k = 3
-    model = fit_sketched_features(phi_r, b, k, ts, offset=0.5)
+    model = sketched_kernel_pcr(a, b, k, ts, 0.5)
     assert relative_error(model.gamma, svd_gamma(phi_r, b, k)) <= 1e-10
+    assert relative_error(model.fitted, u[:, :k] @ (u[:, :k].T @ b)) <= 1e-10
     pred = sketched_kernel_predict(model, a[0])
     assert abs(pred - phi_r[0] @ model.gamma) <= 1e-12 * np.linalg.norm(model.gamma)
 
@@ -96,16 +101,15 @@ def test_exact_mode_rejects_degenerate_spectra(sigma, error):
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     lam = np.zeros(8)
     lam[:5] = np.square(sigma)
-    k_mat = (q * lam) @ q.T
     with pytest.raises(error):
-        exact_kernel_pcr(k_mat, np.ones(8), 2, q * np.sqrt(lam), LINEAR)
+        fit_exact(q * np.sqrt(lam), np.ones(8), 2, LINEAR)   # K = q diag(lam) q^T
 
 
 @pytest.mark.parametrize("sigma, error", DEGENERATE)
 def test_sketched_mode_rejects_degenerate_spectra(sigma, error):
     phi_r = with_spectrum(np.array(sigma), 20, seed=64)
     with pytest.raises(error):
-        fit_sketched_features(phi_r, np.ones(20), 2, TS)
+        features_gamma(phi_r, np.ones(20), 2)
 
 
 def lanczos_case(sigma, seed=68):
@@ -121,15 +125,15 @@ SIGMA = np.geomspace(3.0, 0.1, 40)
 
 def test_lanczos_matches_the_dense_and_jacobi_oracles():
     phi, b = lanczos_case(SIGMA)
-    k_mat, k = phi @ phi.T, 5
+    k = 5
     u, s, v = jacobi_svd(phi)
-    for gram in (k_mat, phi.T @ phi):
+    for gram in (phi @ phi.T, phi.T @ phi):
         evals, _ = _top_eigenpairs(gram, k, "gram")
         assert relative_error(evals, s[:k] ** 2) <= 1e-12
         assert relative_error(evals, np.linalg.eigvalsh(gram)[::-1][:k]) <= 1e-12
-    alpha = exact_kernel_pcr(k_mat, b, k, phi, LINEAR).alpha
+    alpha = fit_exact(phi, b, k, LINEAR).alpha
     assert relative_error(alpha, u[:, :k] @ ((u[:, :k].T @ b) / s[:k] ** 2)) <= 1e-12
-    gamma = fit_sketched_features(phi, b, k, TS).gamma
+    gamma = features_gamma(phi, b, k)
     assert relative_error(gamma, v[:, :k] @ ((u[:, :k].T @ b) / s[:k])) <= 1e-12
 
 
@@ -138,20 +142,19 @@ def test_lanczos_sees_an_eigenvalue_repeated_at_k_and_k_plus_1():
     sigma[5] = sigma[4]                    # lambda_5 = lambda_6
     phi, b = lanczos_case(sigma)
     with pytest.raises(GapError):
-        exact_kernel_pcr(phi @ phi.T, b, 5, phi, LINEAR)
+        fit_exact(phi, b, 5, LINEAR)
     with pytest.raises(GapError):
-        fit_sketched_features(phi, b, 5, TS)
+        features_gamma(phi, b, 5)
 
 
 def test_two_fits_are_bit_identical():
     phi, b = lanczos_case(SIGMA)
-    k_mat = phi @ phi.T
 
     def fits():
-        return [exact_kernel_pcr(k_mat, b, 5, phi, LINEAR).alpha,
-                fit_sketched_features(phi, b, 5, TS).gamma,
+        return [fit_exact(phi, b, 5, LINEAR).alpha,
+                features_gamma(phi, b, 5),
                 # rank 1: the Krylov space is exhausted and ARPACK restarts
-                exact_kernel_pcr(np.ones((30, 30)), b[:30], 1, np.ones((30, 1)), LINEAR).alpha]
+                fit_exact(np.ones((30, 1)), b[:30], 1, LINEAR).alpha]
 
     assert all(np.array_equal(x, y) for x, y in zip(fits(), fits()))
 
@@ -162,14 +165,14 @@ def test_dense_eigh_only_when_lanczos_cannot_run(monkeypatch):
 
     phi, b = lanczos_case(SIGMA)
     monkeypatch.setattr(scipy.linalg, "eigh", fail)
-    exact_kernel_pcr(phi @ phi.T, b, 5, phi, LINEAR)
-    fit_sketched_features(phi, b, 5, TS)
+    fit_exact(phi, b, 5, LINEAR)
+    features_gamma(phi, b, 5)
     monkeypatch.undo()
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    k_mat = phi[:6, :6] @ phi[:6, :6].T    # n = 6: k = 5 has k + 1 = n, k = 6 has k = n
-    exact_kernel_pcr(k_mat, b[:6], 5, phi[:6, :6], LINEAR)
-    alpha = exact_kernel_pcr(k_mat, b[:6], 6, phi[:6, :6], LINEAR).alpha
-    assert relative_error(alpha, np.linalg.solve(k_mat, b[:6])) <= 1e-10
+    phi6 = phi[:6, :6]                     # n = 6: k = 5 has k + 1 = n, k = 6 has k = n
+    fit_exact(phi6, b[:6], 5, LINEAR)
+    alpha = fit_exact(phi6, b[:6], 6, LINEAR).alpha
+    assert relative_error(alpha, np.linalg.solve(phi6 @ phi6.T, b[:6])) <= 1e-10
 
 
 def test_lanczos_non_convergence_is_a_convergence_error(monkeypatch):
@@ -180,9 +183,9 @@ def test_lanczos_non_convergence_is_a_convergence_error(monkeypatch):
     phi, b = lanczos_case(SIGMA)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(ConvergenceError, match="kernel matrix: Lanczos converged 2 of the top 6"):
-        exact_kernel_pcr(phi @ phi.T, b, 5, phi, LINEAR)
+        fit_exact(phi, b, 5, LINEAR)
     with pytest.raises(ConvergenceError, match="Phi R"):
-        fit_sketched_features(phi, b, 5, TS)
+        features_gamma(phi, b, 5)
 
 
 def test_sketched_rank_floor_is_the_exact_modes():
@@ -196,11 +199,11 @@ def test_sketched_rank_floor_is_the_exact_modes():
         return with_spectrum(np.array([1.0, 0.7, r, r / 10, r / 20, r / 50]), 40, seed=66)
 
     phi_r = features(1e-8)
-    gamma = fit_sketched_features(phi_r, b, k, TS).gamma
+    gamma = features_gamma(phi_r, b, k)
     assert relative_error(gamma, svd_gamma(phi_r, b, k)) <= 1e-6
     assert 1e-10 < EIG_CLAMP
     with pytest.raises(RankDeficiencyError):
-        fit_sketched_features(features(1e-10), b, k, TS)
+        features_gamma(features(1e-10), b, k)
 
 
 def _layout(x, order):
