@@ -98,25 +98,34 @@ def _parse_synthetic(spec_str, seed):
     return a, f + sigma * rng.standard_normal(n), k
 
 
+def _is_svmlight(args):
+    """Whether --data is svmlight, any path but a .csv; else --dims is an error."""
+    svmlight = bool(args.data) and not args.data.endswith(".csv")
+    if args.dims is not None and not svmlight:
+        raise CliError("--dims applies to svmlight input only")
+    return svmlight
+
+
 def _load_problem(args, pcr_rank=True):
-    """A, b and the ranks. A PCR rank below the planted rank of --synthetic
-    is rejected: the top singular values of a planted A are equal."""
+    """A, b (centered under --center-response) and the ranks. A PCR rank
+    below the planted rank of --synthetic is rejected: the top singular
+    values of a planted A are equal."""
     if args.synthetic and args.data:
         raise CliError("pass either --data or --synthetic, not both")
-    if args.synthetic:
+    default_k = None
+    if _is_svmlight(args):
+        a, b = data_io.load_svmlight(args.data, n_features=args.dims)
+    elif args.data:
+        a, b = data_io.load_dense_csv(args.data)
+    elif args.synthetic:
         a, b, default_k = _parse_synthetic(args.synthetic, args.seed0)
         if pcr_rank and min(args.k or [default_k]) < default_k:
             raise CliError(f"--k {min(args.k)} is below the planted rank k={default_k} "
                            "of --synthetic, whose top singular values are equal")
-    elif args.data:
-        if args.data.endswith(".csv"):
-            a, b = data_io.load_dense_csv(args.data)
-        else:
-            a, b = data_io.load_svmlight(args.data, center_response=args.center_response,
-                                         n_features=args.dims)
-        default_k = None
     else:
         raise CliError("one of --data or --synthetic is required")
+    if args.center_response:
+        b = b - b.mean()
     k_list = args.k if args.k else ([default_k] if default_k else None)
     if not k_list:
         raise CliError("--k is required for this dataset")
@@ -144,7 +153,7 @@ def _input_sparsity(p, s, t, seed):
     y = solvers.input_sparsity_pcp(p, s=s, t=t, seed=seed)
     elapsed = time.perf_counter() - t0
     return solvers.PcrSolution(
-        x=y, method="input-sparsity", r_cols=t,
+        x=y, method="input-sparsity", r_cols=p.k,
         objective=float(np.linalg.norm(p.a @ y - p.b)),
         constraint_norm=None, wall_time=elapsed,
     )
@@ -369,7 +378,7 @@ def cmd_sweep(args):
 
 def _stream_rows(args):
     """Yield (row, b_entry) pairs one at a time from the input file."""
-    if args.data.endswith(".csv"):
+    if not _is_svmlight(args):
         for values in data_io.csv_rows(args.data):
             yield np.asarray(values[:-1]), values[-1]
         return
@@ -416,13 +425,11 @@ def cmd_kernel(args):
     spec = kpcr.KernelSpec(args.degree, args.offset)
     if args.sketch_cols is not None and args.sketch_cols < 1:
         raise CliError(f"--sketch-cols must be at least 1, got {args.sketch_cols}")
-    if args.mode == "sketched" and args.sketch_cols is None:
-        raise CliError("sketched kernel mode needs --sketch-cols")
     a, b, (rank,) = _load_problem(args, pcr_rank=False)
     if sp.issparse(a):
         a = a.toarray()
     t0 = time.perf_counter()
-    if args.mode == "exact":
+    if args.sketch_cols is None:
         model = kpcr.fit_exact(a, b, rank, spec)
     else:
         # The sketch's input width: the features plus the offset's one, if any.
@@ -433,8 +440,8 @@ def cmd_kernel(args):
     rmse = float(np.linalg.norm(model.fitted - b) / math.sqrt(len(b)))
     report = RunReport(task="kernel")
     report.aggregates = [{
-        "mode": args.mode, "degree": args.degree, "offset": args.offset,
-        "rank": rank, "sketch_cols": args.sketch_cols,
+        "mode": "exact" if args.sketch_cols is None else "sketched",
+        "degree": args.degree, "offset": args.offset, "rank": rank, "sketch_cols": args.sketch_cols,
         "train_rmse": rmse, "wall_time": elapsed,
     }]
     emit_report(report, args.out)
@@ -463,11 +470,12 @@ def build_parser():
     stream_data = argparse.ArgumentParser(add_help=False)
     stream_data.add_argument("--data", help="CSV (dense, last column response) or svmlight path")
     stream_data.add_argument("--dims", type=int,
-                             help="feature count of svmlight input (required to stream it)")
+                             help="feature count of svmlight input, and an error for any "
+                             "other input (required to stream svmlight)")
     data = argparse.ArgumentParser(add_help=False, parents=[stream_data])
     data.add_argument("--synthetic", help="planted instance spec: n,d,k,gap")
     data.add_argument("--center-response", action="store_true",
-                      help="subtract the response mean when loading svmlight data")
+                      help="subtract the response mean from b, for every input")
 
     def grid(lists):
         """--k, and --s/--t/--ratio; only a grid (solve, sweep) takes comma lists."""
@@ -497,9 +505,7 @@ def build_parser():
     kern.add_argument("--degree", type=int, default=2, help="polynomial kernel degree")
     kern.add_argument("--offset", type=float, default=0.0, help="polynomial kernel offset")
     kern.add_argument("--sketch-cols", dest="sketch_cols", type=int,
-                      help="TensorSketch width for sketched kernel mode")
-    kern.add_argument("--mode", choices=("exact", "sketched"), default="exact",
-                      help="kernel solver mode")
+                      help="TensorSketch width; selects the sketched mode (default exact)")
     sub.add_parser("verify", parents=[common])
     return parser
 

@@ -131,13 +131,13 @@ def load_dense_csv(path):
     return arr[:, :-1], arr[:, -1]
 
 
-def load_svmlight(path, center_response=False, n_features=None):
+def load_svmlight(path, n_features=None):
     """Read an svmlight/libsvm file, validated by :func:`svmlight_rows`.
 
-    Returns (csr_matrix, labels). The column count is ``n_features`` when
-    given (a larger index is an error), else the largest index seen, so
-    trailing all-zero columns need ``n_features`` to survive a round
-    trip. Labels are mean-centered when asked.
+    Returns (csr_matrix, labels), the labels as read. The column count is
+    ``n_features`` when given (a larger index is an error), else the
+    largest index seen, so trailing all-zero columns need ``n_features``
+    to survive a round trip.
     """
     labels = []
     data, indices, indptr = [], [], [0]
@@ -155,7 +155,4 @@ def load_svmlight(path, center_response=False, n_features=None):
         (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
         shape=(len(labels), largest if n_features is None else n_features),
     )
-    b = np.asarray(labels)
-    if center_response:
-        b = b - b.mean()
-    return x, b
+    return x, np.asarray(labels)

@@ -50,8 +50,8 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KernelModel:
-    mode: str                 # "exact" or "sketched"
-    k: int
+    """A fitted kernel PCR model, exact or sketched by the coefficients it
+    holds: ``train`` and ``alpha``, or ``ts`` and ``gamma``."""
     spec: KernelSpec
     fitted: np.ndarray = field(repr=False)  # predictions on the training rows
     train: np.ndarray | None = field(default=None, repr=False)  # exact only
@@ -158,13 +158,12 @@ def fit_exact(a, b, k, spec: KernelSpec) -> KernelModel:
         raise ValueError(f"rank k={k} out of range [1, {len(b)}]")
     k_mat = kernel_matrix(a, spec)
     alpha = _gram_pcr(k_mat, b, k, "kernel matrix")
-    return KernelModel(mode="exact", k=k, spec=spec, fitted=k_mat @ alpha, train=a,
-                       alpha=alpha)
+    return KernelModel(spec=spec, fitted=k_mat @ alpha, train=a, alpha=alpha)
 
 
 def kernel_predict(model: KernelModel, z):
     """f(z) = sum_i K(z, a_i) alpha_i for an exact model."""
-    if model.mode != "exact":
+    if model.alpha is None:
         raise ValueError("kernel_predict needs an exact model")
     z = as_vector(z, length=model.train.shape[1], name="z")
     kvec = model.train @ z
@@ -173,7 +172,7 @@ def kernel_predict(model: KernelModel, z):
     return float(kvec @ model.alpha)
 
 
-def sketched_feature_matrix(a, ts, offset=0.0):
+def sketched_feature_matrix(a, ts, offset):
     """Rows of Phi R: the TensorSketch images of all rows of ``a``."""
     a = augment_offset(as_matrix(a, "a"), offset)
     if ts.in_dim != a.shape[1]:
@@ -203,13 +202,12 @@ def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:
         phi_r = sketched_feature_matrix(a, ts, offset)
         gram, rhs = phi_r.T @ phi_r, phi_r.T @ b
     gamma = _gram_pcr(gram, rhs, k, "Phi R")
-    return KernelModel(mode="sketched", k=k, spec=spec, fitted=phi_r @ gamma, ts=ts,
-                       gamma=gamma)
+    return KernelModel(spec=spec, fitted=phi_r @ gamma, ts=ts, gamma=gamma)
 
 
 def sketched_kernel_predict(model: KernelModel, z):
     """f(z) = <TensorSketch(phi(z)), gamma> for a sketched model."""
-    if model.mode != "sketched":
+    if model.gamma is None:
         raise ValueError("sketched_kernel_predict needs a sketched model")
     z = augment_offset(np.asarray(z, dtype=float).reshape(1, -1), model.spec.offset)[0]
     return float(tensorsketch_apply(model.ts, z) @ model.gamma)

@@ -122,7 +122,6 @@ class TensorSketch:
     degree: int
     in_dim: int
     out_dim: int
-    seed: int
     row_tables: np.ndarray = field(repr=False)   # (degree, in_dim) bucket ids
     sign_tables: np.ndarray = field(repr=False)  # (degree, in_dim) +-1
     levels: tuple = field(init=False, repr=False, compare=False)  # q CountSketch CSRs
@@ -161,14 +160,12 @@ def gen_tensorsketch(q, in_dim, out_dim, seed):
         raise ValueError("degree must be at least 1")
     if out_dim < 1 or in_dim < 1:
         raise ValueError("sketch dimensions must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)   # each level's hash pair continues this stream
     rows = np.empty((q, in_dim), dtype=np.int64)
     signs = np.empty((q, in_dim))
     for j in range(q):
-        h = PolyHash.draw(rng, HASH_DEGREE)
-        g = PolyHash.draw(rng, SIGN_DEGREE)
-        rows[j], signs[j] = _hash_tables(h, g, in_dim, out_dim)
-    return TensorSketch(degree=q, in_dim=in_dim, out_dim=out_dim, seed=seed,
+        rows[j], signs[j] = _hash_tables(*_hash_pair(rng), in_dim, out_dim)
+    return TensorSketch(degree=q, in_dim=in_dim, out_dim=out_dim,
                         row_tables=rows, sign_tables=signs)
 
 

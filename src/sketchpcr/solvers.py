@@ -305,7 +305,7 @@ def certify(p: PcrProblem, sol: PcrSolution, mode: str) -> ApproxCertificate:
 PRECOND_SKETCH_FACTOR = 4  # CountSketch rows = 4 k^2 for the preconditioner
 
 
-def precond_iterative_ls(c, b, eps, seed, max_iter=None):
+def precond_iterative_ls(c, b, eps, seed):
     """Approximate argmin_g |c g - b| to relative metric accuracy eps.
 
     ``c`` is a pair ``(left, right)`` that stands for the n x k product
@@ -316,8 +316,9 @@ def precond_iterative_ls(c, b, eps, seed, max_iter=None):
     triangular factor as a right preconditioner; the preconditioned
     system has O(1) condition number with high probability, so
     O(log(1/eps)) iterations suffice. When the sketch would not compress
-    (4 k^2 >= n) the preconditioner comes from a QR of c itself.
-    ``max_iter`` defaults to 4 ceil(ln(max(n, 2) / eps)).
+    (4 k^2 >= n) the preconditioner comes from a QR of c itself. CGLS
+    stops after 4 ceil(ln(max(n, 2) / eps)) iterations and raises
+    ConvergenceError if it has not converged by then.
     """
     left, right = c
     n, k = left.shape[0], right.shape[1]
@@ -347,8 +348,7 @@ def precond_iterative_ls(c, b, eps, seed, max_iter=None):
     def bmat_t(v):
         return solve_rt(right.T @ (left.T @ v))
 
-    if max_iter is None:
-        max_iter = 4 * math.ceil(math.log(max(n, 2) / eps))
+    max_iter = 4 * math.ceil(math.log(max(n, 2) / eps))
 
     # CGLS on the preconditioned system B z = b, z = R gamma. The stop
     # rule |B^T r| <= 0.1 sqrt(eps) |B z| controls |B (z - z*)| because

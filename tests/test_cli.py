@@ -103,11 +103,46 @@ def test_solve_svmlight_centers_the_response_when_asked(tmp_path):
     out = tmp_path / "r.json"
     assert main(["solve", "--data", str(path), "--k", "1", "--dims", "3",
                  "--center-response", "--out", str(out)]) == 0
-    a, b = data_io.load_svmlight(path, center_response=True, n_features=3)
+    a, b = data_io.load_svmlight(path, n_features=3)
+    b = b - b.mean()
     sol = solvers.exact_pcr(solvers.PcrProblem(a=a, b=b, k=1))
     got = json.loads(out.read_text())["records"][0]["objective_over_b"]
     assert got == pytest.approx(sol.objective / np.linalg.norm(b), rel=1e-12)
     assert abs(b.mean()) < 1e-15
+
+
+@pytest.mark.parametrize("kind", ["csv", "synthetic"])
+def test_center_response_centers_b_of_every_input(kind, tmp_path):
+    spec = "60,6,2,0.5"
+    a, b, k = _parse_synthetic(spec, 0)
+    source = ["--synthetic", spec]
+    if kind == "csv":
+        b = b + 3.0   # a response mean that centering must remove
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.column_stack([a, b]), delimiter=",", fmt="%.17g")
+        source = ["--data", str(path)]
+    out = tmp_path / "r.json"
+    assert main(["solve", *source, "--k", str(k), "--center-response", "--out", str(out)]) == 0
+    b = b - b.mean()
+    sol = solvers.exact_pcr(solvers.PcrProblem(a=a, b=b, k=k))
+    got = json.loads(out.read_text())["records"][0]["objective_over_b"]
+    assert got == pytest.approx(sol.objective / np.linalg.norm(b), rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--data", "ab.csv", "--k", "1"],
+    STREAM + ["--data", "ab.csv"],
+    ["solve", "--synthetic", "60,12,2,0.5"],
+    ["kernel", "--synthetic", "60,12,2,0.5", "--k", "2"],
+], ids=["solve-csv", "stream-csv", "solve-synthetic", "kernel-synthetic"])
+def test_dims_is_rejected_for_input_other_than_svmlight(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ab.csv").write_text("1,2,3\n2,1,0\n0,1,1\n")
+    for module, name in ((data_io, "load_dense_csv"), (data_io, "csv_rows"),
+                         (ev, "planted_matrix")):
+        monkeypatch.setattr(module, name, lambda *args, **kw: pytest.fail("data was loaded"))
+    assert main(argv + ["--dims", "3"]) == 1
+    assert "--dims applies to svmlight input only" in capsys.readouterr().err
 
 
 def test_sketched_kernel_features_computed_once(tmp_path, monkeypatch):
@@ -115,17 +150,17 @@ def test_sketched_kernel_features_computed_once(tmp_path, monkeypatch):
     a, b, _ = _parse_synthetic(synthetic, seed)
     ts = sketch.gen_tensorsketch(2, a.shape[1], width, seed)
     model = kernel.sketched_kernel_pcr(a, b, rank, ts)
-    preds = kernel.sketched_feature_matrix(a, ts) @ model.gamma
+    preds = kernel.sketched_feature_matrix(a, ts, 0.0) @ model.gamma
     want = float(np.linalg.norm(preds - b) / math.sqrt(len(b)))
 
     real, calls = sketch.tensorsketch_apply, []
     monkeypatch.setattr(kernel, "tensorsketch_apply",
                         lambda *args: calls.append(1) or real(*args))
     out = tmp_path / "kernel.json"
-    assert main(["kernel", "--synthetic", synthetic, "--seed0", str(seed), "--mode",
-                 "sketched", "--degree", "2", "--k", str(rank),
-                 "--sketch-cols", str(width), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["aggregates"][0]["train_rmse"] == want
+    assert main(["kernel", "--synthetic", synthetic, "--seed0", str(seed), "--degree", "2",
+                 "--k", str(rank), "--sketch-cols", str(width), "--out", str(out)]) == 0
+    report, = json.loads(out.read_text())["aggregates"]
+    assert (report["mode"], report["sketch_cols"], report["train_rmse"]) == ("sketched", width, want)
     assert len(calls) == 1
 
 
@@ -140,11 +175,12 @@ def test_exact_kernel_matrix_computed_once(tmp_path, monkeypatch):
     out = tmp_path / "kernel.json"
     assert main(["kernel", "--synthetic", synthetic, "--degree", "3", "--offset", "0.5",
                  "--k", str(rank), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["aggregates"][0]["train_rmse"] == want
+    report, = json.loads(out.read_text())["aggregates"]
+    assert (report["mode"], report["sketch_cols"], report["train_rmse"]) == ("exact", None, want)
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("mode", [[], ["--mode", "sketched", "--sketch-cols", "16"]])
+@pytest.mark.parametrize("mode", [[], ["--sketch-cols", "16"]])
 def test_kernel_rejects_an_overflowed_gram(mode, capsys):
     argv = ["kernel", "--synthetic", "80,4,2,0.5", "--k", "2", "--offset", "10", "--degree", "400"]
     assert main(argv + mode) == 1
@@ -253,6 +289,14 @@ def test_input_sparsity_wall_time_excludes_the_objective(monkeypatch):
     assert sol.wall_time < 0.05
 
 
+def test_input_sparsity_records_the_k_columns_of_r_as_twosided_does():
+    # R = G^T V_{D,k} has k columns, like two-sided's R, whatever t is.
+    a, b, k = _parse_synthetic("200,30,3,0.5", 0)
+    p = solvers.PcrProblem(a=a, b=b, k=k)
+    got = SOLVERS["input-sparsity"].fn(p, 12, 16, 0).r_cols
+    assert got == SOLVERS["twosided"].fn(p, 12, 16, 0).r_cols == k
+
+
 def test_input_sparsity_is_certified_as_a_projection(tmp_path):
     out = tmp_path / "solve.json"
     assert main(["solve"] + SYNTH + ["--solver", "input-sparsity", "--ratio", "4",
@@ -318,8 +362,7 @@ def test_stream_rejects_a_sketch_below_k_before_reading_a_row(sizes, flag, capsy
     assert f"{flag} is below --k 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", [["--mode", "exact"],
-                                  ["--mode", "sketched", "--sketch-cols", "16"]])
+@pytest.mark.parametrize("mode", [[], ["--sketch-cols", "16"]])
 def test_kernel_rejects_a_negative_offset_before_loading(mode, capsys, monkeypatch):
     monkeypatch.setattr(ev, "planted_matrix", lambda *args, **kw: pytest.fail("data was loaded"))
     for offset in ("-1", "nan", "inf"):
@@ -330,7 +373,7 @@ def test_kernel_rejects_a_negative_offset_before_loading(mode, capsys, monkeypat
 @pytest.mark.parametrize("cols", ["-5", "0"])
 def test_kernel_rejects_a_sketch_width_below_1_before_loading(cols, capsys, monkeypatch):
     monkeypatch.setattr(ev, "planted_matrix", lambda *args, **kw: pytest.fail("data was loaded"))
-    argv = ["kernel"] + SYNTH + ["--k", "2", "--mode", "sketched", "--sketch-cols", cols]
+    argv = ["kernel"] + SYNTH + ["--k", "2", "--sketch-cols", cols]
     assert main(argv) == 1
     assert f"--sketch-cols must be at least 1, got {cols}" in capsys.readouterr().err
 
@@ -378,6 +421,7 @@ def test_kernel_takes_its_rank_from_k_on_a_data_file(tmp_path):
     ["kernel", "--synthetic", "60,12,2,0.5", "--format", "csv"],
     ["verify", "--format", "csv"],
     ["verify", "--const-c", "8"],
+    ["kernel", "--synthetic", "60,12,2,0.5", "--mode", "sketched", "--sketch-cols", "16"],
 ])
 def test_a_flag_the_subcommand_does_not_read_exits_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -43,14 +43,6 @@ class TestSvmlight:
         x, b_read = load_svmlight(path, n_features=5)
         assert np.array_equal(x.toarray(), dense) and np.array_equal(b_read, b)
 
-    def test_center_response_subtracts_the_mean_of_b_only(self, tmp_path):
-        path = tmp_path / "d.svm"
-        path.write_text("1.0 1:2.0\n2.5 2:4.0\n6.0 1:1.0 3:-1.0\n")
-        x, b = load_svmlight(path)
-        xc, bc = load_svmlight(path, center_response=True)
-        assert np.array_equal(bc, b - b.mean())
-        assert np.array_equal(xc.toarray(), x.toarray())
-
     def test_index_past_feature_count_rejected_with_position(self, tmp_path):
         path = tmp_path / "d.svm"
         path.write_text("1 1:1.0 2:1.0\n2 1:1.0 3:2.0\n")

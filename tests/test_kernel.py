@@ -86,6 +86,17 @@ def test_sketched_gamma_matches_full_svd():
     assert abs(pred - phi_r[0] @ model.gamma) <= 1e-12 * np.linalg.norm(model.gamma)
 
 
+def test_each_predictor_rejects_the_other_modes_model():
+    rng = np.random.default_rng(65)
+    a, b = rng.standard_normal((40, 3)), rng.standard_normal(40)
+    exact = fit_exact(a, b, 2, KernelSpec(2))
+    sketched = sketched_kernel_pcr(a, b, 2, gen_tensorsketch(2, 3, 16, seed=66))
+    with pytest.raises(ValueError, match="kernel_predict needs an exact model"):
+        kernel_predict(sketched, a[0])
+    with pytest.raises(ValueError, match="sketched_kernel_predict needs a sketched model"):
+        sketched_kernel_predict(exact, a[0])
+
+
 # Singular values of the sketched features; k = 2 throughout. The exact
 # mode sees their squares as the eigenvalues of K.
 DEGENERATE = [

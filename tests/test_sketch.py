@@ -281,7 +281,7 @@ class TestTensorSketch:
         a = rng.standard_normal((6, 4))
         op = gen_tensorsketch(3, 4, 32, seed=28)
         want = poly_features(a, 3) @ tensorsketch_materialize(op)
-        assert np.allclose(sketched_feature_matrix(a, op), want, atol=1e-10)
+        assert np.allclose(sketched_feature_matrix(a, op, 0.0), want, atol=1e-10)
 
     def test_inner_product_preservation(self):
         # mean over seeds of <Rphi(x), Rphi(z)> approaches (x.z)^2 for q=2
