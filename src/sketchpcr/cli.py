@@ -91,11 +91,11 @@ def _planted(n, d, k, gap, seed):
 def _parse_synthetic(spec_str, seed):
     try:
         n_s, d_s, k_s, gap_s = spec_str.split(",")
-        n, d, k, gap = int(n_s), int(d_s), int(k_s), float(gap_s)
-    except ValueError:
-        raise CliError(f"--synthetic expects n,d,k,gap, got {spec_str!r}") from None
-    a, f, sigma, rng = _planted(n, d, k, gap, seed)
-    return a, f + sigma * rng.standard_normal(n), k
+        k = int(k_s)
+        a, f, sigma, rng = _planted(int(n_s), int(d_s), k, float(gap_s), seed)
+    except ValueError as exc:
+        raise CliError(f"--synthetic {spec_str!r} is not a valid n,d,k,gap: {exc}") from None
+    return a, f + sigma * rng.standard_normal(len(f)), k
 
 
 def _is_svmlight(args):
@@ -462,10 +462,16 @@ def _int_list(text):
     return [int(tok) for tok in text.split(",") if tok]
 
 
+def _seed(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     """One subparser per task, each with only the flags that task reads."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed0", type=int, default=0, help="base seed")
+    common.add_argument("--seed0", type=_seed, default=0, help="base seed")
     common.add_argument("--out", help="report output path (default stdout)")
     stream_data = argparse.ArgumentParser(add_help=False)
     stream_data.add_argument("--data", help="CSV (dense, last column response) or svmlight path")

@@ -8,15 +8,10 @@ Phi: it solves on the n x n Gram matrix K and keeps dual coefficients.
 batched call over all rows, and solves in the t-dimensional sketched
 feature space on the t x t Gram matrix (Phi R)^T (Phi R). Both end in one
 Gram rule, which rejects an overflowed Gram matrix and takes its top k+1
-eigenpairs with one rank floor and gap check. A model keeps ``fitted``,
-its predictions on the training rows. The non-homogeneous offset c is
+eigenpairs with one rank floor and gap check
+(:func:`sketchpcr.linalg.top_eigenpairs`). A model keeps ``fitted``, its
+predictions on the training rows. The non-homogeneous offset c is
 handled by appending a constant sqrt(c) feature to every data point.
-
-The eigensolver is implicitly restarted Lanczos (ARPACK, through
-``scipy.sparse.linalg.eigsh``): O(m^2 k) on an m x m Gram matrix against
-the O(m^3) of a dense tridiagonal reduction, converged to machine
-precision from a fixed seeded start vector, so a fit is bit-reproducible.
-ARPACK needs k+1 < m; only a fit at k >= m - 1 takes the dense ``eigh``.
 """
 
 from __future__ import annotations
@@ -25,15 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
-from .errors import ConvergenceError, GapError, RankDeficiencyError
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, top_eigenpairs
 from .sketch import tensorsketch_apply
-from .solvers import GAP_TOL
-
-EIG_CLAMP = 1e-9   # relative floor below which eigenvalues count as zero
 
 
 @dataclass(frozen=True)
@@ -93,47 +82,6 @@ def augment_offset(a, offset):
     return np.hstack([a, col])
 
 
-def _top_eigenpairs(gram, k, what):
-    """The k largest eigenpairs of a symmetric PSD matrix, largest first.
-
-    Only the top k+1 are computed: the k kept ones and the one that sets
-    the gap. They come from Lanczos (ARPACK ``eigsh``, machine-precision
-    tolerance, start vector and restart vectors drawn from a fixed seed)
-    whenever k+1 < n; ARPACK cannot take n eigenpairs of an n x n matrix,
-    so k >= n - 1 takes the dense ``eigh``. Raises RankDeficiencyError
-    unless lambda_k > EIG_CLAMP lambda_1, GapError unless
-    (lambda_k - lambda_{k+1}) / lambda_1 is at least GAP_TOL, and
-    ConvergenceError if Lanczos does not converge.
-    """
-    n = gram.shape[0]
-    if k + 1 < n:
-        if not gram.any():   # Lanczos cannot start: every Krylov vector is zero
-            raise RankDeficiencyError(f"{what} has no positive eigenvalues")
-        rng = np.random.default_rng(0)
-        try:
-            evals, evecs = scipy.sparse.linalg.eigsh(
-                gram, k + 1, which="LA", v0=rng.standard_normal(n), rng=rng)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"{what}: Lanczos converged {len(exc.eigenvalues)} of the top "
-                f"{k + 1} eigenpairs") from exc
-    else:
-        evals, evecs = scipy.linalg.eigh(gram)   # k + 1 >= n: all n eigenpairs
-    evals, evecs = evals[::-1].copy(), evecs[:, ::-1]
-    top = evals[0]
-    if top <= 0:
-        raise RankDeficiencyError(f"{what} has no positive eigenvalues")
-    # Floating-point PSD repair: tiny negative eigenvalues clamp to zero.
-    evals[(evals < 0) & (evals >= -EIG_CLAMP * top)] = 0.0
-    lam_k = evals[k - 1]
-    lam_next = evals[k] if k < n else 0.0
-    if lam_k <= EIG_CLAMP * top:
-        raise RankDeficiencyError(f"{what} has rank below k={k}")
-    if (lam_k - lam_next) / top < GAP_TOL:
-        raise GapError(f"{what} has a vanishing eigengap at k={k}")
-    return evals[:k], evecs[:, :k].copy()
-
-
 def _gram_pcr(gram, rhs, k, what):
     """U_k diag(lambda_i^-1) U_k^T rhs from the top k eigenpairs of a Gram
     matrix. A non-finite Gram matrix of finite data has overflowed float64.
@@ -141,7 +89,7 @@ def _gram_pcr(gram, rhs, k, what):
     if not np.isfinite(gram).all():
         raise ValueError(f"{what}: the Gram matrix overflowed float64; lower the "
                          "kernel degree, the offset or the scale of the data")
-    lam_k, u_k = _top_eigenpairs(gram, k, what)
+    lam_k, u_k = top_eigenpairs(gram, k, what)
     return u_k @ ((u_k.T @ rhs) / lam_k)
 
 
@@ -190,7 +138,7 @@ def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:
     gamma = V_k Lambda_k^-1 V_k^T (Phi R)^T b from the top k+1 eigenpairs
     (lambda_i = sigma_i^2, V) of the t x t Gram matrix (Phi R)^T (Phi R),
     the V_k Sigma_k^-1 U_k^T b of the SVD of Phi R. The exact path's rank
-    floor lambda_k > EIG_CLAMP lambda_1 keeps the accuracy lost to squaring,
+    floor lambda_k > ``linalg.EIG_CLAMP`` lambda_1 keeps the accuracy lost to squaring,
     of order machine epsilon times lambda_1 / lambda_k, small.
     """
     spec = KernelSpec(ts.degree, offset)

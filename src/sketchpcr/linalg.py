@@ -1,10 +1,19 @@
-"""Dense linear algebra kernels: the thin SVD record, the one least-squares rule
-for compressed matrices (:func:`qr_svd`, then :func:`truncated_solve`),
+"""Dense linear algebra, the one module that factors a matrix or rules on
+its spectrum: the thin SVD record, the R-SVD least-squares rule for
+compressed matrices (:func:`qr_svd`, then :func:`truncated_solve`), the
+top-k eigenpairs of a symmetric PSD matrix, the rank floors
+(:func:`numerical_rank`, ``EIG_CLAMP``) and the gap rule (``GAP_TOL``),
 subspace distances and spectral diagnostics.
 
 A thin SVD is one record, :class:`Svd`: every singular value, and all
 columns of U and V or their leading ones. It stores no split index;
 each reader slices at its own k.
+
+The eigensolver is implicitly restarted Lanczos (ARPACK, through
+``scipy.sparse.linalg.eigsh``): O(m^2 k) on an m x m matrix against the
+O(m^3) of a dense tridiagonal reduction, converged to machine precision
+from a fixed seeded start vector, so a result is bit-reproducible.
+ARPACK needs k+1 < m; only k >= m - 1 takes the dense ``eigh``.
 
 Everything here is deterministic. Matrices are plain 2-D float64
 ``numpy.ndarray`` objects; bases are matrices with orthonormal columns.
@@ -18,10 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse.linalg
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, GapError, RankDeficiencyError
 
 ORTHO_TOL = 1e-10
+GAP_TOL = 1e-12
+EIG_CLAMP = 1e-9   # relative floor below which eigenvalues count as zero
 
 
 def as_matrix(a, name="matrix"):
@@ -169,3 +182,56 @@ def relative_gap(s, k):
         raise ValueError("relative gap is undefined for the zero matrix")
     sk1 = s[k] if k < len(s) else 0.0
     return float((s[k - 1] ** 2 - sk1 ** 2) / s[0] ** 2)
+
+
+def require_gap(sigma, k, shape, what):
+    """Reject a matrix of ``shape`` and singular values ``sigma`` without
+    numerical rank k (:func:`numerical_rank`) or a gap at k."""
+    if sigma[0] == 0.0:
+        raise RankDeficiencyError(f"{what} is zero")
+    if numerical_rank(sigma, shape) < k:
+        raise RankDeficiencyError(f"{what} has rank below k={k}")
+    if relative_gap(sigma, k) < GAP_TOL:
+        raise GapError(f"{what} has a vanishing eigengap at k={k}")
+
+
+def top_eigenpairs(gram, k, what):
+    """The k largest eigenpairs of a symmetric PSD matrix, largest first.
+
+    Only the top k+1 are computed, by Lanczos or, at k >= n - 1, by the
+    dense ``eigh``: the k kept ones and the one that sets the gap. Raises
+    RankDeficiencyError unless lambda_k > EIG_CLAMP lambda_1, GapError unless
+    (lambda_k - lambda_{k+1}) / lambda_1 is at least GAP_TOL, and
+    ConvergenceError if Lanczos does not converge.
+
+    Known defect (ROADMAP.md, item 2): single-vector Lanczos can return
+    later eigenvalues in place of copies of a repeated top eigenvalue, and
+    every ``--synthetic`` input has equal top singular values.
+    """
+    n = gram.shape[0]
+    if k + 1 < n:
+        if not gram.any():   # Lanczos cannot start: every Krylov vector is zero
+            raise RankDeficiencyError(f"{what} has no positive eigenvalues")
+        rng = np.random.default_rng(0)
+        try:
+            evals, evecs = scipy.sparse.linalg.eigsh(
+                gram, k + 1, which="LA", v0=rng.standard_normal(n), rng=rng)
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"{what}: Lanczos converged {len(exc.eigenvalues)} of the top "
+                f"{k + 1} eigenpairs") from exc
+    else:
+        evals, evecs = scipy.linalg.eigh(gram)   # k + 1 >= n: all n eigenpairs
+    evals, evecs = evals[::-1].copy(), evecs[:, ::-1]
+    top = evals[0]
+    if top <= 0:
+        raise RankDeficiencyError(f"{what} has no positive eigenvalues")
+    # Floating-point PSD repair: tiny negative eigenvalues clamp to zero.
+    evals[(evals < 0) & (evals >= -EIG_CLAMP * top)] = 0.0
+    lam_k = evals[k - 1]
+    lam_next = evals[k] if k < n else 0.0
+    if lam_k <= EIG_CLAMP * top:
+        raise RankDeficiencyError(f"{what} has rank below k={k}")
+    if (lam_k - lam_next) / top < GAP_TOL:
+        raise GapError(f"{what} has a vanishing eigengap at k={k}")
+    return evals[:k], evecs[:, :k].copy()

@@ -223,8 +223,7 @@ def gram_error(op, x, eps):
     """
     x = as_matrix(x, "x")
     sx = apply_left(op, x)
-    diff = sx.T @ sx - x.T @ x
-    err = float(np.max(np.abs(np.linalg.eigvalsh(diff)))) if diff.size else 0.0
+    err = spectral_norm(sx.T @ sx - x.T @ x)
     x2 = spectral_norm(x) ** 2
     return GramErrorReport(
         spectral_error=err,

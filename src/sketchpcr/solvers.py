@@ -30,23 +30,20 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, GapError, RankDeficiencyError
+from .errors import ConvergenceError, RankDeficiencyError
 from .linalg import (
     Svd,
     as_matrix,
     as_vector,
     numerical_rank,
     qr_svd,
-    relative_gap,
+    require_gap,
     thin_svd,
     truncated_solve,
 )
 from .sketch import _dense, apply_left, child_seeds, gen_countsketch
-
-GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,17 +135,6 @@ class ApproxCertificate:
     eps_observed: float      # additive objective error over |b|
     upsilon_observed: float  # constraint leakage over |b|
     reference_objective: float
-
-
-def require_gap(sigma, k, shape, what):
-    """Reject a matrix of ``shape`` and singular values ``sigma`` without
-    numerical rank k (:func:`~sketchpcr.linalg.numerical_rank`) or a gap at k."""
-    if sigma[0] == 0.0:
-        raise RankDeficiencyError(f"{what} is zero")
-    if numerical_rank(sigma, shape) < k:
-        raise RankDeficiencyError(f"{what} has rank below k={k}")
-    if relative_gap(sigma, k) < GAP_TOL:
-        raise GapError(f"{what} has a vanishing eigengap at k={k}")
 
 
 def _objective(a, x, b):
@@ -311,14 +297,14 @@ def precond_iterative_ls(c, b, eps, seed):
     ``c`` is a pair ``(left, right)`` that stands for the n x k product
     c = ``left @ right``, which is never formed; pass (c, I_k) for a
     dense c. Returns g with |c (g - g*)|^2 <= eps |c g*|^2 for the exact
-    minimizer g*. The column space metric is controlled by CountSketching
-    c to O(k^2) rows, QR-factorizing the sketch, and running CGLS with the
-    triangular factor as a right preconditioner; the preconditioned
-    system has O(1) condition number with high probability, so
-    O(log(1/eps)) iterations suffice. When the sketch would not compress
-    (4 k^2 >= n) the preconditioner comes from a QR of c itself. CGLS
-    stops after 4 ceil(ln(max(n, 2) / eps)) iterations and raises
-    ConvergenceError if it has not converged by then.
+    minimizer g*. CountSketching c to O(k^2) rows and taking the thin SVD
+    U Sigma V^T of the sketch gives the right preconditioner V Sigma^-1
+    (LSRN; Meng, Saunders & Mahoney 2014), under which c has O(1)
+    condition number with high probability, so CGLS needs O(log(1/eps))
+    iterations. When the sketch would not compress (4 k^2 >= n) the
+    preconditioner comes from the SVD of c itself. CGLS stops after
+    4 ceil(ln(max(n, 2) / eps)) iterations and raises ConvergenceError if
+    it has not converged by then.
     """
     left, right = c
     n, k = left.shape[0], right.shape[1]
@@ -327,30 +313,21 @@ def precond_iterative_ls(c, b, eps, seed):
         raise ValueError("eps must lie in (0, 1)")
 
     m = PRECOND_SKETCH_FACTOR * k * k
-    if m >= n:
-        sc = left @ right
-    else:
-        sc = apply_left(gen_countsketch(m, n, seed), left) @ right
-    r_fac = np.linalg.qr(sc, mode="r")
-    # sigma(R) = sigma(S C): the rank check needs no second factorization.
-    if numerical_rank(np.linalg.svd(r_fac, compute_uv=False), sc.shape) < k:
+    sc = (left if m >= n else apply_left(gen_countsketch(m, n, seed), left)) @ right
+    f = thin_svd(sc)
+    if numerical_rank(f.sigma, sc.shape) < k:
         raise RankDeficiencyError("least-squares matrix is rank deficient")
-
-    def solve_r(v):
-        return scipy.linalg.solve_triangular(r_fac, v, lower=False)
-
-    def solve_rt(v):
-        return scipy.linalg.solve_triangular(r_fac, v, trans="T", lower=False)
+    pre = f.v / f.sigma
 
     def bmat(z):
-        return left @ (right @ solve_r(z))
+        return left @ (right @ (pre @ z))
 
     def bmat_t(v):
-        return solve_rt(right.T @ (left.T @ v))
+        return pre.T @ (right.T @ (left.T @ v))
 
     max_iter = 4 * math.ceil(math.log(max(n, 2) / eps))
 
-    # CGLS on the preconditioned system B z = b, z = R gamma. The stop
+    # CGLS on the preconditioned system B z = b, gamma = V Sigma^-1 z. The stop
     # rule |B^T r| <= 0.1 sqrt(eps) |B z| controls |B (z - z*)| because
     # the preconditioned singular values are O(1)-clustered around 1.
     def converged(s_norm2, resid):
@@ -380,7 +357,7 @@ def precond_iterative_ls(c, b, eps, seed):
         raise ConvergenceError(
             f"preconditioned least squares did not reach eps={eps} within {max_iter} iterations"
         )
-    return solve_r(z)
+    return pre @ z
 
 
 def input_sparsity_pcp(p: PcrProblem, s, t, seed, eps=1e-3):

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_vector, thin_svd
+from .linalg import as_vector, require_gap, thin_svd
 from .sketch import _hash_pair, _hash_tables, child_seeds
-from .solvers import PcrSolution, compressed_solve, require_gap
+from .solvers import PcrSolution, compressed_solve
 
 HASH_BLOCK = 4096          # CountSketch columns hashed per table
 

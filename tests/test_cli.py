@@ -428,3 +428,29 @@ def test_a_flag_the_subcommand_does_not_read_exits_1(argv, capsys):
         main(argv)
     assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--data", "x.csv", "--k", "1", "--solver", "right", "--t", "2"],
+    ["solve", "--data", "x.csv", "--k", "1", "--solver", "exact"],
+    ["sweep", "--synthetic", "60,12,2,0.5"],
+    ["stream", "--data", "x.csv", "--k", "1", "--ratio", "2"],
+    ["kernel", "--synthetic", "60,12,2,0.5"],
+    ["verify"],
+], ids=["solve-right", "solve-exact", "sweep", "stream", "kernel", "verify"])
+@pytest.mark.parametrize("seed0", ["-1", "x"])
+def test_a_bad_seed0_exits_1_before_any_work(argv, seed0, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed0", seed0])
+    assert exc.value.code == 1
+    assert "--seed0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1,10,1,0.5", "k=1 must lie in"),
+    ("50,10,2,1.5", "gap_target must lie in (0, 1)"),
+])
+def test_an_invalid_synthetic_spec_names_the_flag(spec, message, capsys):
+    assert main(["solve", "--synthetic", spec]) == 1
+    assert f"error: --synthetic '{spec}' is not a valid n,d,k,gap: {message}" \
+        in capsys.readouterr().err

@@ -1,0 +1,51 @@
+"""Only ``linalg`` factors a matrix or rules on its spectrum.
+
+The estimator modules below reach SVDs, QRs and eigensolvers through
+``sketchpcr.linalg``, never through numpy's or scipy's linear algebra
+directly; a vector or matrix norm (``np.linalg.norm``) is allowed.
+``evaluation`` and ``cli`` are exempt on purpose: their factorizations
+(``_haar``'s QR, ``bias_variance``'s SVD, ``pcr verify``'s ``pinv`` and
+``eigvalsh``) are the independent checks of the library, and should not
+reuse the code they check.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sketchpcr
+
+LAYERED = ["io.py", "kernel.py", "sketch.py", "solvers.py", "streaming.py"]
+BANNED = {"numpy.linalg", "scipy.linalg", "scipy.sparse.linalg"}
+
+
+def linalg_uses(source):
+    """(line, what) for each import of a banned module and each
+    ``X.linalg.<name>`` other than ``norm`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names if a.name in BANNED]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+            found += [(node.lineno, f"from {node.module} import ...")
+                      for name in [node.module] + names if name in BANNED]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "linalg" and node.attr != "norm"):
+            found.append((node.lineno, f"linalg.{node.attr}"))
+    return found
+
+
+def test_the_check_sees_every_form():
+    source = ("import scipy.linalg\nfrom scipy.sparse import linalg\n"
+              "from numpy.linalg import svd\nx = np.linalg.qr(a)\n"
+              "y = scipy.sparse.linalg.eigsh(a, 2)\nz = np.linalg.norm(a)\n"
+              "from .linalg import thin_svd\n")
+    assert [line for line, _ in linalg_uses(source)] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("module", LAYERED)
+def test_only_linalg_factors(module):
+    path = Path(sketchpcr.__file__).parent / module
+    assert linalg_uses(path.read_text()) == []

@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.stats
 from hypothesis import assume, given, settings
@@ -438,18 +437,24 @@ class TestPrecondIterativeLs:
         want, *_ = np.linalg.lstsq(c, b, rcond=None)
         assert np.allclose(got, want, atol=1e-8)
 
-    def test_orthonormal_converges_in_one_iteration(self, monkeypatch):
-        real, calls = scipy.linalg.solve_triangular, []
-        monkeypatch.setattr(scipy.linalg, "solve_triangular",
-                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    def test_orthonormal_converges_in_one_iteration(self):
+        products = []
+
+        class Counted(np.ndarray):
+            """An array that counts the matrix products it takes part in."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                products.append(ufunc is np.matmul)
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
         rng = np.random.default_rng(39)
         q, _ = np.linalg.qr(rng.standard_normal((30, 3)))
         b = rng.standard_normal(30)
-        got = precond_iterative_ls((q, np.eye(3)), b, eps=1e-12, seed=40)
+        got = precond_iterative_ls((q.view(Counted), np.eye(3)), b, eps=1e-12, seed=40)
         assert np.allclose(got, q.T @ b, atol=1e-10)
-        # One solve before the loop, two per CGLS iteration, one at the end:
-        # at most two iterations.
-        assert len(calls) <= 1 + 2 * 2 + 1
+        # 4 k^2 >= n, so one product forms C for the preconditioner; then one
+        # before the loop and two per CGLS iteration: at most two iterations.
+        assert 1 + 1 <= sum(products) <= 1 + 1 + 2 * 2
 
     # The metric contract |C (g - g*)|^2 <= eps |C g*|^2 holds with high
     # probability over the preconditioner's CountSketch. Each draw takes an
@@ -557,18 +562,24 @@ class TestInputSparsityPcp:
         y = input_sparsity_pcp(p, 30, 12, eps=1e-12, seed=53)
         assert np.allclose(y, exact_pcr(p).x, atol=1e-8)
 
+    # The contract |y - x_R|^2 <= eps |x_R|^2, for x_R the exact minimizer over
+    # the range of R, holds with constant probability. Each draw takes a fresh
+    # A, b, S, G and preconditioner seed. At a per-draw
+    # failure rate of DELTA, more than MAX_FAILURES failures in DRAWS draws has
+    # probability below 1e-4 (one-sided binomial tail). 200 draws gave 0
+    # failures and a worst ratio |y - x_R|^2 / |x_R|^2 of 1.7e-7.
+    DRAWS, DELTA, MAX_FAILURES = 40, 0.01, 4
+
     def test_probabilistic_contract_sample(self, monkeypatch):
-        # small-sample version of the acceptance Monte Carlo
-        hits = 0
-        trials = 20
-        for seed in range(trials):
+        assert scipy.stats.binom.sf(self.MAX_FAILURES, self.DRAWS, self.DELTA) < 1e-4
+        failures = 0
+        for seed in range(self.DRAWS):
             rng = np.random.default_rng(1000 + seed)
             a = planted_matrix(100, 80, 4, 0.4, seed=2000 + seed)
             b = a @ rng.standard_normal(80) + 0.1 * rng.standard_normal(100)
             p = PcrProblem(a=a, b=b, k=4)
             _draws_sketches(monkeypatch, gen_countsketch(48, 100, seed=3000 + seed),
                             gen_countsketch(32, 80, seed=4000 + seed))
-            y = input_sparsity_pcp(p, 48, 32, eps=1e-3, seed=5000 + seed)
             g_rows, g_signs = countsketch_tables(32, 80, 4000 + seed)
             occupied = np.unique(g_rows)
             g_mat = np.zeros((len(occupied), 80))
@@ -576,9 +587,13 @@ class TestInputSparsityPcp:
             c = a @ g_mat.T
             r_mat = g_mat.T @ thin_svd(countsketch_dense(48, 100, 3000 + seed) @ c).v[:, :4]
             x_r = r_mat @ (np.linalg.pinv(a @ r_mat) @ b)
-            if np.linalg.norm(y - x_r) ** 2 <= 1e-3 * np.linalg.norm(x_r) ** 2:
-                hits += 1
-        assert hits >= (2 * trials) // 3
+            try:
+                y = input_sparsity_pcp(p, 48, 32, eps=1e-3, seed=5000 + seed)
+            except ConvergenceError:
+                failures += 1
+                continue
+            failures += np.linalg.norm(y - x_r) ** 2 > 1e-3 * np.linalg.norm(x_r) ** 2
+        assert failures <= self.MAX_FAILURES
 
 
 class TestDeterministicLemmas:
