@@ -3,20 +3,24 @@
 Rows of A (and entries of b) arrive one at a time. Two sketch
 accumulators are maintained: S A (to extract the compression basis R)
 and T A together with T b (to solve the compressed regression without
-storing A). Memory is a function of the sketch sizes and d only, never
-of the number of rows seen. The final solve is the solvers' one rule,
+storing A). Each checked row and its b entry go into a buffer of
+``STREAM_BLOCK`` rows; when it fills, and when the stream is finalized,
+the whole block is folded in with one product per sketch, so the
+accumulators are complete once the stream is finalized. Memory is the
+accumulators plus a buffer of ``STREAM_BLOCK * (d + 1)`` floats, a
+function of the sketch sizes and d only, never of the number of rows
+seen. The final solve is the solvers' one rule,
 :func:`sketchpcr.solvers.compressed_solve`, on T A R and T b.
 
-Each sketch spec yields column i of its sketch as a pair (rows, values)
-that indexes the accumulator, so one update statement serves both kinds.
-CountSketch columns are realized lazily, so no stream length needs
-fixing in advance: column i is (bucket, sign), read from the tables of
-its block of ``HASH_BLOCK`` consecutive row indices, which are hashed at
-once by the ``_hash_tables`` that ``gen_countsketch`` uses; column i is
-therefore the column i of ``gen_countsketch`` under the same seed.
-Subgaussian columns are (all rows, a Gaussian vector) drawn from one
-Philox counter-based generator per spec, re-keyed to counter i << 128
-for column i, which makes replays reproducible in any access order.
+Each sketch spec gives columns start..start+count-1 of its batch sketch
+as a matrix, so folding a block is ``block(start, count) @ rows`` for
+both kinds, and no stream length needs fixing in advance. A CountSketch
+block hashes exactly its own row indices with the ``_hash_tables`` that
+``gen_countsketch`` uses, so column i is the column i of
+``gen_countsketch`` under the same seed. Subgaussian column i is a
+Gaussian vector drawn from one Philox counter-based generator per spec,
+re-keyed to counter i << 128, which makes replays reproducible in any
+access order.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_vector, require_gap, thin_svd
-from .sketch import _hash_pair, _hash_tables, child_seeds
+from .sketch import _countsketch_csr, _hash_pair, _hash_tables, child_seeds
 from .solvers import PcrSolution, compressed_solve
 
-HASH_BLOCK = 4096          # CountSketch columns hashed per table
+STREAM_BLOCK = 256         # rows buffered and folded in at once
 
 
 class StreamingCountSketch:
@@ -43,16 +47,11 @@ class StreamingCountSketch:
         self.out_dim = out_dim
         self.seed = seed
         self._h, self._g = _hash_pair(seed)
-        self._block = None   # index of the block whose tables are held
 
-    def column(self, index):
-        """Column ``index`` as (rows, values): its one bucket and its sign."""
-        block, offset = divmod(index, HASH_BLOCK)
-        if block != self._block:
-            rows, signs = _hash_tables(self._h, self._g, HASH_BLOCK, self.out_dim,
-                                       start=block * HASH_BLOCK)
-            self._rows, self._signs, self._block = rows.tolist(), signs.tolist(), block
-        return self._rows[offset], self._signs[offset]
+    def block(self, start, count):
+        """Columns start..start+count-1 as an out_dim x count CSR matrix."""
+        rows, signs = _hash_tables(self._h, self._g, count, self.out_dim, start=start)
+        return _countsketch_csr(rows, signs, self.out_dim)
 
 
 class StreamingGaussian:
@@ -67,23 +66,25 @@ class StreamingGaussian:
         bitgen = np.random.Philox(key=seed)
         self._bitgen, self._rng = bitgen, np.random.Generator(bitgen)
         # The state of a fresh Philox(key=seed, counter=c): empty buffer, no
-        # cached 32-bit half; column() fills in the counter.
+        # cached 32-bit half; block() fills in the counter.
         self._state = bitgen.state
         self._counter = self._state["state"]["counter"]
 
-    def column(self, index):
-        """Column ``index`` < 2^64 as (rows, values): every row, a Gaussian
-        vector.
+    def block(self, start, count):
+        """Columns start..start+count-1 (indices < 2^64) as a dense
+        out_dim x count matrix.
 
-        Drawn as Generator(Philox(key=seed, counter=index << 128)) would draw
-        it, by re-keying the one generator to that counter; disjoint counter
-        blocks per row index keep the columns independent.
+        Column i is drawn as Generator(Philox(key=seed, counter=i << 128))
+        would draw it, by re-keying the one generator to that counter;
+        disjoint counter blocks per row index keep the columns independent.
         """
-        self._counter[2] = index   # the third 64-bit word: index << 128
-        self._bitgen.state = self._state
-        values = self._rng.standard_normal(self.out_dim)
-        values *= self._scale
-        return slice(None), values
+        cols = np.empty((count, self.out_dim))
+        for j, col in enumerate(cols):
+            self._counter[2] = start + j   # the third 64-bit word: i << 128
+            self._bitgen.state = self._state
+            self._rng.standard_normal(out=col)
+        cols *= self._scale
+        return cols.T
 
 
 def _make_spec(kind, rows, seed):
@@ -102,12 +103,17 @@ class StreamState:
     sa: np.ndarray = field(repr=False)
     ta: np.ndarray = field(repr=False)
     tb: np.ndarray = field(repr=False)
+    # The first rows_seen % STREAM_BLOCK rows of buf_a, and entries of
+    # buf_b, are not yet folded into the accumulators.
+    buf_a: np.ndarray = field(repr=False)
+    buf_b: np.ndarray = field(repr=False)
     rows_seen: int = 0
     finalized: bool = False
 
     def memory_bytes(self):
-        """Accumulator footprint; independent of rows_seen by construction."""
-        return self.sa.nbytes + self.ta.nbytes + self.tb.nbytes
+        """Accumulators plus the row buffer; independent of rows_seen by
+        construction."""
+        return sum(m.nbytes for m in (self.sa, self.ta, self.tb, self.buf_a, self.buf_b))
 
 
 def stream_init(d, s_rows, t_rows, seed, s_kind="countsketch", t_kind="countsketch"):
@@ -122,14 +128,28 @@ def stream_init(d, s_rows, t_rows, seed, s_kind="countsketch", t_kind="countsket
         sa=np.zeros((s_rows, d)),
         ta=np.zeros((t_rows, d)),
         tb=np.zeros(t_rows),
+        buf_a=np.empty((STREAM_BLOCK, d)),
+        buf_b=np.empty(STREAM_BLOCK),
     )
 
 
-def stream_update(st: StreamState, a_row, b_entry) -> StreamState:
-    """Fold one (row of A, entry of b) pair into the accumulators.
+def _fold(st, count):
+    """Add the first ``count`` buffered rows, which are stream rows
+    rows_seen-count..rows_seen-1, into the accumulators."""
+    start = st.rows_seen - count
+    a_blk, b_blk = st.buf_a[:count], st.buf_b[:count]
+    st.sa += st.s_spec.block(start, count) @ a_blk
+    t_blk = st.t_spec.block(start, count)
+    st.ta += t_blk @ a_blk
+    st.tb += t_blk @ b_blk
 
-    O(d) work for CountSketch, O(rows * d) for subgaussian. Mutates and
-    returns the state.
+
+def stream_update(st: StreamState, a_row, b_entry) -> StreamState:
+    """Take one (row of A, entry of b) pair into the stream.
+
+    The row is checked and buffered; every ``STREAM_BLOCK`` rows the buffer
+    is folded into the accumulators. A rejected row raises ValueError and
+    leaves the state as it was. Mutates and returns the state.
     """
     if st.finalized:
         raise RuntimeError("stream state was already finalized")
@@ -137,12 +157,12 @@ def stream_update(st: StreamState, a_row, b_entry) -> StreamState:
     b_entry = float(b_entry)
     if not math.isfinite(b_entry):
         raise ValueError("b entry is not finite")
-    rows, values = st.s_spec.column(st.rows_seen)
-    st.sa[rows] += np.multiply.outer(values, row)
-    rows, values = st.t_spec.column(st.rows_seen)
-    st.ta[rows] += np.multiply.outer(values, row)
-    st.tb[rows] += values * b_entry
+    pos = st.rows_seen % STREAM_BLOCK
+    st.buf_a[pos] = row
+    st.buf_b[pos] = b_entry
     st.rows_seen += 1
+    if pos + 1 == STREAM_BLOCK:
+        _fold(st, STREAM_BLOCK)
     return st
 
 
@@ -151,12 +171,15 @@ def stream_finalize(st: StreamState, k) -> PcrSolution:
 
     S A and T A R are each checked for rank k and a gap at k: a rank below
     k (fewer than k rows of T, say) raises RankDeficiencyError. Final work
-    is polynomial in d and the sketch sizes only. The state is consumed.
+    is polynomial in d and the sketch sizes only. The buffered rows are
+    folded in first, so the accumulators are complete; the state is
+    consumed.
     """
     if st.finalized:
         raise RuntimeError("stream state was already finalized")
     t0 = time.perf_counter()
     st.finalized = True
+    _fold(st, st.rows_seen % STREAM_BLOCK)
     f = thin_svd(st.sa)
     require_gap(f.sigma, k, st.sa.shape, "S A")
     r = f.lead(k).v
