@@ -99,8 +99,9 @@ def _parse_synthetic(spec_str, seed):
 
 
 def _is_svmlight(args):
-    """Whether --data is svmlight, any path but a .csv; else --dims is an error."""
-    svmlight = bool(args.data) and not args.data.endswith(".csv")
+    """Whether --data is svmlight, any path but a .csv (in any case); else
+    --dims is an error."""
+    svmlight = bool(args.data) and not args.data.lower().endswith(".csv")
     if args.dims is not None and not svmlight:
         raise CliError("--dims applies to svmlight input only")
     return svmlight

@@ -8,8 +8,9 @@ polynomial feature maps. All generators are pure functions of
 Every batch sketch is the matrix it stands for: ``gen_subgaussian``
 returns a dense ndarray and ``gen_countsketch`` a scipy CSR matrix with
 one +-1 per column, so applying a sketch is ``op @ a``. A TensorSketch
-keeps its q hash tables, builds its q levels as the same CSR CountSketch
-matrices and combines their images by one length-t circular convolution.
+keeps its q hash tables; it sums each level's CountSketch image of a
+batch straight from them with one ``np.bincount``, and combines the q
+images by one length-t circular convolution.
 
 Hash functions are realized as random polynomials over the Mersenne
 prime field 2^61 - 1 (degree 3 for bucket hashes, degree 4 for sign
@@ -124,13 +125,6 @@ class TensorSketch:
     out_dim: int
     row_tables: np.ndarray = field(repr=False)   # (degree, in_dim) bucket ids
     sign_tables: np.ndarray = field(repr=False)  # (degree, in_dim) +-1
-    levels: tuple = field(init=False, repr=False, compare=False)  # q CountSketch CSRs
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(
-            _countsketch_csr(rows, signs, self.out_dim)
-            for rows, signs in zip(self.row_tables, self.sign_tables)
-        ))
 
 
 def gen_subgaussian(out_dim, in_dim, seed):
@@ -198,15 +192,21 @@ def tensorsketch_apply(op, z):
     zs = as_matrix(np.atleast_2d(z), "z")
     if zs.shape[1] != op.in_dim:
         raise ValueError(f"z has {zs.shape[1]} features, expected {op.in_dim}")
-    images = (level @ zs.T for level in op.levels)  # (t, n) each, made one at a time
+    n, t = zs.shape[0], op.out_dim
+    offsets = np.arange(n)[:, None] * t
+    images = (  # (n, t) each, made one at a time: point i's buckets are i*t + rows
+        np.bincount((offsets + rows).ravel(), weights=(zs * signs).ravel(),
+                    minlength=n * t).reshape(n, t)
+        for rows, signs in zip(op.row_tables, op.sign_tables)
+    )
     if op.degree == 1:
         out = next(images)
     else:
-        spectrum = np.fft.rfft(next(images), axis=0)
+        spectrum = np.fft.rfft(next(images))
         for image in images:
-            spectrum *= np.fft.rfft(image, axis=0)
-        out = np.fft.irfft(spectrum, n=op.out_dim, axis=0)
-    return out[:, 0] if np.ndim(z) == 1 else out.T
+            spectrum *= np.fft.rfft(image)
+        out = np.fft.irfft(spectrum, n=t)
+    return out[0] if np.ndim(z) == 1 else out
 
 
 @dataclass(frozen=True)

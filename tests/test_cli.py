@@ -89,6 +89,19 @@ def test_csv_stream(tmp_path, capsys):
     assert f"{bad}:2: ragged row" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix", ["CSV", "Csv"])
+def test_csv_suffix_in_any_case(suffix, tmp_path):
+    text = "x1,x2,y\n1,2,3\n2,1,0\n0,1,1\n"
+    reports = []
+    for name in ("ab.csv", f"ab.{suffix}"):
+        (tmp_path / name).write_text(text)
+        out = tmp_path / f"{name}.json"
+        assert main(["solve", "--data", str(tmp_path / name), "--k", "1", "--out", str(out)]) == 0
+        assert main(STREAM + ["--data", str(tmp_path / name)]) == 0
+        reports.append(json.loads(out.read_text())["records"][0]["objective_over_b"])
+    assert reports[0] == reports[1]
+
+
 def test_solve_svmlight_honours_dims(tmp_path, capsys):
     path = tmp_path / "d.svm"
     path.write_text("1.0 1:2.0\n2.0 1:1.0 2:4.0\n3.0 2:1.0\n")
