@@ -58,7 +58,6 @@ from .solvers import (
     build_r_twosided,
     certify,
     cls,
-    exact_pcp,
     exact_pcr,
     input_sparsity_pcp,
     precond_iterative_ls,

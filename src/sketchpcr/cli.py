@@ -371,6 +371,9 @@ def cmd_sweep(args):
         if values and len(set(values)) < len(values):
             raise CliError(f"--{flag} repeats a value: {','.join(map(str, values))}")
     a, b, k_list = _load_problem(args)
+    if not np.any(b):
+        centered = " after --center-response" if args.center_response else ""
+        raise CliError(f"the response b is zero{centered}: no fit can be measured against |b|")
     problems = solvers.PcrProblem.for_ranks(a, b, k_list)
     report = run_sweep(problems, solver_list, args)
     emit_report(report, args.out)

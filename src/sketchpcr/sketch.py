@@ -12,13 +12,22 @@ keeps its q hash tables; it sums each level's CountSketch image of a
 batch straight from them with one ``np.bincount``, and combines the q
 images by one length-t circular convolution.
 
+Each plain kind has one column rule and one function for any range of
+columns of the seeded sketch, ``countsketch_columns`` and
+``subgaussian_columns``; the batch generators are their start-0 case,
+and the stream folds column blocks of the same sketches. CountSketch
+column i holds the sign g(i) in row h(i) mod out_dim. Subgaussian column
+i is row i mod B of ``default_rng([seed, i // B]).standard_normal((B,
+out_dim))`` times 1/sqrt(out_dim), B = ``SKETCH_BLOCK``, so no column
+depends on how many are drawn or in which order.
+
 Hash functions are realized as random polynomials over the Mersenne
 prime field 2^61 - 1 (degree 3 for bucket hashes, degree 4 for sign
 hashes), which gives the limited independence the sketches need while
 staying reproducible. A hash is evaluated vectorized over an array of
 keys, by Horner's rule in uint64 limbs with exact reduction modulo
-2^61 - 1; batch sketches and the stream's CountSketch share that one
-path (``_hash_tables``).
+2^61 - 1; CountSketch and TensorSketch share that one path
+(``_hash_tables``).
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ MERSENNE_P = (1 << 61) - 1
 HASH_DEGREE = 3
 SIGN_DEGREE = 4
 DEFAULT_GRAM_CONST = 8.0
+SKETCH_BLOCK = 256         # Gaussian columns per generator; part of the draw rule
 
 
 class PolyHash:
@@ -112,12 +122,6 @@ def _hash_tables(h, g, in_dim, out_dim, start=0):
     return rows, signs
 
 
-def _countsketch_csr(rows, signs, out_dim):
-    """The out_dim x len(rows) CountSketch matrix: column j holds signs[j] in row rows[j]."""
-    in_dim = len(rows)
-    return sp.csr_matrix((signs, (rows, np.arange(in_dim))), shape=(out_dim, in_dim))
-
-
 @dataclass(frozen=True)
 class TensorSketch:
     degree: int
@@ -127,20 +131,47 @@ class TensorSketch:
     sign_tables: np.ndarray = field(repr=False)  # (degree, in_dim) +-1
 
 
+def countsketch_columns(out_dim, start, count, hashes):
+    """Columns start..start+count-1 of the CountSketch with bucket and sign
+    hashes ``hashes = _hash_pair(seed)``, as an out_dim x count CSR matrix."""
+    rows, signs = _hash_tables(*hashes, count, out_dim, start)
+    return sp.csr_matrix((signs, (rows, np.arange(count))), shape=(out_dim, count))
+
+
+def subgaussian_columns(out_dim, start, count, seed):
+    """Columns start..start+count-1 of the seeded N(0, 1/out_dim) sketch, as
+    an out_dim x count ndarray (the transpose of a C-ordered array).
+
+    Each generator block is drawn only up to the last column asked for,
+    which its sequential draw makes a prefix of the whole block; the
+    block's columns before ``start`` are drawn and dropped.
+    """
+    cols = np.empty((count, out_dim))   # row j is column start + j
+    stop, i = start + count, start
+    while i < stop:
+        blk, lo = divmod(i, SKETCH_BLOCK)
+        end = min(stop, (blk + 1) * SKETCH_BLOCK)
+        rng = np.random.default_rng([seed, blk])
+        if lo:
+            rng.standard_normal((lo, out_dim))
+        rng.standard_normal(out=cols[i - start:end - start])
+        i = end
+    cols *= 1.0 / math.sqrt(out_dim)
+    return cols.T
+
+
 def gen_subgaussian(out_dim, in_dim, seed):
     """Dense i.i.d. N(0, 1/out_dim) sketch, so S^T S = I in expectation."""
     if out_dim < 1 or in_dim < 1:
         raise ValueError("sketch dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((out_dim, in_dim)) / math.sqrt(out_dim)
+    return subgaussian_columns(out_dim, 0, in_dim, seed)
 
 
 def gen_countsketch(out_dim, in_dim, seed):
     """Sparse CSR embedding with exactly one random +-1 per column."""
     if out_dim < 1 or in_dim < 1:
         raise ValueError("sketch dimensions must be positive")
-    rows, signs = _hash_tables(*_hash_pair(seed), in_dim, out_dim)
-    return _countsketch_csr(rows, signs, out_dim)
+    return countsketch_columns(out_dim, 0, in_dim, _hash_pair(seed))
 
 
 def gen_tensorsketch(q, in_dim, out_dim, seed):

@@ -192,12 +192,6 @@ def exact_pcr(p: PcrProblem) -> PcrSolution:
     )
 
 
-def exact_pcp(p: PcrProblem) -> np.ndarray:
-    """Projection of b onto the span of the top-k left singular vectors."""
-    f = _checked_reference(p)
-    return f.u @ (f.u.T @ p.b)
-
-
 # ---------------------------------------------------------------------------
 # Compression factors R: plain d x s matrices, dense or scipy sparse.
 

@@ -12,15 +12,13 @@ function of the sketch sizes and d only, never of the number of rows
 seen. The final solve is the solvers' one rule,
 :func:`sketchpcr.solvers.compressed_solve`, on T A R and T b.
 
-Each sketch spec gives columns start..start+count-1 of its batch sketch
-as a matrix, so folding a block is ``block(start, count) @ rows`` for
-both kinds, and no stream length needs fixing in advance. A CountSketch
-block hashes exactly its own row indices with the ``_hash_tables`` that
-``gen_countsketch`` uses, so column i is the column i of
-``gen_countsketch`` under the same seed. Subgaussian column i is a
-Gaussian vector drawn from one Philox counter-based generator per spec,
-re-keyed to counter i << 128, which makes replays reproducible in any
-access order.
+The stream's S and T are the batch sketches themselves: a spec's
+``block(start, count)`` is columns start..start+count-1 of
+``gen_countsketch`` or ``gen_subgaussian`` under the spec's seed, by
+the column functions of :mod:`sketchpcr.sketch`. So folding a block is
+``block(start, count) @ rows`` for both kinds, no stream length needs
+fixing in advance, and a stream of n rows equals the batch estimator
+on the n-column sketches.
 """
 
 from __future__ import annotations
@@ -32,74 +30,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_vector, require_gap, thin_svd
-from .sketch import _countsketch_csr, _hash_pair, _hash_tables, child_seeds
+from .sketch import _hash_pair, child_seeds, countsketch_columns, subgaussian_columns
 from .solvers import PcrSolution, compressed_solve
 
 STREAM_BLOCK = 256         # rows buffered and folded in at once
 
 
-class StreamingCountSketch:
-    """CountSketch over an unbounded column index, one +-1 per column."""
+class SketchSpec:
+    """The seeded batch sketch of one kind, read a column block at a time."""
 
-    kind = "countsketch"
-
-    def __init__(self, out_dim, seed):
-        self.out_dim = out_dim
-        self.seed = seed
-        self._h, self._g = _hash_pair(seed)
-
-    def block(self, start, count):
-        """Columns start..start+count-1 as an out_dim x count CSR matrix."""
-        rows, signs = _hash_tables(self._h, self._g, count, self.out_dim, start=start)
-        return _countsketch_csr(rows, signs, self.out_dim)
-
-
-class StreamingGaussian:
-    """Subgaussian sketch whose column i is replayable from (seed, i)."""
-
-    kind = "subgaussian"
-
-    def __init__(self, out_dim, seed):
-        self.out_dim = out_dim
-        self.seed = seed
-        self._scale = 1.0 / math.sqrt(out_dim)
-        bitgen = np.random.Philox(key=seed)
-        self._bitgen, self._rng = bitgen, np.random.Generator(bitgen)
-        # The state of a fresh Philox(key=seed, counter=c): empty buffer, no
-        # cached 32-bit half; block() fills in the counter.
-        self._state = bitgen.state
-        self._counter = self._state["state"]["counter"]
+    def __init__(self, kind, out_dim, seed):
+        if kind not in ("countsketch", "subgaussian"):
+            raise ValueError(f"unknown streaming sketch kind {kind!r}")
+        self.kind, self.out_dim, self.seed = kind, out_dim, seed
+        self._hashes = _hash_pair(seed) if kind == "countsketch" else None  # drawn once
 
     def block(self, start, count):
-        """Columns start..start+count-1 (indices < 2^64) as a dense
-        out_dim x count matrix.
-
-        Column i is drawn as Generator(Philox(key=seed, counter=i << 128))
-        would draw it, by re-keying the one generator to that counter;
-        disjoint counter blocks per row index keep the columns independent.
-        """
-        cols = np.empty((count, self.out_dim))
-        for j, col in enumerate(cols):
-            self._counter[2] = start + j   # the third 64-bit word: i << 128
-            self._bitgen.state = self._state
-            self._rng.standard_normal(out=col)
-        cols *= self._scale
-        return cols.T
-
-
-def _make_spec(kind, rows, seed):
-    if kind == "countsketch":
-        return StreamingCountSketch(rows, seed)
-    if kind == "subgaussian":
-        return StreamingGaussian(rows, seed)
-    raise ValueError(f"unknown streaming sketch kind {kind!r}")
+        """Columns start..start+count-1 of the sketch, as a matrix."""
+        if self.kind == "countsketch":
+            return countsketch_columns(self.out_dim, start, count, self._hashes)
+        return subgaussian_columns(self.out_dim, start, count, self.seed)
 
 
 @dataclass
 class StreamState:
     d: int
-    s_spec: object
-    t_spec: object
+    s_spec: SketchSpec
+    t_spec: SketchSpec
     sa: np.ndarray = field(repr=False)
     ta: np.ndarray = field(repr=False)
     tb: np.ndarray = field(repr=False)
@@ -123,8 +80,8 @@ def stream_init(d, s_rows, t_rows, seed, s_kind="countsketch", t_kind="countsket
     seed_s, seed_t = child_seeds(seed, 2)
     return StreamState(
         d=d,
-        s_spec=_make_spec(s_kind, s_rows, seed_s),
-        t_spec=_make_spec(t_kind, t_rows, seed_t),
+        s_spec=SketchSpec(s_kind, s_rows, seed_s),
+        t_spec=SketchSpec(t_kind, t_rows, seed_t),
         sa=np.zeros((s_rows, d)),
         ta=np.zeros((t_rows, d)),
         tb=np.zeros(t_rows),

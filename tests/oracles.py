@@ -3,17 +3,24 @@
 These deliberately avoid the code paths under test: the SVD oracle is a
 one-sided Jacobi iteration rather than LAPACK, feature maps are built by
 explicit enumeration, CountSketch hash tables by evaluating the hash
-polynomials one key at a time, and subspace distances come straight from
-projector differences. ``write_svmlight`` writes what
+polynomials one key at a time, Gaussian sketch columns one at a time
+from their whole generator block, and subspace distances come straight
+from projector differences. ``write_svmlight`` writes what
 ``sketchpcr.io.load_svmlight`` must read back bit for bit.
 """
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+import sketchpcr
 from sketchpcr.sketch import MERSENNE_P, _hash_pair
 
 
@@ -116,6 +123,29 @@ def countsketch_dense(out_dim, in_dim, seed):
     return m
 
 
+GAUSSIAN_BLOCK = 256   # columns per generator in the subgaussian draw rule
+
+
+def sketch_column(kind, out_dim, i, seed):
+    """Column i of the seeded sketch of ``kind``, as a dense vector, from
+    the rule itself: the CountSketch's bucket and sign polynomials at key
+    i, or row i mod 256 of the whole 256 x out_dim block that
+    ``default_rng([seed, i // 256])`` draws, times 1/sqrt(out_dim)."""
+    if kind == "countsketch":
+        h, g = _hash_pair(seed)
+        col = np.zeros(out_dim)
+        col[poly(h.coeffs, i) % out_dim] = 1.0 if poly(g.coeffs, i) % 2 == 0 else -1.0
+        return col
+    rng = np.random.default_rng([seed, i // GAUSSIAN_BLOCK])
+    return rng.standard_normal((GAUSSIAN_BLOCK, out_dim))[i % GAUSSIAN_BLOCK] * (
+        1 / math.sqrt(out_dim))
+
+
+def sketch_columns(kind, out_dim, n, seed):
+    """Columns 0..n-1 of the seeded sketch of ``kind``, drawn one at a time."""
+    return np.column_stack([sketch_column(kind, out_dim, i, seed) for i in range(n)])
+
+
 def countsketch_apply_loop(out_dim, seed, a):
     """S @ a by a plain loop over the columns of S, summing in index order."""
     a = np.asarray(a, dtype=float)
@@ -186,3 +216,15 @@ def write_svmlight(path, x, b):
             pairs = " ".join(f"{j + 1}:{float(v)!r}"
                              for j, v in zip(x.indices[lo:hi], x.data[lo:hi]))
             fh.write(f"{float(b[i])!r} {pairs}".rstrip() + "\n")
+
+
+def run_at_blas_threads(script, threads):
+    """The JSON that ``script`` prints, run in a fresh interpreter whose BLAS
+    uses ``threads`` threads: one run is the reference for another."""
+    src = str(Path(sketchpcr.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return json.loads(out)

@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 
 from sketchpcr import evaluation as ev
 from sketchpcr import io as data_io
-from sketchpcr import kernel, sketch, solvers
+from sketchpcr import cli, kernel, sketch, solvers
 from sketchpcr.cli import SOLVERS, _parse_synthetic, main
 
 STREAM = ["stream", "--k", "1", "--s", "2", "--t", "2"]
@@ -140,6 +140,26 @@ def test_center_response_centers_b_of_every_input(kind, tmp_path):
     sol = solvers.exact_pcr(solvers.PcrProblem(a=a, b=b, k=k))
     got = json.loads(out.read_text())["records"][0]["objective_over_b"]
     assert got == pytest.approx(sol.objective / np.linalg.norm(b), rel=1e-12)
+
+
+@pytest.mark.parametrize("response, flags, said", [
+    (0.0, [], "the response b is zero:"),
+    (2.0, ["--center-response"], "the response b is zero after --center-response:"),
+], ids=["zero", "constant-centered"])
+def test_a_zero_response_exits_1_before_any_cell(response, flags, said, tmp_path, capsys,
+                                                  monkeypatch):
+    a = np.random.default_rng(5).standard_normal((40, 5))
+    path = tmp_path / "ab.csv"
+    np.savetxt(path, np.column_stack([a, np.full(40, response)]), delimiter=",")
+    data = ["--data", str(path), "--k", "2"]
+    # stream and kernel fit a zero b; they report no ratio to |b|
+    assert main(["stream", *data, "--ratio", "4"]) == 0
+    assert main(["kernel", *data, *flags]) == 0
+    monkeypatch.setattr(cli, "_record_for", lambda *args: pytest.fail("a cell ran"))
+    for task in ("solve", "sweep"):
+        capsys.readouterr()
+        assert main([task, *data, *flags, "--solver", "exact,left", "--ratio", "4"]) == 1
+        assert said in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

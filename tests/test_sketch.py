@@ -11,6 +11,7 @@ from sketchpcr.sketch import (
     HASH_DEGREE,
     MERSENNE_P,
     SIGN_DEGREE,
+    SKETCH_BLOCK,
     PolyHash,
     apply_left,
     gen_countsketch,
@@ -27,6 +28,7 @@ from oracles import (
     poly,
     poly_feature_vector,
     poly_features,
+    sketch_columns,
     tensorsketch_bruteforce,
     tensorsketch_materialize,
 )
@@ -43,6 +45,19 @@ class TestSubgaussian:
         op = gen_subgaussian(2000, 50, seed=1)
         norms = np.linalg.norm(op, axis=0)
         assert norms.min() > 0.8 and norms.max() < 1.2
+
+    @pytest.mark.parametrize("out_dim, in_dim", [
+        (3, 1), (24, SKETCH_BLOCK), (5, 2 * SKETCH_BLOCK + 7), (700, 4)])
+    def test_columns_are_the_oracle_columns(self, out_dim, in_dim):
+        op = gen_subgaussian(out_dim, in_dim, seed=8)
+        assert np.array_equal(op, sketch_columns("subgaussian", out_dim, in_dim, 8))
+
+    @settings(max_examples=40, deadline=None)
+    @given(out_dim=st.integers(1, 30), m=st.integers(1, 3 * SKETCH_BLOCK),
+           extra=st.integers(1, 2 * SKETCH_BLOCK), seed=st.integers(0, 2**63 - 1))
+    def test_a_narrower_sketch_is_a_prefix_of_a_wider_one(self, out_dim, m, extra, seed):
+        wide = gen_subgaussian(out_dim, m + extra, seed)
+        assert np.array_equal(gen_subgaussian(out_dim, m, seed), wide[:, :m])
 
     def test_basis_vector_reproduces_column(self):
         op = gen_subgaussian(6, 5, seed=2)

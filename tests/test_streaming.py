@@ -1,24 +1,15 @@
-import json
-import math
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import sketchpcr
-from oracles import countsketch_dense
+from oracles import run_at_blas_threads, sketch_column, sketch_columns
 from sketchpcr.errors import RankDeficiencyError
 from sketchpcr.evaluation import planted_matrix
-from sketchpcr.sketch import PolyHash, apply_left, gen_countsketch
+from sketchpcr.sketch import PolyHash, apply_left, gen_countsketch, gen_subgaussian
 from sketchpcr.solvers import PcrProblem, build_r_left
 from sketchpcr.streaming import (
     STREAM_BLOCK,
-    StreamingCountSketch,
-    StreamingGaussian,
+    SketchSpec,
     stream_finalize,
     stream_init,
     stream_update,
@@ -42,9 +33,17 @@ def run_stream(a, b, s_kind, t_kind, seed=61):
     return st
 
 
-def explicit_sketch(spec, n):
-    """The batch sketch whose column i the stream spec draws for row i."""
-    m = spec.block(0, n)
+def batch_sketch(kind, out_dim, n, seed):
+    """The batch generator's sketch of ``kind``, as a dense array."""
+    if kind == "countsketch":
+        return gen_countsketch(out_dim, n, seed).toarray()
+    return gen_subgaussian(out_dim, n, seed)
+
+
+def dense_block(spec, start, count):
+    """Columns start..start+count-1 of the spec's sketch, the ones the
+    stream draws for rows start..start+count-1, as a dense array."""
+    m = spec.block(start, count)
     return m.toarray() if sp.issparse(m) else m
 
 
@@ -54,8 +53,8 @@ class TestStreaming:
         a, b = planted_problem()
         st = run_stream(a, b, s_kind, t_kind)
         x = stream_finalize(st, K).x
-        s_op = explicit_sketch(st.s_spec, N)
-        t_op = explicit_sketch(st.t_spec, N)
+        s_op = dense_block(st.s_spec, 0, N)
+        t_op = dense_block(st.t_spec, 0, N)
         r = build_r_left(PcrProblem(a=a, b=b, k=K), s_op)
         want = r @ np.linalg.lstsq(apply_left(t_op, a) @ r, apply_left(t_op, b[:, None]).ravel(),
                                    rcond=None)[0]
@@ -66,12 +65,9 @@ class TestStreaming:
         a, b = planted_problem()
         st = run_stream(a, b, kind, kind)
         stream_finalize(st, K)   # the accumulators are complete once finalized
-        s_mat, t_mat = explicit_sketch(st.s_spec, N), explicit_sketch(st.t_spec, N)
-        if kind == "countsketch":
-            for spec, mat in ((st.s_spec, s_mat), (st.t_spec, t_mat)):
-                assert np.array_equal(mat, gen_countsketch(spec.out_dim, N, spec.seed).toarray())
-        else:
-            assert np.all(s_mat != 0) and np.all(t_mat != 0)
+        s_mat, t_mat = dense_block(st.s_spec, 0, N), dense_block(st.t_spec, 0, N)
+        for spec, mat in ((st.s_spec, s_mat), (st.t_spec, t_mat)):
+            assert np.array_equal(mat, batch_sketch(kind, spec.out_dim, N, spec.seed))
         assert np.allclose(st.sa, s_mat @ a, rtol=1e-12, atol=1e-12)
         assert np.allclose(st.ta, t_mat @ a, rtol=1e-12, atol=1e-12)
         assert np.allclose(st.tb, t_mat @ b, rtol=1e-12, atol=1e-12)
@@ -101,18 +97,21 @@ class TestStreaming:
             stream_finalize(st, 5)
 
 
+BLOCK_EDGES = [1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 2 * STREAM_BLOCK + 7]
+KINDS = ["countsketch", "subgaussian"]
+
+
 class TestColumnReplay:
-    def test_gaussian_column_is_a_philox_keyed_on_its_index(self):
-        out, seed = 24, 987654321
-        spec = StreamingGaussian(out, seed)
-        for i in (0, 3, 7, 2**33, 7, 3, 7):   # out of order and repeated
-            values = spec.block(i, 1)
-            want = np.random.Generator(np.random.Philox(key=seed, counter=i << 128))
-            assert values.shape == (out, 1)
-            assert np.array_equal(values[:, 0], want.standard_normal(out) * (1 / math.sqrt(out)))
+    def test_columns_replay_in_any_order_and_at_large_indices(self):
+        for kind in KINDS:
+            spec = SketchSpec(kind, 24, 987654321)
+            for i in (0, 3, 7, 255, 256, 2**33, 7, 2**33 + 300, 3, 7):   # out of order, repeated
+                col = dense_block(spec, i, 1)
+                assert col.shape == (24, 1)
+                assert np.array_equal(col[:, 0], sketch_column(kind, 24, i, 987654321))
 
     def test_countsketch_columns_across_hash_blocks(self):
-        spec = StreamingCountSketch(40, 55)
+        spec = SketchSpec("countsketch", 40, 55)
         batch = gen_countsketch(40, 10_000, 55).tocsc()
         for i in (4095, 4096, 8191, 8192, 9999, 0, 8192):
             col = spec.block(i, 1).tocsc()
@@ -122,27 +121,22 @@ class TestColumnReplay:
 
     def test_blocks_straddling_4096_are_the_batch_columns(self):
         start, m, out = 4090, 13, 40
-        cs = StreamingCountSketch(out, 55)
-        batch = gen_countsketch(out, start + m, 55).toarray()
-        assert np.array_equal(cs.block(start, m).toarray(), batch[:, start:])
-        gs = StreamingGaussian(out, 56)
-        for j, col in enumerate(gs.block(start, m).T):
-            want = np.random.Generator(np.random.Philox(key=56, counter=(start + j) << 128))
-            assert np.array_equal(col, want.standard_normal(out) * (1 / math.sqrt(out)))
+        for kind in KINDS:
+            block = dense_block(SketchSpec(kind, out, 55), start, m)
+            assert np.array_equal(block, batch_sketch(kind, out, start + m, 55)[:, start:])
 
-
-BLOCK_EDGES = [1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 2 * STREAM_BLOCK + 7]
-
-
-def oracle_columns(spec, n):
-    """Columns 0..n-1 of the spec's sketch, drawn without the spec: the
-    CountSketch from its hash polynomials one key at a time, the Gaussian
-    from one fresh Philox generator per column."""
-    if spec.kind == "countsketch":
-        return countsketch_dense(spec.out_dim, n, spec.seed)
-    return np.column_stack([
-        np.random.Generator(np.random.Philox(key=spec.seed, counter=i << 128))
-        .standard_normal(spec.out_dim) / math.sqrt(spec.out_dim) for i in range(n)])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_stream_folds_are_the_batch_columns(self, n, kind):
+        # The folds a stream of n rows reads, the last one empty when n is a
+        # multiple of STREAM_BLOCK, are the batch sketch and the oracle's columns.
+        spec = SketchSpec(kind, 24, 76)
+        folds = [dense_block(spec, start, min(STREAM_BLOCK, n - start))
+                 for start in range(0, n + 1, STREAM_BLOCK)]
+        assert folds[-1].shape[1] == n % STREAM_BLOCK
+        stream = np.hstack(folds)
+        assert np.array_equal(stream, batch_sketch(kind, 24, n, 76))
+        assert np.array_equal(stream, sketch_columns(kind, 24, n, 76))
 
 
 def rel_err(got, want):
@@ -159,7 +153,8 @@ class TestBlockFold:
         for row, b_entry in zip(a, b):
             stream_update(st, row, b_entry)
         stream_finalize(st, 1)
-        s_cols, t_cols = oracle_columns(st.s_spec, n), oracle_columns(st.t_spec, n)
+        s_cols, t_cols = (sketch_columns(spec.kind, spec.out_dim, n, spec.seed)
+                          for spec in (st.s_spec, st.t_spec))
         sa, ta, tb = np.zeros((24, D)), np.zeros((60, D)), np.zeros(60)
         for i in range(n):
             sa += np.multiply.outer(s_cols[:, i], a[i])
@@ -224,13 +219,5 @@ json.dump(stream_finalize(st, k).x.tolist(), sys.stdout)
 
 
 def test_stream_x_does_not_depend_on_the_blas_thread_count():
-    src = str(Path(sketchpcr.__file__).resolve().parent.parent)
-    xs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", STREAM_SCRIPT], env=env, check=True,
-                             capture_output=True, text=True, timeout=120).stdout
-        xs.append(np.array(json.loads(out)))
+    xs = [np.array(run_at_blas_threads(STREAM_SCRIPT, threads)) for threads in ("1", "2")]
     assert rel_err(xs[1], xs[0]) <= 1e-12
