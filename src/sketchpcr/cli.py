@@ -108,7 +108,8 @@ def _is_svmlight(args):
 
 
 def _load_problem(args, pcr_rank=True):
-    """A, b (centered under --center-response) and the ranks. A PCR rank
+    """A, b (centered under --center-response, and then exactly zero if
+    all that is left is rounding) and the ranks. A PCR rank
     below the planted rank of --synthetic is rejected: the top singular
     values of a planted A are equal."""
     if args.synthetic and args.data:
@@ -126,7 +127,11 @@ def _load_problem(args, pcr_rank=True):
     else:
         raise CliError("one of --data or --synthetic is required")
     if args.center_response:
-        b = b - b.mean()
+        mean = b.mean()
+        b = b - mean
+        # Of a constant response, centering leaves only the rounding of the mean.
+        if np.abs(b).max() <= len(b) * np.finfo(float).eps * abs(mean):
+            b = np.zeros_like(b)
     k_list = args.k if args.k else ([default_k] if default_k else None)
     if not k_list:
         raise CliError("--k is required for this dataset")

@@ -9,7 +9,9 @@ batched call over all rows, and solves in the t-dimensional sketched
 feature space on the t x t Gram matrix (Phi R)^T (Phi R). Both end in one
 Gram rule, which rejects an overflowed Gram matrix and takes its top k+1
 eigenpairs with one rank floor and gap check
-(:func:`sketchpcr.linalg.top_eigenpairs`). A model keeps ``fitted``, its
+(:func:`sketchpcr.linalg.top_eigenpairs`: numpy-only Lanczos, whose
+seeded restarts find every copy of a repeated eigenvalue, as a planted
+kernel's equal top eigenvalues are). A model keeps ``fitted``, its
 predictions on the training rows. The non-homogeneous offset c is
 handled by appending a constant sqrt(c) feature to every data point.
 """

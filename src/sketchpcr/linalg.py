@@ -9,11 +9,16 @@ A thin SVD is one record, :class:`Svd`: every singular value, and all
 columns of U and V or their leading ones. It stores no split index;
 each reader slices at its own k.
 
-The eigensolver is implicitly restarted Lanczos (ARPACK, through
-``scipy.sparse.linalg.eigsh``): O(m^2 k) on an m x m matrix against the
-O(m^3) of a dense tridiagonal reduction, converged to machine precision
-from a fixed seeded start vector, so a result is bit-reproducible.
-ARPACK needs k+1 < m; only k >= m - 1 takes the dense ``eigh``.
+The eigensolver (:func:`_lanczos`) is Lanczos with full
+reorthogonalization, locking and seeded restarts, in numpy alone: one
+product with the m x m matrix a step, against the O(m^3) of a dense
+tridiagonal reduction. Its restarts find every copy of a repeated
+eigenvalue, which one Krylov chain cannot, and its random vectors come
+from a fixed seed, so a result is bit-reproducible. It needs k+1 < m;
+only k >= m - 1 takes the dense ``eigh``. Nothing here calls scipy:
+ARPACK's ``eigsh`` runs its own BLAS calls on the OpenBLAS that the scipy
+wheel bundles, beside numpy's products on the one that the numpy wheel
+bundles, and the two thread pools contend for the same cores.
 
 Everything here is deterministic. Matrices are plain 2-D float64
 ``numpy.ndarray`` objects; bases are matrices with orthonormal columns.
@@ -27,14 +32,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import ConvergenceError, GapError, RankDeficiencyError
 
 ORTHO_TOL = 1e-10
 GAP_TOL = 1e-12
 EIG_CLAMP = 1e-9   # relative floor below which eigenvalues count as zero
+# Lanczos (``top_eigenpairs``):
+RESIDUAL_TOL = 1e-12      # a pair converges at |G u - theta u| <= RESIDUAL_TOL |theta_1|
+RITZ_EVERY = 4            # least steps between Rayleigh-Ritz checks
+MISSED_PROB = 1e-6        # a restart chain's chance to miss an eigenvalue that matters
+TIE_MARGIN = 1e-2         # a tie at k stands unless a missed eigenvalue lies this
+                          # far above it, relative to lambda_1
+LANCZOS_MAX_STEPS = 300   # steps allowed beyond the (k+1)^2 of k+1 restart chains
 
 
 def as_matrix(a, name="matrix"):
@@ -195,6 +205,137 @@ def require_gap(sigma, k, shape, what):
         raise GapError(f"{what} has a vanishing eigengap at k={k}")
 
 
+def _lanczos(gram, k, what):
+    """The k+1 largest eigenpairs of the symmetric PSD m x m ``gram``,
+    k+1 < m, largest first: Lanczos with full reorthogonalization, locking
+    and seeded restarts.
+
+    Each step takes one product G q_j and orthogonalizes it twice against
+    the locked eigenvectors and the current chain; the chain coefficients
+    of both passes fill column j of the chain's projected matrix Q^T G Q.
+    Every ``RITZ_EVERY`` steps, or every eighth of the chain's length when
+    that is more (each test costs an ``eigh`` of that matrix), its Ritz
+    pairs (rho, u) are tested by their explicit residuals |G u - rho u|,
+    G u formed from the stored products, against ``RESIDUAL_TOL`` times
+    the largest eigenvalue seen.
+
+    A chain holds one copy of a repeated eigenvalue. So once the first
+    chain's top k+1 pairs converge, they are locked, and a new chain starts
+    from a seeded random vector orthogonal to them: Lanczos on G with the
+    locked pairs deflated, where any missed copy now is (the several start
+    vectors of block Krylov methods, as in Musco & Musco, NeurIPS 2015,
+    taken one after another). The top k+1 locked values stand once such a
+    chain has run at least k+1 steps and its largest Ritz value rho_j after
+    j steps lies below (1 - eps_j) tau, with eps_j = (ln(1.648 sqrt(m) /
+    ``MISSED_PROB``) / (2j - 1))^2 and tau from :func:`_missed_floor`. By
+    the random-start bound of Kuczynski & Wozniakowski (SIAM J. Matrix
+    Anal. Appl. 13, 1992), a missed eigenvalue above tau leaves rho_j that
+    low with probability at most ``MISSED_PROB``; a chain whose Krylov
+    space has run out has rho_j exact, and needs only rho_j <= tau. If
+    instead the chain's top pair converges at or above tau (a missed
+    eigenvalue), or so near tau that k+1 more steps would not rule it out,
+    it is locked too and a new chain starts. A chain that runs out
+    continues from a random vector. ConvergenceError after
+    LANCZOS_MAX_STEPS + (k+1)^2 steps.
+    """
+    m, p = gram.shape[0], k + 1
+    budget = LANCZOS_MAX_STEPS + p * p
+    rows = min(m, budget)
+    log_bound = np.log(1.648 * np.sqrt(m) / MISSED_PROB)
+    rng = np.random.default_rng(0)
+    basis = np.empty((rows, m))      # the locked eigenvectors, then the chain
+    products = np.empty((rows, m))   # G q for the chain's rows
+    proj = np.empty((rows, rows))    # the chain's Q^T G Q
+    locked = 0                       # basis[:locked] are eigenvectors ...
+    values = np.empty(0)             # ... with these eigenvalues
+    row, check_at = 0, p             # the chain is basis[locked:row]
+    ran_out = False                  # whether the chain's Krylov space ran out
+    g_norm = 0.0                     # the largest |G q| so far
+    nxt = rng.standard_normal(m)
+    for _ in range(budget):
+        basis[row] = nxt / np.linalg.norm(nxt)
+        products[row] = gram @ basis[row]
+        g_norm = max(g_norm, np.linalg.norm(products[row]))
+        q = basis[:row + 1]
+        coef = q @ products[row]
+        nxt = products[row] - coef @ q
+        first = np.linalg.norm(nxt)
+        again = q @ nxt
+        nxt -= again @ q
+        coef += again
+        proj[locked:row + 1, row] = proj[row, locked:row + 1] = coef[locked:]
+        row += 1
+        # The chain has run out when what is left is below the residual
+        # tolerance, or is rounding: by Kahan's twice is enough, that is when
+        # the second pass removes most of what the first left.
+        fresh = np.linalg.norm(nxt) <= max(first / np.sqrt(2.0), RESIDUAL_TOL * g_norm)
+        ran_out |= fresh
+        length = row - locked
+        if length >= check_at or row == m:
+            check_at = length + max(RITZ_EVERY, length // 8)
+            rho, y = np.linalg.eigh(proj[locked:row, locked:row])
+            rho, y = rho[::-1], y[:, ::-1]
+            scale = max(np.abs(rho).max(), np.abs(values).max(initial=0.0))
+            tol = RESIDUAL_TOL * scale
+            need = max(p - locked, 1)
+            norms = np.linalg.norm(products[locked:row].T @ y[:, :need]
+                                   - basis[locked:row].T @ (y[:, :need] * rho[:need]), axis=0)
+            lock, done = 0, row == m
+            if done:                       # the basis spans everything: all exact
+                lock = length
+            elif locked < p:               # the first chain
+                lock = p if np.all(norms <= tol) else 0
+            else:                          # a restart chain
+                tau = _missed_floor(np.sort(values)[::-1], k)
+
+                def floor(j):   # rho_j at most this rules out a missed value above tau
+                    return tau if ran_out else (1 - (log_bound / (2 * j - 1)) ** 2) * tau
+
+                done = rho[0] <= floor(length)
+                if not done and norms[0] <= tol and (rho[0] >= tau
+                                                     or 0 < floor(length + p) < rho[0]):
+                    lock = 1   # a missed eigenvalue, or one too near tau to rule out soon
+            if lock:
+                found = y[:, :lock].T @ basis[locked:row]
+                basis[locked:locked + lock] = found
+                values = np.concatenate([values, rho[:lock]])
+                locked += lock
+            if done:
+                order = np.argsort(values)[::-1][:p]
+                return values[order], basis[order].T
+            if lock:                       # a new chain
+                row, check_at, ran_out, fresh = locked, p, False, True
+        if fresh:
+            nxt = _orthogonal(rng.standard_normal(m), basis[:row])
+    raise ConvergenceError(
+        f"{what}: Lanczos reached its cap of {budget} steps before a restart confirmed "
+        f"the top {p} eigenpairs ({min(locked, p)} converged)")
+
+
+def _missed_floor(theta, k):
+    """The least eigenvalue that, missed beside the nonincreasing values
+    ``theta`` found, would change the verdict of ``top_eigenpairs`` at k.
+
+    Under the rank floor, one above the floor. Under a tie at k, one more
+    than ``TIE_MARGIN`` lambda_1 above the tie: a nearer one would make the
+    verdict a GapError on a gap below that margin, which errs on the side
+    of refusing. Otherwise, a copy of theta_k: one at theta_k less the gap
+    floor.
+    """
+    if theta[k - 1] <= EIG_CLAMP * theta[0]:
+        return EIG_CLAMP * theta[0]
+    if theta[k - 1] - theta[k] < GAP_TOL * theta[0]:
+        return theta[k - 1] + TIE_MARGIN * theta[0]
+    return theta[k - 1] - GAP_TOL * theta[0]
+
+
+def _orthogonal(z, q):
+    """z made orthogonal to the orthonormal rows of q by two passes."""
+    for _ in range(2):
+        z -= (q @ z) @ q
+    return z
+
+
 def top_eigenpairs(gram, k, what):
     """The k largest eigenpairs of a symmetric PSD matrix, largest first.
 
@@ -202,27 +343,15 @@ def top_eigenpairs(gram, k, what):
     dense ``eigh``: the k kept ones and the one that sets the gap. Raises
     RankDeficiencyError unless lambda_k > EIG_CLAMP lambda_1, GapError unless
     (lambda_k - lambda_{k+1}) / lambda_1 is at least GAP_TOL, and
-    ConvergenceError if Lanczos does not converge.
-
-    Known defect (ROADMAP.md, item 2): single-vector Lanczos can return
-    later eigenvalues in place of copies of a repeated top eigenvalue, and
-    every ``--synthetic`` input has equal top singular values.
+    ConvergenceError if Lanczos does not converge. Every copy of a repeated
+    eigenvalue counts; Lanczos confirms its answer by a restart.
     """
     n = gram.shape[0]
     if k + 1 < n:
-        if not gram.any():   # Lanczos cannot start: every Krylov vector is zero
-            raise RankDeficiencyError(f"{what} has no positive eigenvalues")
-        rng = np.random.default_rng(0)
-        try:
-            evals, evecs = scipy.sparse.linalg.eigsh(
-                gram, k + 1, which="LA", v0=rng.standard_normal(n), rng=rng)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"{what}: Lanczos converged {len(exc.eigenvalues)} of the top "
-                f"{k + 1} eigenpairs") from exc
+        evals, evecs = _lanczos(gram, k, what)
     else:
-        evals, evecs = scipy.linalg.eigh(gram)   # k + 1 >= n: all n eigenpairs
-    evals, evecs = evals[::-1].copy(), evecs[:, ::-1]
+        evals, evecs = np.linalg.eigh(gram)   # k + 1 >= n: all n eigenpairs
+        evals, evecs = evals[::-1].copy(), evecs[:, ::-1]
     top = evals[0]
     if top <= 0:
         raise RankDeficiencyError(f"{what} has no positive eigenvalues")

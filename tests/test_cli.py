@@ -5,11 +5,10 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from sketchpcr import evaluation as ev
 from sketchpcr import io as data_io
-from sketchpcr import cli, kernel, sketch, solvers
+from sketchpcr import cli, kernel, linalg, sketch, solvers
 from sketchpcr.cli import SOLVERS, _parse_synthetic, main
 
 STREAM = ["stream", "--k", "1", "--s", "2", "--t", "2"]
@@ -140,6 +139,22 @@ def test_center_response_centers_b_of_every_input(kind, tmp_path):
     sol = solvers.exact_pcr(solvers.PcrProblem(a=a, b=b, k=k))
     got = json.loads(out.read_text())["records"][0]["objective_over_b"]
     assert got == pytest.approx(sol.objective / np.linalg.norm(b), rel=1e-12)
+
+
+@pytest.mark.parametrize("response, code", [
+    (np.full(50, 0.1), 1),       # centering leaves only the rounding of the mean
+    (np.zeros(50), 1),
+    (0.1 + 1e-9 * np.random.default_rng(7).standard_normal(50), 0),
+], ids=["constant", "zero", "small"])
+def test_a_centered_response_that_is_rounding_is_zero(response, code, tmp_path, capsys):
+    path = tmp_path / "ab.csv"
+    a = np.random.default_rng(6).standard_normal((50, 3))
+    np.savetxt(path, np.column_stack([a, response]), delimiter=",")
+    argv = ["solve", "--data", str(path), "--k", "2", "--center-response",
+            "--solver", "exact,left", "--ratio", "4", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == code
+    said = "the response b is zero after --center-response" in capsys.readouterr().err
+    assert said == (code == 1)
 
 
 @pytest.mark.parametrize("response, flags, said", [
@@ -420,13 +435,24 @@ def test_only_grid_subcommands_offer_a_comma_list(task, lists, capsys):
 
 
 def test_kernel_non_convergence_exits_1(monkeypatch, capsys):
-    def no_convergence(gram, nev, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence(
-            "no convergence", np.ones(1), np.ones((gram.shape[0], 1)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(linalg, "LANCZOS_MAX_STEPS", 0)   # a cap of (k + 1)^2 = 9 steps
     assert main(["kernel"] + SYNTH + ["--k", "2"]) == 1
-    assert "kernel matrix: Lanczos converged 1 of the top 3" in capsys.readouterr().err
+    assert "kernel matrix: Lanczos reached its cap of 9 steps" in capsys.readouterr().err
+
+
+def test_degree_1_kernel_pcr_on_ten_equal_singular_values_is_exact_pcr(tmp_path):
+    # The planted A has ten equal top singular values: K = A A^T has a
+    # top eigenvalue of multiplicity 10 = k, and a degree-1 kernel fit
+    # with offset 0 is PCR on A.
+    spec, k = "400,60,10,0.3", 10
+    out = tmp_path / "k.json"
+    assert main(["kernel", "--synthetic", spec, "--k", str(k), "--degree", "1",
+                 "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["aggregates"][0]["train_rmse"]
+    a, b, _ = _parse_synthetic(spec, 0)
+    u = np.linalg.svd(a, full_matrices=False)[0][:, :k]
+    want = np.linalg.norm(u @ (u.T @ b) - b) / math.sqrt(len(b))
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_kernel_rank_is_not_held_to_the_planted_rank(tmp_path):

@@ -1,15 +1,15 @@
 """Kernel PCR against independent oracles: PCR on explicit polynomial
 features for the exact mode, a full SVD of the sketched features for
-the sketched mode, and a Jacobi SVD for the Lanczos eigensolver."""
+the sketched mode, and a Jacobi SVD and numpy's ``eigvalsh`` for the
+Lanczos eigensolver."""
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sketchpcr import linalg
 from sketchpcr.errors import ConvergenceError, GapError, RankDeficiencyError
 from sketchpcr.kernel import (
     KernelSpec,
@@ -24,7 +24,7 @@ from sketchpcr.kernel import (
 )
 from sketchpcr.linalg import EIG_CLAMP, top_eigenpairs
 from sketchpcr.sketch import gen_tensorsketch
-from oracles import jacobi_svd, poly_features
+from oracles import jacobi_svd, poly_features, run_at_blas_threads
 
 
 def relative_error(got, want):
@@ -157,28 +157,77 @@ def test_lanczos_sees_an_eigenvalue_repeated_at_k_and_k_plus_1():
         features_gamma(phi, b, 5)
 
 
+def repeated_top(mult, seed=70):
+    """Features Phi (400 x 60) whose top singular value, 1, is repeated
+    ``mult`` times above distinct ones: K = Phi Phi^T and Phi^T Phi then
+    have a top eigenvalue of multiplicity ``mult``."""
+    sigma = np.concatenate([np.ones(mult), np.geomspace(0.8, 0.05, 60 - mult)])
+    return np.ascontiguousarray(with_spectrum(sigma, 400, seed))
+
+
+@pytest.mark.parametrize("k", [6, 10])
+@pytest.mark.parametrize("share", ["2", "k/2", "k"])
+def test_lanczos_finds_every_copy_of_a_repeated_top_eigenvalue(k, share):
+    phi = repeated_top({"2": 2, "k/2": k // 2, "k": k}[share])
+    for gram in (phi @ phi.T, phi.T @ phi):
+        want = np.linalg.eigvalsh(gram)[::-1][:k + 1]
+        got, _ = top_eigenpairs(gram, k + 1, "gram")   # the top k+1 of the fits' k
+        assert np.abs(got - want).max() <= 1e-12 * want[0]
+    b = np.random.default_rng(71).standard_normal(400)
+    u, s, v = jacobi_svd(phi)
+    alpha = fit_exact(phi, b, k, LINEAR).alpha
+    assert relative_error(alpha, u[:, :k] @ ((u[:, :k].T @ b) / s[:k] ** 2)) <= 1e-10
+    gamma = features_gamma(phi, b, k)
+    assert relative_error(gamma, v[:, :k] @ ((u[:, :k].T @ b) / s[:k])) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [6, 10])
+def test_a_top_eigenvalue_repeated_past_k_is_a_gap_error(k):
+    phi = repeated_top(k + 1)              # lambda_1 = ... = lambda_k = lambda_{k+1}
+    b = np.random.default_rng(72).standard_normal(400)
+    with pytest.raises(GapError):
+        fit_exact(phi, b, k, LINEAR)
+    with pytest.raises(GapError):
+        features_gamma(phi, b, k)
+
+
+def test_a_tie_at_k_shared_by_most_eigenvalues_is_a_gap_error():
+    # lambda_3 = lambda_4 = ... = 1 has 298 copies: a restart chain cannot
+    # lock them one by one within its cap, and need not.
+    q, _ = np.linalg.qr(np.random.default_rng(73).standard_normal((300, 300)))
+    lam = np.concatenate([[3.0, 2.0], np.ones(298)])
+    with pytest.raises(GapError):
+        top_eigenpairs((q * lam) @ q.T, 3, "gram")
+
+
 def test_two_fits_are_bit_identical():
     phi, b = lanczos_case(SIGMA)
 
     def fits():
         return [fit_exact(phi, b, 5, LINEAR).alpha,
                 features_gamma(phi, b, 5),
-                # rank 1: the Krylov space is exhausted and ARPACK restarts
+                # rank 1: the Krylov space runs out and Lanczos restarts
                 fit_exact(np.ones((30, 1)), b[:30], 1, LINEAR).alpha]
 
     assert all(np.array_equal(x, y) for x, y in zip(fits(), fits()))
 
 
 def test_dense_eigh_only_when_lanczos_cannot_run(monkeypatch):
+    lanczos, ran = linalg._lanczos, []
+
+    def record(gram, k, what):
+        ran.append(gram.shape)
+        return lanczos(gram, k, what)
+
     def fail(*args, **kwargs):
-        pytest.fail("wrong eigensolver")
+        pytest.fail("Lanczos ran where k + 1 >= n")
 
     phi, b = lanczos_case(SIGMA)
-    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    monkeypatch.setattr(linalg, "_lanczos", record)
     fit_exact(phi, b, 5, LINEAR)
     features_gamma(phi, b, 5)
-    monkeypatch.undo()
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    assert ran == [(300, 300), (40, 40)]
+    monkeypatch.setattr(linalg, "_lanczos", fail)
     phi6 = phi[:6, :6]                     # n = 6: k = 5 has k + 1 = n, k = 6 has k = n
     fit_exact(phi6, b[:6], 5, LINEAR)
     alpha = fit_exact(phi6, b[:6], 6, LINEAR).alpha
@@ -186,16 +235,41 @@ def test_dense_eigh_only_when_lanczos_cannot_run(monkeypatch):
 
 
 def test_lanczos_non_convergence_is_a_convergence_error(monkeypatch):
-    def no_convergence(gram, nev, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence(
-            "ARPACK error -1: No convergence", np.ones(2), np.ones((gram.shape[0], 2)))
-
+    # Both fits take 44 steps here; with no steps beyond (k+1)^2 the cap is 36.
     phi, b = lanczos_case(SIGMA)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    with pytest.raises(ConvergenceError, match="kernel matrix: Lanczos converged 2 of the top 6"):
+    monkeypatch.setattr(linalg, "LANCZOS_MAX_STEPS", 0)
+    with pytest.raises(ConvergenceError, match="kernel matrix: Lanczos reached its cap of 36 "
+                                               "steps before a restart confirmed the top 6"):
         fit_exact(phi, b, 5, LINEAR)
-    with pytest.raises(ConvergenceError, match="Phi R"):
+    with pytest.raises(ConvergenceError, match="Phi R: Lanczos reached its cap"):
         features_gamma(phi, b, 5)
+
+
+KERNEL_SCRIPT = """
+import json, sys
+import numpy as np
+from sketchpcr.kernel import KernelSpec, fit_exact, sketched_kernel_pcr
+from sketchpcr.sketch import gen_tensorsketch
+rng = np.random.default_rng(80)
+a, b = rng.standard_normal((600, 12)), rng.standard_normal(600)
+fits = {}
+for offset in (0.0, 0.5):
+    fits[f"exact-{offset}"] = fit_exact(a, b, 10, KernelSpec(3, offset)).alpha.tolist()
+    ts = gen_tensorsketch(3, 12 if offset == 0.0 else 13, 256, seed=81)
+    fits[f"sketched-{offset}"] = sketched_kernel_pcr(a, b, 10, ts, offset).gamma.tolist()
+json.dump(fits, sys.stdout)
+"""
+
+
+@pytest.fixture(scope="module")
+def kernel_fits_at_1_and_2_threads():
+    return [run_at_blas_threads(KERNEL_SCRIPT, threads) for threads in ("1", "2")]
+
+
+@pytest.mark.parametrize("fit", ["exact-0.0", "exact-0.5", "sketched-0.0", "sketched-0.5"])
+def test_kernel_fits_do_not_depend_on_the_blas_thread_count(fit, kernel_fits_at_1_and_2_threads):
+    c1, c2 = (np.array(fits[fit]) for fits in kernel_fits_at_1_and_2_threads)
+    assert relative_error(c2, c1) <= 1e-12
 
 
 def test_sketched_rank_floor_is_the_exact_modes():

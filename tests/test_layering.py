@@ -7,6 +7,11 @@ directly; a vector or matrix norm (``np.linalg.norm``) is allowed.
 (``_haar``'s QR, ``bias_variance``'s SVD, ``pcr verify``'s ``pinv`` and
 ``eigvalsh``) are the independent checks of the library, and should not
 reuse the code they check.
+
+``linalg`` itself imports nothing from scipy. The numpy and scipy wheels
+each bundle their own OpenBLAS, each with its own thread pool; a solver
+that alternates numpy products with scipy's LAPACK or ARPACK calls runs
+two pools that contend for the same cores.
 """
 
 import ast
@@ -49,3 +54,26 @@ def test_the_check_sees_every_form():
 def test_only_linalg_factors(module):
     path = Path(sketchpcr.__file__).parent / module
     assert linalg_uses(path.read_text()) == []
+
+
+def scipy_imports(source):
+    """(line, module) for each import of scipy or a scipy module in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "scipy"):
+            found.append((node.lineno, node.module))
+    return found
+
+
+def test_the_scipy_check_sees_every_form():
+    source = ("import scipy\nimport scipy.sparse.linalg as spla\nfrom scipy import linalg\n"
+              "from scipy.linalg import eigh\nimport numpy\nfrom .sketch import x\n")
+    assert [line for line, _ in scipy_imports(source)] == [1, 2, 3, 4]
+
+
+def test_linalg_imports_no_scipy():
+    path = Path(sketchpcr.__file__).parent / "linalg.py"
+    assert scipy_imports(path.read_text()) == []
