@@ -47,22 +47,38 @@ TIE_MARGIN = 1e-2         # a tie at k stands unless a missed eigenvalue lies th
 LANCZOS_MAX_STEPS = 300   # steps allowed beyond the (k+1)^2 of k+1 restart chains
 
 
+def _numeric_array(a, name):
+    """``a`` as a float64 array. Strings, bytes, objects and complex values
+    are not read as numbers: they raise ValueError naming ``name``."""
+    m = np.asarray(a)
+    if m.dtype.kind not in "biuf":   # bool, signed, unsigned, floating
+        raise ValueError(f"{name} is not numeric (dtype {m.dtype})")
+    return m.astype(float, copy=False)
+
+
+def _require_finite(m, name):
+    # Exact and warning-free; about half the cost of np.isfinite(m).all()
+    # on a short row, whose ufunc reduction carries a fixed overhead.
+    if np.count_nonzero(np.isfinite(m)) != m.size:
+        raise ValueError(f"{name} contains NaN or Inf entries")
+
+
 def as_matrix(a, name="matrix"):
     """Validate and return ``a`` as a finite 2-D float64 array."""
-    m = np.asarray(a, dtype=float)
+    m = _numeric_array(a, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
+    _require_finite(m, name)
     return m
 
 
 def as_vector(v, length=None, name="vector"):
-    x = np.asarray(v, dtype=float).ravel()
+    """Validate and return ``v`` as a finite flat float64 array, of
+    ``length`` entries when given."""
+    x = _numeric_array(v, name).ravel()
     if length is not None and x.shape[0] != length:
         raise ValueError(f"{name} has length {x.shape[0]}, expected {length}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
+    _require_finite(x, name)
     return x
 
 

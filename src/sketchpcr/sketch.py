@@ -135,7 +135,9 @@ def countsketch_columns(out_dim, start, count, hashes):
     """Columns start..start+count-1 of the CountSketch with bucket and sign
     hashes ``hashes = _hash_pair(seed)``, as an out_dim x count CSR matrix."""
     rows, signs = _hash_tables(*hashes, count, out_dim, start)
-    return sp.csr_matrix((signs, (rows, np.arange(count))), shape=(out_dim, count))
+    # One entry per column is already CSC form; its conversion sorts each
+    # row's entries by column, as a COO build would, for less overhead.
+    return sp.csc_matrix((signs, rows, np.arange(count + 1)), shape=(out_dim, count)).tocsr()
 
 
 def subgaussian_columns(out_dim, start, count, seed):

@@ -4,13 +4,23 @@ Rows of A (and entries of b) arrive one at a time. Two sketch
 accumulators are maintained: S A (to extract the compression basis R)
 and T A together with T b (to solve the compressed regression without
 storing A). Each checked row and its b entry go into a buffer of
-``STREAM_BLOCK`` rows; when it fills, and when the stream is finalized,
-the whole block is folded in with one product per sketch, so the
-accumulators are complete once the stream is finalized. Memory is the
-accumulators plus a buffer of ``STREAM_BLOCK * (d + 1)`` floats, a
-function of the sketch sizes and d only, never of the number of rows
-seen. The final solve is the solvers' one rule,
-:func:`sketchpcr.solvers.compressed_solve`, on T A R and T b.
+``fold`` rows; when it fills, and when the stream is finalized, the
+whole block is folded in with one product per sketch, so the
+accumulators are complete once the stream is finalized.
+
+``fold`` is set once, by :func:`fold_rows`, from d and the sketch specs:
+the most whole ``SKETCH_BLOCK``s of rows, at least one, whose row buffer
+(d + 1 floats a row) and the dense Gaussian columns drawn to fold it
+(out_dim floats a row, for the wider subgaussian sketch) fit
+``FOLD_BUDGET`` floats. Narrow rows fold many generator blocks at once,
+so a fold's fixed cost (hashing, building the CountSketch block,
+starting the generators) is paid a few times per stream rather than
+every 256 rows; rows wider than the budget allows fold 256 at a time.
+Memory is the accumulators plus a buffer of at most
+max(``FOLD_BUDGET``, 256 (d + 1)) floats, a function of the sketch sizes
+and d only, never of the number of rows seen. The final solve is the
+solvers' one rule, :func:`sketchpcr.solvers.compressed_solve`, on T A R
+and T b.
 
 The stream's S and T are the batch sketches themselves: a spec's
 ``block(start, count)`` is columns start..start+count-1 of
@@ -18,7 +28,8 @@ The stream's S and T are the batch sketches themselves: a spec's
 the column functions of :mod:`sketchpcr.sketch`. So folding a block is
 ``block(start, count) @ rows`` for both kinds, no stream length needs
 fixing in advance, and a stream of n rows equals the batch estimator
-on the n-column sketches.
+on the n-column sketches. A fold starts on a generator-block boundary,
+so no Gaussian column is drawn and dropped.
 """
 
 from __future__ import annotations
@@ -29,11 +40,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_vector, require_gap, thin_svd
-from .sketch import _hash_pair, child_seeds, countsketch_columns, subgaussian_columns
+from .linalg import _numeric_array, as_vector, require_gap, thin_svd
+from .sketch import (
+    SKETCH_BLOCK,
+    _hash_pair,
+    child_seeds,
+    countsketch_columns,
+    subgaussian_columns,
+)
 from .solvers import PcrSolution, compressed_solve
 
-STREAM_BLOCK = 256         # rows buffered and folded in at once
+FOLD_BUDGET = 1 << 17      # floats: a fold's row buffer plus its Gaussian columns
 
 
 class SketchSpec:
@@ -60,17 +77,29 @@ class StreamState:
     sa: np.ndarray = field(repr=False)
     ta: np.ndarray = field(repr=False)
     tb: np.ndarray = field(repr=False)
-    # The first rows_seen % STREAM_BLOCK rows of buf_a, and entries of
-    # buf_b, are not yet folded into the accumulators.
+    # Rows per fold, fold_rows(d, s_spec, t_spec). The first
+    # rows_seen % fold rows of buf_a, and entries of buf_b, are not yet
+    # folded into the accumulators.
+    fold: int
     buf_a: np.ndarray = field(repr=False)
     buf_b: np.ndarray = field(repr=False)
     rows_seen: int = 0
     finalized: bool = False
 
     def memory_bytes(self):
-        """Accumulators plus the row buffer; independent of rows_seen by
-        construction."""
+        """Accumulators plus the fold-row buffer: (s + t) d + t + fold (d + 1)
+        floats, independent of rows_seen by construction."""
         return sum(m.nbytes for m in (self.sa, self.ta, self.tb, self.buf_a, self.buf_b))
+
+
+def fold_rows(d, s_spec, t_spec):
+    """Rows per fold for rows of length d: the largest multiple of
+    ``SKETCH_BLOCK``, at least one, whose row buffer and the larger of the
+    dense Gaussian blocks drawn to fold it (the two are drawn one after
+    the other) fit ``FOLD_BUDGET`` floats."""
+    gaussian = max((spec.out_dim for spec in (s_spec, t_spec) if spec.kind == "subgaussian"),
+                   default=0)
+    return SKETCH_BLOCK * max(1, FOLD_BUDGET // (SKETCH_BLOCK * (d + 1 + gaussian)))
 
 
 def stream_init(d, s_rows, t_rows, seed, s_kind="countsketch", t_kind="countsketch"):
@@ -78,15 +107,18 @@ def stream_init(d, s_rows, t_rows, seed, s_kind="countsketch", t_kind="countsket
     if d < 1 or s_rows < 1 or t_rows < 1:
         raise ValueError("dimensions must be positive")
     seed_s, seed_t = child_seeds(seed, 2)
+    s_spec, t_spec = SketchSpec(s_kind, s_rows, seed_s), SketchSpec(t_kind, t_rows, seed_t)
+    fold = fold_rows(d, s_spec, t_spec)
     return StreamState(
         d=d,
-        s_spec=SketchSpec(s_kind, s_rows, seed_s),
-        t_spec=SketchSpec(t_kind, t_rows, seed_t),
+        s_spec=s_spec,
+        t_spec=t_spec,
         sa=np.zeros((s_rows, d)),
         ta=np.zeros((t_rows, d)),
         tb=np.zeros(t_rows),
-        buf_a=np.empty((STREAM_BLOCK, d)),
-        buf_b=np.empty(STREAM_BLOCK),
+        fold=fold,
+        buf_a=np.empty((fold, d)),
+        buf_b=np.empty(fold),
     )
 
 
@@ -101,25 +133,37 @@ def _fold(st, count):
     st.tb += t_blk @ b_blk
 
 
+def _b_value(b_entry):
+    """``b_entry``, a real number or a 0-d numeric array, as a finite float."""
+    if not isinstance(b_entry, float):   # Python floats and np.float64 pass as they are
+        b = _numeric_array(b_entry, "b_entry")
+        if b.ndim:
+            raise ValueError(f"b_entry must be a scalar, got shape {b.shape}")
+        b_entry = float(b)
+    if not math.isfinite(b_entry):
+        raise ValueError("b_entry is not finite")
+    return b_entry
+
+
 def stream_update(st: StreamState, a_row, b_entry) -> StreamState:
     """Take one (row of A, entry of b) pair into the stream.
 
-    The row is checked and buffered; every ``STREAM_BLOCK`` rows the buffer
-    is folded into the accumulators. A rejected row raises ValueError and
-    leaves the state as it was. Mutates and returns the state.
+    The row must be d finite numbers and the b entry one finite number;
+    strings and other non-numeric values are rejected, not parsed. The
+    pair is buffered, and every ``st.fold`` rows the buffer is folded into
+    the accumulators. A rejected pair raises ValueError and leaves the
+    state as it was. Mutates and returns the state.
     """
     if st.finalized:
         raise RuntimeError("stream state was already finalized")
     row = as_vector(a_row, length=st.d, name="a_row")
-    b_entry = float(b_entry)
-    if not math.isfinite(b_entry):
-        raise ValueError("b entry is not finite")
-    pos = st.rows_seen % STREAM_BLOCK
+    b_entry = _b_value(b_entry)
+    pos = st.rows_seen % st.fold
     st.buf_a[pos] = row
     st.buf_b[pos] = b_entry
     st.rows_seen += 1
-    if pos + 1 == STREAM_BLOCK:
-        _fold(st, STREAM_BLOCK)
+    if pos + 1 == st.fold:
+        _fold(st, st.fold)
     return st
 
 
@@ -136,7 +180,7 @@ def stream_finalize(st: StreamState, k) -> PcrSolution:
         raise RuntimeError("stream state was already finalized")
     t0 = time.perf_counter()
     st.finalized = True
-    _fold(st, st.rows_seen % STREAM_BLOCK)
+    _fold(st, st.rows_seen % st.fold)
     f = thin_svd(st.sa)
     require_gap(f.sigma, k, st.sa.shape, "S A")
     r = f.lead(k).v

@@ -146,6 +146,17 @@ def sketch_columns(kind, out_dim, n, seed):
     return np.column_stack([sketch_column(kind, out_dim, i, seed) for i in range(n)])
 
 
+def countsketch_csr_coo(out_dim, start, count, seed):
+    """Columns start..start+count-1 of the seeded CountSketch as scipy
+    builds CSR from (row, column) pairs, each column's row and sign from
+    its hash polynomials evaluated by :func:`sketch_column`'s rule."""
+    h, g = _hash_pair(seed)
+    keys = range(start, start + count)
+    rows = [poly(h.coeffs, i) % out_dim for i in keys]
+    signs = [1.0 if poly(g.coeffs, i) % 2 == 0 else -1.0 for i in keys]
+    return sp.coo_matrix((signs, (rows, range(count))), shape=(out_dim, count)).tocsr()
+
+
 def countsketch_apply_loop(out_dim, seed, a):
     """S @ a by a plain loop over the columns of S, summing in index order."""
     a = np.asarray(a, dtype=float)

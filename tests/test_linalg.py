@@ -1,9 +1,15 @@
 import math
+import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchpcr.linalg import (
+    as_matrix,
+    as_vector,
     numerical_rank,
     qr_svd,
     relative_gap,
@@ -178,3 +184,54 @@ class TestSpectralDiagnostics:
                 relative_gap([3.0, 2.0, 1.0], k)
         with pytest.raises(ValueError, match="zero matrix"):
             relative_gap(np.zeros(3), 1)
+
+
+# Entries at the edges of the finiteness test: NaN, +-inf, +-the largest
+# double, subnormals and -0.0, beside any double hypothesis draws.
+EDGE_ENTRIES = [np.nan, np.inf, -np.inf, 1.7976931348623157e308, -1.7976931348623157e308,
+                5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0]
+VIEWS = {   # each gives a (possibly empty) 2-D view of a drawn matrix
+    "whole": lambda m: m,
+    "transposed": lambda m: m.T,
+    "every-other-row": lambda m: m[::2],
+    "every-other-column": lambda m: m[:, ::2],
+    "one-row": lambda m: m[:1],
+    "one-column": lambda m: m[:, :1],
+}
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestFiniteness:
+    @settings(max_examples=300, deadline=None)
+    @given(m=hnp.arrays(float, st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                        elements=st.one_of(st.sampled_from(EDGE_ENTRIES), st.floats())),
+           view=st.sampled_from(sorted(VIEWS)))
+    def test_as_vector_and_as_matrix_agree_with_isfinite_all(self, m, view):
+        m = VIEWS[view](m)
+        finite = bool(np.isfinite(m).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call, want in ((lambda: as_matrix(m, "a"), m),
+                               (lambda: as_vector(m, length=m.size, name="a"), m.ravel())):
+                if finite:
+                    assert same_bits(call(), want)
+                else:
+                    with pytest.raises(ValueError, match="^a contains NaN or Inf entries$"):
+                        call()
+
+    @pytest.mark.parametrize("value", [
+        ["1", "2.5"], [b"1", b"2"], [1.0, "2"], [1 + 2j, 3.0], [1.0, None], "12"])
+    def test_non_numbers_are_rejected_not_parsed(self, value):
+        with pytest.raises(ValueError, match=r"^a_row is not numeric \(dtype "):
+            as_vector(value, name="a_row")
+        with pytest.raises(ValueError, match=r"^a is not numeric \(dtype "):
+            as_matrix([value, value], "a")
+
+    def test_numbers_of_any_real_dtype_are_read(self):
+        for value in ([True, False], np.array([1, 2], dtype=np.uint8), [3, -4], [0.5, 2.0]):
+            got = as_vector(value, name="v")
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.asarray(value, dtype=float))

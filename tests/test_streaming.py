@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import run_at_blas_threads, sketch_column, sketch_columns
+from oracles import countsketch_csr_coo, run_at_blas_threads, sketch_column, sketch_columns
 from sketchpcr.errors import RankDeficiencyError
 from sketchpcr.evaluation import planted_matrix
-from sketchpcr.sketch import PolyHash, apply_left, gen_countsketch, gen_subgaussian
+from sketchpcr.sketch import (
+    SKETCH_BLOCK,
+    PolyHash,
+    _hash_pair,
+    apply_left,
+    countsketch_columns,
+    gen_countsketch,
+    gen_subgaussian,
+)
 from sketchpcr.solvers import PcrProblem, build_r_left
 from sketchpcr.streaming import (
-    STREAM_BLOCK,
+    FOLD_BUDGET,
     SketchSpec,
     stream_finalize,
     stream_init,
@@ -85,7 +93,28 @@ class TestStreaming:
         for row, b_entry in zip(a, b):
             stream_update(st, row, b_entry)
             sizes.append(st.memory_bytes())
-        assert set(sizes) == {(24 * D + 60 * D + 60 + STREAM_BLOCK * (D + 1)) * 8}
+        assert set(sizes) == {(24 * D + 60 * D + 60 + st.fold * (D + 1)) * 8}
+
+    @pytest.mark.parametrize("d, s_kind, t_kind, fold", [
+        (300, "countsketch", "countsketch", SKETCH_BLOCK),    # 301 floats a row: too wide for 2
+        (250, "subgaussian", "countsketch", SKETCH_BLOCK),    # 251 + 40 floats a row
+        (255, "countsketch", "countsketch", 2 * SKETCH_BLOCK),
+        (50, "subgaussian", "countsketch", 5 * SKETCH_BLOCK),  # stream-rows' shape
+        (50, "subgaussian", "subgaussian", 2 * SKETCH_BLOCK),  # the wider Gaussian block counts
+        (5, "countsketch", "countsketch", 85 * SKETCH_BLOCK),
+        (1, "countsketch", "countsketch", 256 * SKETCH_BLOCK),
+    ])
+    def test_fold_size_follows_the_row_width(self, d, s_kind, t_kind, fold):
+        st = stream_init(d, 40, 200, 62, s_kind=s_kind, t_kind=t_kind)
+        assert st.fold == fold
+        gaussian = max([spec.out_dim for spec in (st.s_spec, st.t_spec)
+                        if spec.kind == "subgaussian"], default=0)
+        if fold > SKETCH_BLOCK:   # narrow rows: buffer and Gaussian block within the budget
+            assert fold * (d + 1 + gaussian) <= FOLD_BUDGET
+            assert st.buf_a.size + st.buf_b.size <= FOLD_BUDGET
+        else:                     # wide rows keep 256-row folds and the 256-row buffer
+            assert 2 * SKETCH_BLOCK * (d + 1 + gaussian) > FOLD_BUDGET
+            assert st.memory_bytes() == (40 * d + 200 * d + 200 + SKETCH_BLOCK * (d + 1)) * 8
 
     def test_fewer_rows_of_t_than_k_raises(self):
         a = planted_matrix(400, 20, 5, 0.4, seed=63)
@@ -97,7 +126,11 @@ class TestStreaming:
             stream_finalize(st, 5)
 
 
-BLOCK_EDGES = [1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 2 * STREAM_BLOCK + 7]
+# Stream lengths around the state's fold size f, as (folds, extra rows):
+# n = folds * f + extra, that is 1, f-1, f, f+1 and 2f+7. Each is named by
+# its length at one generator block per fold, 1 to 519.
+BLOCK_EDGES = [(0, 1), (1, -1), (1, 0), (1, 1), (2, 7)]
+EDGE_IDS = [str(folds * SKETCH_BLOCK + extra) for folds, extra in BLOCK_EDGES]
 KINDS = ["countsketch", "subgaussian"]
 
 
@@ -126,17 +159,19 @@ class TestColumnReplay:
             assert np.array_equal(block, batch_sketch(kind, out, start + m, 55)[:, start:])
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n", BLOCK_EDGES)
-    def test_stream_folds_are_the_batch_columns(self, n, kind):
+    @pytest.mark.parametrize("edge", BLOCK_EDGES, ids=EDGE_IDS)
+    def test_stream_folds_are_the_batch_columns(self, edge, kind):
         # The folds a stream of n rows reads, the last one empty when n is a
-        # multiple of STREAM_BLOCK, are the batch sketch and the oracle's columns.
-        spec = SketchSpec(kind, 24, 76)
-        folds = [dense_block(spec, start, min(STREAM_BLOCK, n - start))
-                 for start in range(0, n + 1, STREAM_BLOCK)]
-        assert folds[-1].shape[1] == n % STREAM_BLOCK
+        # multiple of the fold size, are the batch sketch and the oracle's columns.
+        st = stream_init(D, 24, 60, 76, s_kind=kind, t_kind="subgaussian")
+        spec, fold = st.s_spec, st.fold
+        n = edge[0] * fold + edge[1]
+        folds = [dense_block(spec, start, min(fold, n - start))
+                 for start in range(0, n + 1, fold)]
+        assert folds[-1].shape[1] == n % fold
         stream = np.hstack(folds)
-        assert np.array_equal(stream, batch_sketch(kind, 24, n, 76))
-        assert np.array_equal(stream, sketch_columns(kind, 24, n, 76))
+        assert np.array_equal(stream, batch_sketch(kind, 24, n, spec.seed))
+        assert np.array_equal(stream, sketch_columns(kind, 24, n, spec.seed))
 
 
 def rel_err(got, want):
@@ -145,11 +180,12 @@ def rel_err(got, want):
 
 class TestBlockFold:
     @pytest.mark.parametrize("s_kind, t_kind", SPEC_ORDERS)
-    @pytest.mark.parametrize("n", BLOCK_EDGES)
-    def test_finalized_accumulators_equal_per_row_sums(self, n, s_kind, t_kind):
+    @pytest.mark.parametrize("edge", BLOCK_EDGES, ids=EDGE_IDS)
+    def test_finalized_accumulators_equal_per_row_sums(self, edge, s_kind, t_kind):
+        st = stream_init(D, 24, 60, 70, s_kind=s_kind, t_kind=t_kind)
+        n = edge[0] * st.fold + edge[1]
         rng = np.random.default_rng(n)
         a, b = rng.standard_normal((n, D)), rng.standard_normal(n)
-        st = stream_init(D, 24, 60, 70, s_kind=s_kind, t_kind=t_kind)
         for row, b_entry in zip(a, b):
             stream_update(st, row, b_entry)
         stream_finalize(st, 1)
@@ -165,27 +201,57 @@ class TestBlockFold:
         assert rel_err(st.ta, ta) <= 1e-12
         assert rel_err(st.tb, tb) <= 1e-12
 
-    @pytest.mark.parametrize("bad", ["wrong-length", "nan-row", "inf-b"])
-    @pytest.mark.parametrize("at", [100, STREAM_BLOCK - 1], ids=["mid-block", "filling"])
+    @pytest.mark.parametrize("bad", ["wrong-length", "nan-row", "inf-row", "inf-b", "str-row",
+                                     "str-b", "array-b", "huge-row"])
+    @pytest.mark.parametrize("at", ["mid-block", "filling"])
     def test_rejected_row_leaves_the_stream_as_it_was(self, bad, at):
-        n = 2 * STREAM_BLOCK + 7
-        a = planted_matrix(n, D, K, 0.4, seed=71)
-        b = a @ np.random.default_rng(72).standard_normal(D)
-        row, b_entry = {"wrong-length": (np.ones(D + 1), 1.0),
-                        "nan-row": (np.full(D, np.nan), 1.0),
-                        "inf-b": (np.ones(D), np.inf)}[bad]
         clean = stream_init(D, 24, 60, 73, s_kind="subgaussian")
         st = stream_init(D, 24, 60, 73, s_kind="subgaussian")
+        n = 2 * st.fold + 7
+        at = {"mid-block": 100, "filling": st.fold - 1}[at]
+        a = planted_matrix(n, D, K, 0.4, seed=71)
+        b = a @ np.random.default_rng(72).standard_normal(D)
+        inf_row = np.ones(D)
+        inf_row[3] = -np.inf
+        row, b_entry = {"wrong-length": (np.ones(D + 1), 1.0),
+                        "nan-row": (np.full(D, np.nan), 1.0),
+                        "inf-row": (inf_row, 1.0),
+                        "inf-b": (np.ones(D), np.inf),
+                        "str-row": (["1.5"] * D, 1.0),
+                        "str-b": (np.ones(D), "2.5"),
+                        "array-b": (np.ones(D), np.array([2.5])),
+                        # finite, so it is taken; its square would overflow
+                        "huge-row": (np.full(D, -1.7976931348623157e308), 1.0)}[bad]
         for i in range(n):
             if i == at:
-                with pytest.raises(ValueError):
+                if bad == "huge-row":
+                    stream_update(clean, row, b_entry)
                     stream_update(st, row, b_entry)
-                assert st.rows_seen == at
+                else:
+                    with pytest.raises(ValueError, match="^(a_row|b_entry) "):
+                        stream_update(st, row, b_entry)
+                assert st.rows_seen == clean.rows_seen
             stream_update(clean, a[i], b[i])
             stream_update(st, a[i], b[i])
-        assert np.array_equal(stream_finalize(st, K).x, stream_finalize(clean, K).x)
+        if bad == "huge-row":   # next to it, S A has numerical rank 1
+            for s in (st, clean):
+                with pytest.raises(RankDeficiencyError, match="S A has rank below"):
+                    stream_finalize(s, K)
+            for name in ("sa", "ta", "tb"):
+                assert np.array_equal(getattr(st, name), getattr(clean, name))
+        else:
+            assert np.array_equal(stream_finalize(st, K).x, stream_finalize(clean, K).x)
         with pytest.raises(RuntimeError, match="already finalized"):
             stream_update(st, a[0], b[0])
+
+    def test_b_entries_of_any_real_type_are_read_as_floats(self):
+        values = [2, True, np.int32(-3), np.float32(0.5), np.array(1.25), -0.0, 7.0]
+        st, ref = (stream_init(D, 24, 60, 77) for _ in range(2))
+        for v in values:
+            stream_update(st, np.ones(D), v)
+            stream_update(ref, np.ones(D), float(v))
+        n = len(values)
+        assert np.array_equal(st.buf_b[:n].view(np.int64), ref.buf_b[:n].view(np.int64))
 
     @pytest.mark.parametrize("s_kind, t_kind, per_row", [
         ("countsketch", "countsketch", 4), ("subgaussian", "countsketch", 2)])
@@ -194,9 +260,9 @@ class TestBlockFold:
         hashed, real = [], PolyHash.values
         monkeypatch.setattr(PolyHash, "values",
                             lambda self, keys: hashed.append(len(keys)) or real(self, keys))
-        n = 2 * STREAM_BLOCK + 7
-        a = planted_matrix(n, D, K, 0.4, seed=74)
         st = stream_init(D, 24, 60, 75, s_kind=s_kind, t_kind=t_kind)
+        n = 2 * st.fold + 7
+        a = planted_matrix(n, D, K, 0.4, seed=74)
         for row in a:
             stream_update(st, row, 1.0)
         stream_finalize(st, K)
@@ -207,11 +273,12 @@ STREAM_SCRIPT = """
 import json, sys
 import numpy as np
 from sketchpcr.evaluation import planted_matrix
-from sketchpcr.streaming import STREAM_BLOCK, stream_finalize, stream_init, stream_update
-n, d, k = 2 * STREAM_BLOCK + 7, 30, 4
+from sketchpcr.streaming import stream_finalize, stream_init, stream_update
+d, k = 30, 4
+st = stream_init(d, 8 * k, 40 * k, 83, s_kind="subgaussian", t_kind="countsketch")
+n = 2 * st.fold + 7
 a = planted_matrix(n, d, k, 0.4, seed=80)
 b = a @ np.random.default_rng(81).standard_normal(d) + 0.1 * np.random.default_rng(82).standard_normal(n)
-st = stream_init(d, 8 * k, 40 * k, 83, s_kind="subgaussian", t_kind="countsketch")
 for row, b_entry in zip(a, b):
     stream_update(st, row, b_entry)
 json.dump(stream_finalize(st, k).x.tolist(), sys.stdout)
@@ -221,3 +288,16 @@ json.dump(stream_finalize(st, k).x.tolist(), sys.stdout)
 def test_stream_x_does_not_depend_on_the_blas_thread_count():
     xs = [np.array(run_at_blas_threads(STREAM_SCRIPT, threads)) for threads in ("1", "2")]
     assert rel_err(xs[1], xs[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("start, count, out_dim", [
+    (0, 1, 3), (0, 256, 200), (1234, 3000, 40), (2**33, 1280, 7), (5, 100_000, 500)])
+def test_countsketch_block_is_the_coo_built_csr(start, count, out_dim):
+    # The CSC-built block is the CSR matrix a COO build gives: the same
+    # index arrays and dtypes, with each row's columns in order.
+    got = countsketch_columns(out_dim, start, count, _hash_pair(88))
+    want = countsketch_csr_coo(out_dim, start, count, 88)
+    assert got.shape == want.shape and got.has_sorted_indices
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).dtype == getattr(want, part).dtype
+        assert np.array_equal(getattr(got, part), getattr(want, part))
