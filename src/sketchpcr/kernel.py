@@ -139,9 +139,9 @@ def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:
 
     gamma = V_k Lambda_k^-1 V_k^T (Phi R)^T b from the top k+1 eigenpairs
     (lambda_i = sigma_i^2, V) of the t x t Gram matrix (Phi R)^T (Phi R),
-    the V_k Sigma_k^-1 U_k^T b of the SVD of Phi R. The exact path's rank
-    floor lambda_k > ``linalg.EIG_CLAMP`` lambda_1 keeps the accuracy lost to squaring,
-    of order machine epsilon times lambda_1 / lambda_k, small.
+    the V_k Sigma_k^-1 U_k^T b of the SVD of Phi R. The rank floor of every
+    rank-k cut, sigma_k > ``linalg.RANK_FLOOR`` sigma_1, keeps the accuracy
+    lost to squaring, of order eps lambda_1 / lambda_k, below 1e-6.
     """
     spec = KernelSpec(ts.degree, offset)
     a = as_matrix(a, "a")

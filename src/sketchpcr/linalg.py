@@ -1,9 +1,11 @@
 """Dense linear algebra, the one module that factors a matrix or rules on
 its spectrum: the thin SVD record, the R-SVD least-squares rule for
 compressed matrices (:func:`qr_svd`, then :func:`truncated_solve`), the
-top-k eigenpairs of a symmetric PSD matrix, the rank floors
-(:func:`numerical_rank`, ``EIG_CLAMP``) and the gap rule (``GAP_TOL``),
-subspace distances and spectral diagnostics.
+top-k eigenpairs of a symmetric PSD matrix, subspace distances, spectral
+diagnostics, and :func:`require_gap`, the one verdict on a rank-k cut of
+singular values or of eigenvalues sigma^2: sigma_k above ``RANK_FLOOR``
+sigma_1, far above rounding, and a gap at k. CLS truncates at the same
+floor; :func:`numerical_rank`'s rounding cutoff serves full-rank inverses.
 
 A thin SVD is one record, :class:`Svd`: every singular value, and all
 columns of U and V or their leading ones. It stores no split index;
@@ -36,8 +38,8 @@ import numpy as np
 from .errors import ConvergenceError, GapError, RankDeficiencyError
 
 ORTHO_TOL = 1e-10
-GAP_TOL = 1e-12
-EIG_CLAMP = 1e-9   # relative floor below which eigenvalues count as zero
+GAP_TOL = 1e-12           # least (sigma_k^2 - sigma_{k+1}^2) / sigma_1^2 of a gap at k
+RANK_FLOOR = 1e-9 ** 0.5  # sigma_k / sigma_1 of rank k lies above this (3.16e-5)
 # Lanczos (``top_eigenpairs``):
 RESIDUAL_TOL = 1e-12      # a pair converges at |G u - theta u| <= RESIDUAL_TOL |theta_1|
 RITZ_EVERY = 4            # least steps between Rayleigh-Ritz checks
@@ -86,6 +88,12 @@ def numerical_rank(sigma, shape):
     """Count of the nonincreasing singular values ``sigma`` of a matrix of
     ``shape`` above sigma_max * max(shape) * machine epsilon."""
     return int(np.sum(sigma > sigma[:1] * (max(shape) * np.finfo(float).eps)))
+
+
+def floor_rank(sigma):
+    """Count of the nonincreasing singular values ``sigma`` above
+    ``RANK_FLOOR`` sigma_1: numpy's ``lstsq(rcond=RANK_FLOOR)`` rule."""
+    return int(np.count_nonzero(sigma > sigma[:1] * RANK_FLOOR))
 
 
 def check_orthonormal(q, name="basis"):
@@ -210,12 +218,12 @@ def relative_gap(s, k):
     return float((s[k - 1] ** 2 - sk1 ** 2) / s[0] ** 2)
 
 
-def require_gap(sigma, k, shape, what):
-    """Reject a matrix of ``shape`` and singular values ``sigma`` without
-    numerical rank k (:func:`numerical_rank`) or a gap at k."""
-    if sigma[0] == 0.0:
-        raise RankDeficiencyError(f"{what} is zero")
-    if numerical_rank(sigma, shape) < k:
+def require_gap(sigma, k, what):
+    """Reject the rank-k cut of a matrix with nonincreasing singular values
+    ``sigma``: RankDeficiencyError unless sigma_k > ``RANK_FLOOR`` sigma_1
+    (:func:`floor_rank`), GapError unless :func:`relative_gap` at k is at
+    least ``GAP_TOL``."""
+    if floor_rank(sigma) < k:
         raise RankDeficiencyError(f"{what} has rank below k={k}")
     if relative_gap(sigma, k) < GAP_TOL:
         raise GapError(f"{what} has a vanishing eigengap at k={k}")
@@ -338,8 +346,8 @@ def _missed_floor(theta, k):
     of refusing. Otherwise, a copy of theta_k: one at theta_k less the gap
     floor.
     """
-    if theta[k - 1] <= EIG_CLAMP * theta[0]:
-        return EIG_CLAMP * theta[0]
+    if theta[k - 1] <= RANK_FLOOR ** 2 * theta[0]:
+        return RANK_FLOOR ** 2 * theta[0]
     if theta[k - 1] - theta[k] < GAP_TOL * theta[0]:
         return theta[k - 1] + TIE_MARGIN * theta[0]
     return theta[k - 1] - GAP_TOL * theta[0]
@@ -356,27 +364,16 @@ def top_eigenpairs(gram, k, what):
     """The k largest eigenpairs of a symmetric PSD matrix, largest first.
 
     Only the top k+1 are computed, by Lanczos or, at k >= n - 1, by the
-    dense ``eigh``: the k kept ones and the one that sets the gap. Raises
-    RankDeficiencyError unless lambda_k > EIG_CLAMP lambda_1, GapError unless
-    (lambda_k - lambda_{k+1}) / lambda_1 is at least GAP_TOL, and
-    ConvergenceError if Lanczos does not converge. Every copy of a repeated
-    eigenvalue counts; Lanczos confirms its answer by a restart.
+    dense ``eigh``: the k kept ones and the one that sets the gap.
+    :func:`require_gap` rules on them as singular values sqrt(lambda),
+    negative rounding counted as zero. Every copy of a repeated eigenvalue
+    counts; Lanczos confirms its answer by a restart, or raises
+    ConvergenceError.
     """
-    n = gram.shape[0]
-    if k + 1 < n:
+    if k + 1 < gram.shape[0]:
         evals, evecs = _lanczos(gram, k, what)
     else:
         evals, evecs = np.linalg.eigh(gram)   # k + 1 >= n: all n eigenpairs
-        evals, evecs = evals[::-1].copy(), evecs[:, ::-1]
-    top = evals[0]
-    if top <= 0:
-        raise RankDeficiencyError(f"{what} has no positive eigenvalues")
-    # Floating-point PSD repair: tiny negative eigenvalues clamp to zero.
-    evals[(evals < 0) & (evals >= -EIG_CLAMP * top)] = 0.0
-    lam_k = evals[k - 1]
-    lam_next = evals[k] if k < n else 0.0
-    if lam_k <= EIG_CLAMP * top:
-        raise RankDeficiencyError(f"{what} has rank below k={k}")
-    if (lam_k - lam_next) / top < GAP_TOL:
-        raise GapError(f"{what} has a vanishing eigengap at k={k}")
+        evals, evecs = evals[::-1], evecs[:, ::-1]
+    require_gap(np.sqrt(np.maximum(evals, 0.0)), k, what)
     return evals[:k], evecs[:, :k].copy()

@@ -4,7 +4,7 @@ Exact solvers factor the data matrix directly. Sketched solvers restrict
 the regression to the range of a compression matrix R built from a
 random sketch: left sketching uses the top right-singular basis of S A,
 right sketching uses G^T itself, and two-sided sketching composes both.
-Compressed least squares (plain OLS on A R) is included for comparison.
+Compressed least squares (OLS on A R, cut at the rank floor) is included for comparison.
 Sketches are plain matrices (see :mod:`sketchpcr.sketch`), and so is R:
 dense, or the sparse transpose of a CountSketch. Every solver forms
 M = A R and solves on it by one rule, :func:`compressed_solve`, which the
@@ -37,6 +37,7 @@ from .linalg import (
     Svd,
     as_matrix,
     as_vector,
+    floor_rank,
     numerical_rank,
     qr_svd,
     require_gap,
@@ -148,26 +149,26 @@ def _outside(q, y):
 
 def _checked_reference(p: PcrProblem) -> Svd:
     f = p.reference.svd
-    require_gap(f.sigma, p.k, p.shape, "A")
+    require_gap(f.sigma, p.k, "A")
     return f
 
 
 def _top_right_basis(m, k, what):
     """V_k of ``m``, which must have rank k and a gap at k."""
     f = thin_svd(m)
-    require_gap(f.sigma, k, m.shape, what)
+    require_gap(f.sigma, k, what)
     return f.lead(k).v
 
 
 def compressed_solve(r, m, b, k, what):
     """x = R V_j Sigma_j^-1 (U^T b)_j from the R-factor SVD of the compressed
     matrix m (:func:`~sketchpcr.linalg.qr_svd`): rank-k PCR at j = k, which
-    :func:`require_gap` checks, or R m^+ b at j = rank(m) when k is None."""
+    :func:`require_gap` checks, or R m^+ b at j = :func:`floor_rank` when k is None."""
     sigma, v, c = qr_svd(m, b)
     if k is None:
-        k = numerical_rank(sigma, m.shape)
+        k = floor_rank(sigma)
     else:
-        require_gap(sigma, k, m.shape, what)
+        require_gap(sigma, k, what)
     return r @ truncated_solve(v, sigma, c, k)
 
 
@@ -244,7 +245,7 @@ def sketched_pcr(p: PcrProblem, r) -> PcrSolution:
 
 
 def cls(p: PcrProblem, r) -> PcrSolution:
-    """Compressed least squares: x = R (A R)^+ b, no rank truncation."""
+    """Compressed least squares: x = R (A R)^+ b, cut at ``linalg.RANK_FLOOR``."""
     return _solve_on_ar(p, r, "cls", None)
 
 

@@ -182,7 +182,7 @@ def stream_finalize(st: StreamState, k) -> PcrSolution:
     st.finalized = True
     _fold(st, st.rows_seen % st.fold)
     f = thin_svd(st.sa)
-    require_gap(f.sigma, k, st.sa.shape, "S A")
+    require_gap(f.sigma, k, "S A")
     r = f.lead(k).v
     x = compressed_solve(r, st.ta @ r, st.tb, k, "T A R")
     return PcrSolution(

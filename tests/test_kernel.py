@@ -22,8 +22,9 @@ from sketchpcr.kernel import (
     sketched_kernel_pcr,
     sketched_kernel_predict,
 )
-from sketchpcr.linalg import EIG_CLAMP, top_eigenpairs
+from sketchpcr.linalg import RANK_FLOOR, top_eigenpairs
 from sketchpcr.sketch import gen_tensorsketch
+from sketchpcr.solvers import PcrProblem, exact_pcr, sketched_pcr
 from oracles import jacobi_svd, poly_features, run_at_blas_threads
 
 
@@ -120,6 +121,42 @@ def test_sketched_mode_rejects_degenerate_spectra(sigma, error):
     phi_r = with_spectrum(np.array(sigma), 20, seed=64)
     with pytest.raises(error):
         features_gamma(phi_r, np.ones(20), 2)
+
+
+def _verdict(fit):
+    try:
+        fit()
+    except (GapError, RankDeficiencyError) as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+# sigma_5 / sigma_1 of a 400 x 30 A at k = 5, with sigma_6 = sigma_5 / 10, and
+# the verdict every route must give: rank 5 needs sigma_5 > RANK_FLOOR sigma_1
+# (3.16e-5). A tie sigma_5 = sigma_6 has no gap.
+VERDICTS = [(1e-3, "ok"), (1e-4, "ok"), (5e-5, "ok"), (2e-5, "RankDeficiencyError"),
+            (1e-5, "RankDeficiencyError"), (1e-6, "RankDeficiencyError"),
+            (1e-8, "RankDeficiencyError"), ("tie", "GapError")]
+
+
+@pytest.mark.parametrize("ratio, verdict", VERDICTS)
+def test_svd_and_gram_routes_give_one_verdict(ratio, verdict):
+    """Degree-1 kernel PCR is PCR: the SVD of A (``exact_pcr``, and A R at
+    R = I) and the eigenvalues of A A^T (``fit_exact``) and of A^T A (the
+    sketched fit's Gram rule) give the same verdict at k."""
+    k = 5
+    head = [1.0, 0.8, 0.6, 0.4] + ([0.3, 0.3] if ratio == "tie" else [ratio, ratio / 10])
+    sigma = np.concatenate([head, head[-1] * np.geomspace(0.5, 0.01, 24)])
+    a = with_spectrum(sigma, 400, seed=74)
+    b = np.random.default_rng(75).standard_normal(400)
+    p = PcrProblem(a=a, b=b, k=k)
+    got = {route: _verdict(fit) for route, fit in [
+        ("exact_pcr", lambda: exact_pcr(p)),
+        ("sketched_pcr, R = I", lambda: sketched_pcr(p, np.eye(30))),
+        ("fit_exact", lambda: fit_exact(a, b, k, LINEAR)),
+        ("sketched Gram rule", lambda: features_gamma(a, b, k)),
+    ]}
+    assert got == dict.fromkeys(got, verdict)
 
 
 def lanczos_case(sigma, seed=68):
@@ -274,7 +311,7 @@ def test_kernel_fits_do_not_depend_on_the_blas_thread_count(fit, kernel_fits_at_
 
 def test_sketched_rank_floor_is_the_exact_modes():
     """Squaring Phi R costs accuracy of order eps * lambda_1 / lambda_k; the
-    rank floor lambda_k > EIG_CLAMP lambda_1 keeps that small."""
+    rank floor lambda_k > RANK_FLOOR^2 lambda_1 keeps that small."""
     b = np.random.default_rng(65).standard_normal(40)
     k = 3
 
@@ -285,7 +322,7 @@ def test_sketched_rank_floor_is_the_exact_modes():
     phi_r = features(1e-8)
     gamma = features_gamma(phi_r, b, k)
     assert relative_error(gamma, svd_gamma(phi_r, b, k)) <= 1e-6
-    assert 1e-10 < EIG_CLAMP
+    assert 1e-10 < RANK_FLOOR ** 2
     with pytest.raises(RankDeficiencyError):
         features_gamma(features(1e-10), b, k)
 

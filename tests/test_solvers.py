@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sketchpcr import solvers
 from sketchpcr.errors import ConvergenceError, GapError, RankDeficiencyError
 from sketchpcr.evaluation import planted_matrix
-from sketchpcr.linalg import spectral_norm, subspace_distance, thin_svd
+from sketchpcr.linalg import RANK_FLOOR, spectral_norm, subspace_distance, thin_svd
 from sketchpcr.sketch import gen_countsketch, gen_subgaussian
 from sketchpcr.solvers import (
     PcrProblem,
@@ -161,6 +161,22 @@ class TestCls:
             sol = cls(PcrProblem(a=a, b=np.ones(10), k=1), r)
         assert np.array_equal(sol.x, np.zeros(4))
         assert np.array_equal(sol.x, r @ np.linalg.lstsq(a @ r, np.ones(10), rcond=None)[0])
+
+    def test_truncates_at_the_rank_floor_as_lstsq_does(self):
+        # The cli's CLS on a planted A: A R has a geometric tail of singular
+        # values, whose part above rounding numpy's default rcond would keep.
+        n, d, k, t = 2000, 200, 10, 80
+        a = planted_matrix(n, d, k, 0.5, seed=90)
+        b = a @ np.random.default_rng(91).standard_normal(d) \
+            + 0.1 * np.random.default_rng(92).standard_normal(n)
+        r = build_r_right(gen_subgaussian(t, d, 93))
+        s = np.linalg.svd(a @ r, compute_uv=False)
+        floor = RANK_FLOOR * s[0]
+        kept = np.count_nonzero(s > floor)
+        assert kept < t and s[kept - 1] > 1.1 * floor and s[kept] < 0.9 * floor
+        x = cls(PcrProblem(a=a, b=b, k=k), r).x
+        want = r @ np.linalg.lstsq(a @ r, b, rcond=RANK_FLOOR)[0]
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_coincides_with_sketched_for_k_orthonormal_columns(self):
         p = random_problem(13)
@@ -366,15 +382,23 @@ class TestExactReference:
                                        objective=None, constraint_norm=None, wall_time=0.0),
                         mode="pcp")
 
-    def test_rank_tolerance_uses_the_shape_of_a(self):
-        # sigma_2 = 1e-14 lies below sigma_1 * 1000 * eps, the tolerance for a
-        # 1000 x 3 A, though above sigma_1 * 3 * eps.
+    def test_rank_floor_is_relative_to_sigma_1(self):
+        # Rank 2 needs sigma_2 > RANK_FLOOR sigma_1 at any scale of A (the
+        # rounding cutoff of a 1000 x 3 A is 2.2e-13 sigma_1); sigma_3 =
+        # sigma_2 / 10 leaves a gap at 2 either way.
         rng = np.random.default_rng(50)
         u = np.linalg.qr(rng.standard_normal((1000, 3)))[0]
         v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        a = (u * [1.0, 1e-14, 1e-15]) @ v.T
-        with pytest.raises(RankDeficiencyError):
-            exact_pcr(PcrProblem(a=a, b=np.ones(1000), k=2))
+        for scale in (1e-100, 1.0, 1e100):
+            for factor, kept in ((1.001, True), (0.999, False)):
+                s2 = factor * RANK_FLOOR
+                p = PcrProblem(a=(u * [scale, scale * s2, scale * s2 / 10]) @ v.T,
+                               b=np.ones(1000), k=2)
+                if kept:
+                    exact_pcr(p)
+                else:
+                    with pytest.raises(RankDeficiencyError, match="A has rank below k=2"):
+                        exact_pcr(p)
 
     @pytest.mark.parametrize("exact_first", [True, False])
     def test_exact_wall_time_includes_the_svd_in_either_order(self, exact_first, monkeypatch):
@@ -717,10 +741,7 @@ def batch_x_at_1_and_2_threads():
 
 
 @pytest.mark.parametrize("solver", [
-    "exact", "left", "right", "twosided", "input-sparsity",
-    pytest.param("cls", marks=pytest.mark.xfail(
-        strict=False, reason="ROADMAP item 4: CLS keeps singular values of A R next to the "
-        "rank cutoff, so its x depends on rounding")),
+    "exact", "left", "right", "twosided", "input-sparsity", "cls",
 ])
 def test_batch_x_does_not_depend_on_the_blas_thread_count(solver, batch_x_at_1_and_2_threads):
     x1, x2 = (np.array(xs[solver]) for xs in batch_x_at_1_and_2_threads)
