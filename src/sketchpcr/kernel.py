@@ -7,8 +7,8 @@ Phi: it solves on the n x n Gram matrix K and keeps dual coefficients.
 ``sketched_kernel_pcr`` compresses Phi's columns with TensorSketch, one
 batched call over all rows, and solves in the t-dimensional sketched
 feature space on the t x t Gram matrix (Phi R)^T (Phi R). Both end in one
-Gram rule, which rejects an overflowed Gram matrix and takes its top k+1
-eigenpairs with one rank floor and gap check
+Gram rule, which rejects an overflowed Gram matrix and takes its top k
+eigenpairs and lambda_{k+1} with one rank floor and gap check
 (:func:`sketchpcr.linalg.top_eigenpairs`: numpy-only Lanczos, whose
 seeded restarts find every copy of a repeated eigenvalue, as a planted
 kernel's equal top eigenvalues are). A model keeps ``fitted``, its
@@ -51,11 +51,15 @@ class KernelModel:
     gamma: np.ndarray | None = field(default=None, repr=False)  # sketched only
 
 
-def _power(base, degree):
-    """``base ** degree`` by degree - 1 multiplications, not one pow per entry."""
+PANEL = 2 ** 15   # entries of a row panel of K (256 KB), which stays in cache
+
+
+def _power(base, degree, out=None):
+    """``base ** degree`` by degree - 1 multiplications, not one pow per
+    entry, written to ``out`` when given."""
     if degree == 1:
         return base
-    out = base * base
+    out = np.multiply(base, base, out=out)
     for _ in range(degree - 2):
         out *= base
     return out
@@ -65,14 +69,22 @@ def kernel_matrix(a, spec: KernelSpec):
     """n x n matrix with entries (a_i^T a_j + c)^q; symmetric PSD.
 
     On a contiguous ``a``, ``a @ a.T`` is one symmetric rank-update (syrk)
-    and comes out exactly symmetric, so the power is too. An entry that
-    overflows is inf, which the fit rejects.
+    and comes out exactly symmetric, so the power is too. The offset and
+    the power then go in place over row panels of ``PANEL`` entries, each
+    read and written while it is in cache. An entry that overflows is
+    inf, which the fit rejects.
     """
     a = np.ascontiguousarray(as_matrix(a, "a"))
     with np.errstate(over="ignore"):
-        base = a @ a.T
-        base += spec.offset
-        return _power(base, spec.degree)
+        k_mat = a @ a.T
+        rows = max(1, PANEL // k_mat.shape[0])
+        scratch = np.empty((rows, k_mat.shape[0]))
+        for start in range(0, k_mat.shape[0], rows):
+            panel = k_mat[start:start + rows]
+            panel += spec.offset
+            if spec.degree > 1:   # x (x^(q-1)) is x^q bit for bit: products commute
+                panel *= _power(panel, spec.degree - 1, out=scratch[:len(panel)])
+        return k_mat
 
 
 def augment_offset(a, offset):
@@ -111,11 +123,18 @@ def fit_exact(a, b, k, spec: KernelSpec) -> KernelModel:
     return KernelModel(spec=spec, fitted=k_mat @ alpha, train=a, alpha=alpha)
 
 
+def _point(z, features):
+    """One data point ``z`` of ``features`` numbers, as a flat float64 vector."""
+    if np.ndim(z) > 1:
+        raise ValueError(f"z must be one point, got shape {np.shape(z)}")
+    return as_vector(z, length=features, name="z")
+
+
 def kernel_predict(model: KernelModel, z):
     """f(z) = sum_i K(z, a_i) alpha_i for an exact model."""
     if model.alpha is None:
         raise ValueError("kernel_predict needs an exact model")
-    z = as_vector(z, length=model.train.shape[1], name="z")
+    z = _point(z, model.train.shape[1])
     kvec = model.train @ z
     kvec += model.spec.offset
     kvec = _power(kvec, model.spec.degree)
@@ -137,7 +156,7 @@ def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:
     """Rank-k PCR in the TensorSketched feature space, never forming the
     d^q-column feature matrix Phi.
 
-    gamma = V_k Lambda_k^-1 V_k^T (Phi R)^T b from the top k+1 eigenpairs
+    gamma = V_k Lambda_k^-1 V_k^T (Phi R)^T b from the top k eigenpairs
     (lambda_i = sigma_i^2, V) of the t x t Gram matrix (Phi R)^T (Phi R),
     the V_k Sigma_k^-1 U_k^T b of the SVD of Phi R. The rank floor of every
     rank-k cut, sigma_k > ``linalg.RANK_FLOOR`` sigma_1, keeps the accuracy
@@ -159,5 +178,6 @@ def sketched_kernel_predict(model: KernelModel, z):
     """f(z) = <TensorSketch(phi(z)), gamma> for a sketched model."""
     if model.gamma is None:
         raise ValueError("sketched_kernel_predict needs a sketched model")
-    z = augment_offset(np.asarray(z, dtype=float).reshape(1, -1), model.spec.offset)[0]
-    return float(tensorsketch_apply(model.ts, z) @ model.gamma)
+    offset = model.spec.offset
+    z = _point(z, model.ts.in_dim - (offset != 0.0))   # less the sqrt(c) feature
+    return float(tensorsketch_apply(model.ts, augment_offset(z[None], offset)[0]) @ model.gamma)

@@ -230,9 +230,10 @@ def require_gap(sigma, k, what):
 
 
 def _lanczos(gram, k, what):
-    """The k+1 largest eigenpairs of the symmetric PSD m x m ``gram``,
-    k+1 < m, largest first: Lanczos with full reorthogonalization, locking
-    and seeded restarts.
+    """The k largest eigenpairs of the symmetric PSD m x m ``gram``, k+1 < m,
+    largest first, and lambda_{k+1} or a lower bound on it (returned as a
+    (k+1)-th value, with a vector that may not have converged): Lanczos
+    with full reorthogonalization, locking and seeded restarts.
 
     Each step takes one product G q_j and orthogonalizes it twice against
     the locked eigenvectors and the current chain; the chain coefficients
@@ -243,22 +244,34 @@ def _lanczos(gram, k, what):
     G u formed from the stored products, against ``RESIDUAL_TOL`` times
     the largest eigenvalue seen.
 
-    A chain holds one copy of a repeated eigenvalue. So once the first
-    chain's top k+1 pairs converge, they are locked, and a new chain starts
-    from a seeded random vector orthogonal to them: Lanczos on G with the
-    locked pairs deflated, where any missed copy now is (the several start
-    vectors of block Krylov methods, as in Musco & Musco, NeurIPS 2015,
-    taken one after another). The top k+1 locked values stand once such a
-    chain has run at least k+1 steps and its largest Ritz value rho_j after
-    j steps lies below (1 - eps_j) tau, with eps_j = (ln(1.648 sqrt(m) /
-    ``MISSED_PROB``) / (2j - 1))^2 and tau from :func:`_missed_floor`. By
-    the random-start bound of Kuczynski & Wozniakowski (SIAM J. Matrix
-    Anal. Appl. 13, 1992), a missed eigenvalue above tau leaves rho_j that
-    low with probability at most ``MISSED_PROB``; a chain whose Krylov
-    space has run out has rho_j exact, and needs only rho_j <= tau. If
-    instead the chain's top pair converges at or above tau (a missed
-    eigenvalue), or so near tau that k+1 more steps would not rule it out,
-    it is locked too and a new chain starts. A chain that runs out
+    A chain holds one copy of a repeated eigenvalue. So the first chain's
+    converged top pairs are locked, and a new chain starts from a seeded
+    random vector orthogonal to them: Lanczos on G with the locked pairs
+    deflated, where any missed copy now is (the several start vectors of
+    block Krylov methods, as in Musco & Musco, NeurIPS 2015, taken one
+    after another). A restart chain stops once it has run at least k+1
+    steps and its largest Ritz value rho_j after j steps lies below
+    (1 - eps_j) tau, with eps_j = (ln(1.648 sqrt(m) / ``MISSED_PROB``) /
+    (2j - 1))^2 and tau from :func:`_missed_floor`. By the random-start
+    bound of Kuczynski & Wozniakowski (SIAM J. Matrix Anal. Appl. 13,
+    1992), a missed eigenvalue above tau leaves rho_j that low with
+    probability at most ``MISSED_PROB``; a chain whose Krylov space has run
+    out has rho_j exact, and needs only rho_j <= tau.
+
+    Which pairs the first chain locks: lambda_{k+1} needs only its value,
+    for the gap. Once the top k pairs have converged and the (k+1)-th has
+    not, the first chain locks the k alone if a restart would stop as soon
+    with lambda_{k+1} still in it (top Ritz value theta_{k+1}) as without
+    it (theta_{k+2}), both read against the floors of tau from the chain's
+    Ritz values. That restart then counts its own rho_j as the (k+1)-th
+    value when it forms tau, and returns rho_j as that value when it
+    stops: a lower bound on lambda_{k+1}, which then lies below tau with
+    probability at least 1 - ``MISSED_PROB``, so the gap verdict, all that
+    reads the value, is the same as on lambda_{k+1}. Otherwise, as under
+    a tie at k, the first chain runs on until all k+1 pairs converge and
+    locks them. If a restart chain's top pair converges at or above tau (a
+    missed eigenvalue), or so near tau that k+1 more steps would not rule
+    it out, it is locked too and a new chain starts. A chain that runs out
     continues from a random vector. ConvergenceError after
     LANCZOS_MAX_STEPS + (k+1)^2 steps.
     """
@@ -296,7 +309,7 @@ def _lanczos(gram, k, what):
         ran_out |= fresh
         length = row - locked
         if length >= check_at or row == m:
-            check_at = length + max(RITZ_EVERY, length // 8)
+            check_at = _next_check(length)
             rho, y = np.linalg.eigh(proj[locked:row, locked:row])
             rho, y = rho[::-1], y[:, ::-1]
             scale = max(np.abs(rho).max(), np.abs(values).max(initial=0.0))
@@ -307,17 +320,26 @@ def _lanczos(gram, k, what):
             lock, done = 0, row == m
             if done:                       # the basis spans everything: all exact
                 lock = length
-            elif locked < p:               # the first chain
-                lock = p if np.all(norms <= tol) else 0
+            elif locked == 0:              # the first chain
+                if np.all(norms <= tol):
+                    lock = p
+                elif length > p and np.all(norms[:k] <= tol):
+                    tau = _missed_floor(rho, k)
+                    if (_bound_check(rho[k], tau, log_bound, p)
+                            <= _bound_check(rho[p], tau, log_bound, p)):
+                        lock = k           # a restart bounds lambda_{k+1} as soon
             else:                          # a restart chain
-                tau = _missed_floor(np.sort(values)[::-1], k)
+                # With k locked, its top Ritz value stands in for lambda_{k+1}.
+                tau = _missed_floor(np.sort(np.concatenate(
+                    [values, rho[:max(p - locked, 0)]]))[::-1], k)
 
                 def floor(j):   # rho_j at most this rules out a missed value above tau
-                    return tau if ran_out else (1 - (log_bound / (2 * j - 1)) ** 2) * tau
+                    return tau if ran_out else _restart_floor(j, tau, log_bound)
 
                 done = rho[0] <= floor(length)
-                if not done and norms[0] <= tol and (rho[0] >= tau
-                                                     or 0 < floor(length + p) < rho[0]):
+                if done:
+                    lock = max(p - locked, 0)   # rho_1 as lambda_{k+1}: a lower bound
+                elif norms[0] <= tol and (rho[0] >= tau or 0 < floor(length + p) < rho[0]):
                     lock = 1   # a missed eigenvalue, or one too near tau to rule out soon
             if lock:
                 found = y[:, :lock].T @ basis[locked:row]
@@ -334,6 +356,28 @@ def _lanczos(gram, k, what):
     raise ConvergenceError(
         f"{what}: Lanczos reached its cap of {budget} steps before a restart confirmed "
         f"the top {p} eigenpairs ({min(locked, p)} converged)")
+
+
+def _next_check(length):
+    """The chain length of the Ritz check after one at ``length``."""
+    return length + max(RITZ_EVERY, length // 8)
+
+
+def _restart_floor(j, tau, log_bound):
+    """(1 - eps_j) tau: a restart chain's top Ritz value after j steps at
+    most this rules out a missed eigenvalue above tau."""
+    return (1 - (log_bound / (2 * j - 1)) ** 2) * tau
+
+
+def _bound_check(theta, tau, log_bound, p):
+    """The first Ritz check length of a restart chain whose top Ritz value
+    ``theta`` lies at or below its floor under tau; inf if none does."""
+    if theta >= tau:
+        return np.inf
+    j = p
+    while _restart_floor(j, tau, log_bound) < theta:
+        j = _next_check(j)
+    return j
 
 
 def _missed_floor(theta, k):
@@ -363,12 +407,13 @@ def _orthogonal(z, q):
 def top_eigenpairs(gram, k, what):
     """The k largest eigenpairs of a symmetric PSD matrix, largest first.
 
-    Only the top k+1 are computed, by Lanczos or, at k >= n - 1, by the
-    dense ``eigh``: the k kept ones and the one that sets the gap.
-    :func:`require_gap` rules on them as singular values sqrt(lambda),
-    negative rounding counted as zero. Every copy of a repeated eigenvalue
-    counts; Lanczos confirms its answer by a restart, or raises
-    ConvergenceError.
+    Lanczos computes the top k pairs and lambda_{k+1}, the value that sets
+    the gap, or a lower bound on it certified to lie below the verdict's
+    threshold; at k >= n - 1 the dense ``eigh`` computes all of them.
+    :func:`require_gap` rules on those k+1 values as singular values
+    sqrt(lambda), negative rounding counted as zero. Every copy of a
+    repeated eigenvalue counts; Lanczos confirms its answer by a restart,
+    or raises ConvergenceError.
     """
     if k + 1 < gram.shape[0]:
         evals, evecs = _lanczos(gram, k, what)

@@ -97,6 +97,31 @@ def test_each_predictor_rejects_the_other_modes_model():
         sketched_kernel_predict(exact, a[0])
 
 
+def fitted_models(offset):
+    """An exact and a sketched degree-2 model of 4-feature data, by predictor."""
+    rng = np.random.default_rng(90)
+    a, b = rng.standard_normal((40, 4)), rng.standard_normal(40)
+    ts = gen_tensorsketch(2, 4 if offset == 0.0 else 5, 16, seed=91)
+    return {"exact": fit_exact(a, b, 2, KernelSpec(2, offset)),
+            "sketched": sketched_kernel_pcr(a, b, 2, ts, offset)}
+
+
+PREDICTORS = {"exact": kernel_predict, "sketched": sketched_kernel_predict}
+
+
+@pytest.mark.parametrize("mode", PREDICTORS)
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+@pytest.mark.parametrize("z, message", [
+    (["1", "2", "3", "4"], "z is not numeric"),
+    (np.ones((2, 2)), r"z must be one point, got shape \(2, 2\)"),
+    (np.ones(3), "z has length 3, expected 4"),   # the offset's feature not counted
+    ([1.0, np.nan, 0.0, 0.0], "z contains NaN or Inf entries"),
+], ids=["strings", "2x2", "short", "nan"])
+def test_both_predictors_reject_a_bad_point_alike(mode, offset, z, message):
+    with pytest.raises(ValueError, match=message):
+        PREDICTORS[mode](fitted_models(offset)[mode], z)
+
+
 # Singular values of the sketched features; k = 2 throughout. The exact
 # mode sees their squares as the eigenvalues of K.
 DEGENERATE = [
@@ -280,6 +305,71 @@ def test_lanczos_non_convergence_is_a_convergence_error(monkeypatch):
         fit_exact(phi, b, 5, LINEAR)
     with pytest.raises(ConvergenceError, match="Phi R: Lanczos reached its cap"):
         features_gamma(phi, b, 5)
+
+
+class CountedProducts:
+    """A Gram matrix that counts its products ``gram @ q``, all that
+    ``_lanczos`` reads of it besides its shape."""
+
+    def __init__(self, gram):
+        self.gram, self.shape, self.products = gram, gram.shape, 0
+
+    def __matmul__(self, q):
+        self.products += 1
+        return self.gram @ q
+
+
+def planted_gram(lam, seed=76):
+    """A symmetric matrix with eigenvalues ``lam`` and random eigenvectors."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(lam), len(lam))))
+    return (q * lam) @ q.T
+
+
+def tight_pair(k):
+    """300 eigenvalues with a clear gap at k, then lambda_{k+1} = 0.025 only
+    2% above lambda_{k+2}: the (k+1)-th pair converges slowly."""
+    return np.concatenate([np.geomspace(1.0, 0.1, k), [0.025, 0.0245],
+                           np.geomspace(0.02, 1e-4, 300 - k - 2)])
+
+
+@pytest.mark.parametrize("k", [5, 10])
+def test_lanczos_bounds_a_slow_k_plus_1st_pair_without_converging_it(k):
+    # Converged to 1e-12, the (k+1)-th pair takes 52 (k = 5) and 54 (k = 10)
+    # products; a restart rules on the gap from its Ritz value in 32 and 34.
+    lam = tight_pair(k)
+    gram = CountedProducts(planted_gram(lam))
+    evals, evecs = top_eigenpairs(gram, k, "gram")
+    assert gram.products <= 36
+    assert np.abs(evals - np.linalg.eigvalsh(gram.gram)[::-1][:k]).max() <= 1e-12 * lam[0]
+    assert np.abs(evecs.T @ evecs - np.eye(k)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [5, 10])
+def test_a_tie_at_k_behind_a_slow_pair_is_still_a_gap_error(k):
+    lam = tight_pair(k)
+    lam[k] = lam[k - 1]                    # lambda_{k+1} = lambda_k
+    with pytest.raises(GapError):
+        top_eigenpairs(planted_gram(lam), k, "gram")
+
+
+@pytest.mark.parametrize("mode", ["K", "Phi^T Phi"])
+def test_lanczos_takes_no_more_products_where_every_pair_converges_fast(mode):
+    phi, _ = lanczos_case(SIGMA)
+    gram = CountedProducts(phi @ phi.T if mode == "K" else phi.T @ phi)
+    top_eigenpairs(gram, 5, "gram")
+    assert gram.products <= 44
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="a tight cluster under lambda_{k+1} exhausts the step cap")
+@pytest.mark.parametrize("k", [3, 10])
+def test_lanczos_resolves_a_tight_cluster_below_the_top(k):
+    # 20 eigenvalues 1e-3 to 1e-6 apart just under lambda_3 = 1: at k = 3 the
+    # cluster starts at lambda_{k+1}, at k = 10 it holds lambda_k.
+    cluster = 1.0 - np.cumsum(np.geomspace(1e-3, 1e-6, 20))
+    lam = np.concatenate([[3.0, 2.0, 1.0], cluster, np.geomspace(0.5, 1e-3, 277)])
+    evals, _ = top_eigenpairs(planted_gram(lam, seed=77), k, "gram")
+    assert np.abs(evals - lam[:k]).max() <= 1e-12 * lam[0]
 
 
 KERNEL_SCRIPT = """
