@@ -22,6 +22,20 @@ ARPACK's ``eigsh`` runs its own BLAS calls on the OpenBLAS that the scipy
 wheel bundles, beside numpy's products on the one that the numpy wheel
 bundles, and the two thread pools contend for the same cores.
 
+Every LAPACK call here goes through :func:`_lapack`, which turns numpy's
+``LinAlgError`` into :class:`~sketchpcr.errors.ConvergenceError` and runs
+the call on one BLAS thread. The sketched solvers factor small compressed
+matrices, [A R | b] and S A, and on those OpenBLAS's hand-off of each
+level-2 step of a LAPACK panel to its other threads costs more than they
+save: on a 2-vCPU Xeon (OpenBLAS 0.3.31) the QR of a 3000 x 81 [A R | b]
+took 10.4 ms on 2 threads and 6.1 ms on one, and the SVD of a 3000 x 300
+A 87.5 and 69.6 ms. Far larger factorizations pay for the rule: a
+10000 x 81 QR took 19 ms on 2 threads and 25 ms on one, a 1000 x 1000
+SVD 356 and 489 ms. The thread count is that of the OpenBLAS inside
+numpy's own package, set through ``ctypes``; where none is found, nothing
+changes. The count is global to the process: while such a call runs,
+every BLAS call in the process, from any thread, runs on one thread.
+
 Everything here is deterministic. Matrices are plain 2-D float64
 ``numpy.ndarray`` objects; bases are matrices with orthonormal columns.
 The spectral diagnostics take what their callers already hold:
@@ -31,7 +45,13 @@ of a factored one.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,6 +67,78 @@ MISSED_PROB = 1e-6        # a restart chain's chance to miss an eigenvalue that 
 TIE_MARGIN = 1e-2         # a tie at k stands unless a missed eigenvalue lies this
                           # far above it, relative to lambda_1
 LANCZOS_MAX_STEPS = 300   # steps allowed beyond the (k+1)^2 of k+1 restart chains
+
+
+class _OpenBlas(NamedTuple):
+    path: Path     # the shared library
+    get: Callable  # () -> its thread count
+    set: Callable  # (count) -> None
+
+
+@functools.cache
+def _numpy_openblas():
+    """The thread count of the OpenBLAS bundled in numpy's own package as
+    an :class:`_OpenBlas`, or None. numpy 2 wheels export it as
+    ``scipy_openblas_{get,set}_num_threads64_``, numpy 1 wheels (ILP64) as
+    ``openblas_{get,set}_num_threads64_``, LP64 builds without a suffix.
+    scipy's copy, with its own pool, is never bound."""
+    pkg = Path(np.__file__).parent
+    libs = sorted(pkg.parent.glob("numpy.libs/*openblas*")) + sorted(pkg.glob(".dylibs/*openblas*"))
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            try:
+                get = getattr(dll, f"{prefix}openblas_get_num_threads{suffix}")
+                set_ = getattr(dll, f"{prefix}openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return _OpenBlas(lib, get, set_)
+    return None
+
+
+# The thread count is global to the process, and so is its guard.
+_serial_lock = threading.Lock()
+_serial_depth = 0   # calls inside _one_thread now
+_saved_threads = 1  # the count the last one out restores
+
+
+@contextmanager
+def _one_thread():
+    """numpy's BLAS on one thread, for every caller at once: the first in
+    saves the count and sets 1, the last out restores it."""
+    global _serial_depth, _saved_threads
+    blas = _numpy_openblas()
+    if blas is None:
+        yield
+        return
+    with _serial_lock:
+        if _serial_depth == 0:
+            _saved_threads = blas.get()
+            if _saved_threads > 1:
+                blas.set(1)
+        _serial_depth += 1
+    try:
+        yield
+    finally:
+        with _serial_lock:
+            _serial_depth -= 1
+            if _serial_depth == 0 and _saved_threads > 1:
+                blas.set(_saved_threads)
+
+
+def _lapack(routine, m, **kwargs):
+    """numpy.linalg's ``routine`` on the matrix ``m``, on one BLAS thread,
+    its LinAlgError raised as ConvergenceError."""
+    try:
+        with _one_thread():
+            return routine(m, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{routine.__name__} failed to converge: {exc}") from exc
 
 
 def _numeric_array(a, name):
@@ -110,7 +202,7 @@ def spectral_norm(a):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(_lapack(np.linalg.svd, a, compute_uv=False).max())
 
 
 @dataclass(frozen=True)
@@ -145,11 +237,7 @@ def _fix_signs(u, vt):
 
 def thin_svd(m):
     """The thin SVD of ``m`` as an :class:`Svd`."""
-    m = as_matrix(m)
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
+    u, s, vt = _lapack(np.linalg.svd, as_matrix(m), full_matrices=False)
     u, vt = _fix_signs(u, vt)
     return Svd(u=u, sigma=s, v=vt.T)
 
@@ -163,11 +251,8 @@ def qr_svd(m, b):
     """
     m = as_matrix(m)
     b = as_vector(b, length=m.shape[0], name="b")
-    r_fac = np.linalg.qr(np.column_stack([m, b]), mode="r")[:min(m.shape)]
-    try:
-        u, sigma, vt = np.linalg.svd(r_fac[:, :-1], full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
+    r_fac = _lapack(np.linalg.qr, np.column_stack([m, b]), mode="r")[:min(m.shape)]
+    u, sigma, vt = _lapack(np.linalg.svd, r_fac[:, :-1], full_matrices=False)
     return sigma, vt.T, u.T @ r_fac[:, -1]
 
 
@@ -192,7 +277,7 @@ def subspace_distance(u, w):
             f"column counts differ ({u.shape[1]} vs {w.shape[1]}); "
             "the distance is defined for equal-dimension subspaces only"
         )
-    sigma = np.linalg.svd(u.T @ w, compute_uv=False)
+    sigma = _lapack(np.linalg.svd, u.T @ w, compute_uv=False)
     smin = min(1.0, sigma[-1] if sigma.size else 0.0)
     return float(np.sqrt(max(0.0, 1.0 - smin * smin)))
 
@@ -310,7 +395,7 @@ def _lanczos(gram, k, what):
         length = row - locked
         if length >= check_at or row == m:
             check_at = _next_check(length)
-            rho, y = np.linalg.eigh(proj[locked:row, locked:row])
+            rho, y = _lapack(np.linalg.eigh, proj[locked:row, locked:row])
             rho, y = rho[::-1], y[:, ::-1]
             scale = max(np.abs(rho).max(), np.abs(values).max(initial=0.0))
             tol = RESIDUAL_TOL * scale
@@ -418,7 +503,7 @@ def top_eigenpairs(gram, k, what):
     if k + 1 < gram.shape[0]:
         evals, evecs = _lanczos(gram, k, what)
     else:
-        evals, evecs = np.linalg.eigh(gram)   # k + 1 >= n: all n eigenpairs
+        evals, evecs = _lapack(np.linalg.eigh, gram)   # k + 1 >= n: all n eigenpairs
         evals, evecs = evals[::-1], evecs[:, ::-1]
     require_gap(np.sqrt(np.maximum(evals, 0.0)), k, what)
     return evals[:k], evecs[:, :k].copy()

@@ -12,14 +12,23 @@ reuse the code they check.
 each bundle their own OpenBLAS, each with its own thread pool; a solver
 that alternates numpy products with scipy's LAPACK or ARPACK calls runs
 two pools that contend for the same cores.
+
+``linalg`` also decides the BLAS thread count of its own
+factorizations: it runs them on one thread of numpy's OpenBLAS, which it
+binds through ``ctypes``. The library it binds lies in numpy's own
+package (``numpy.libs`` beside it, or ``numpy/.dylibs``), never in
+scipy's.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import sketchpcr
+from sketchpcr import linalg
 
 LAYERED = ["io.py", "kernel.py", "sketch.py", "solvers.py", "streaming.py"]
 BANNED = {"numpy.linalg", "scipy.linalg", "scipy.sparse.linalg"}
@@ -77,3 +86,13 @@ def test_the_scipy_check_sees_every_form():
 def test_linalg_imports_no_scipy():
     path = Path(sketchpcr.__file__).parent / "linalg.py"
     assert scipy_imports(path.read_text()) == []
+
+
+def test_linalg_binds_numpys_own_openblas_and_never_scipys():
+    if linalg._numpy_openblas() is None:
+        pytest.skip("no OpenBLAS thread count found in numpy's package")
+    lib = linalg._numpy_openblas().path.resolve()
+    numpy_dir = Path(np.__file__).resolve().parent
+    assert lib.parent in (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs")
+    scipy_dir = Path(scipy.__file__).resolve().parent
+    assert lib.parent not in (scipy_dir.parent / "scipy.libs", scipy_dir / ".dylibs")

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import hypothesis.extra.numpy as hnp
@@ -7,15 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchpcr import linalg
+from sketchpcr.errors import ConvergenceError
 from sketchpcr.linalg import (
     as_matrix,
     as_vector,
     numerical_rank,
     qr_svd,
     relative_gap,
+    spectral_norm,
     stable_rank,
     subspace_distance,
     thin_svd,
+    top_eigenpairs,
     truncated_solve,
 )
 from oracles import jacobi_svd, subspace_distance_projectors
@@ -235,3 +241,167 @@ class TestFiniteness:
             got = as_vector(value, name="v")
             assert got.dtype == np.float64
             assert np.array_equal(got, np.asarray(value, dtype=float))
+
+
+def _gram(n, seed=3):
+    """An n x n PSD matrix with a clear gap after its top 3 eigenvalues."""
+    q = haar(np.random.default_rng(seed), n, n)
+    return (q * np.concatenate([[9.0, 5.0, 3.0], np.linspace(1.0, 0.1, n - 3)])) @ q.T
+
+
+# Each public entry point with the numpy.linalg routine it reaches.
+LAPACK_CALLS = {
+    "thin_svd": ("svd", lambda: thin_svd(np.ones((4, 3)))),
+    "qr_svd-qr": ("qr", lambda: qr_svd(np.ones((4, 3)), np.ones(4))),
+    "qr_svd-svd": ("svd", lambda: qr_svd(np.ones((4, 3)), np.ones(4))),
+    "top_eigenpairs-lanczos": ("eigh", lambda: top_eigenpairs(_gram(30), 3, "gram")),
+    "top_eigenpairs-dense": ("eigh", lambda: top_eigenpairs(_gram(4), 3, "gram")),
+    "subspace_distance": ("svd", lambda: subspace_distance(np.eye(3)[:, :2], np.eye(3)[:, :2])),
+    "spectral_norm": ("svd", lambda: spectral_norm(np.ones((4, 3)))),
+    "stable_rank": ("svd", lambda: stable_rank(np.ones((4, 3)))),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LAPACK_CALLS))
+def test_every_lapack_failure_is_a_convergence_error(call, monkeypatch):
+    routine, run = LAPACK_CALLS[call]
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(ConvergenceError, match=f"{routine} did not converge"):
+        run()
+
+
+@pytest.fixture
+def blas_threads():
+    """The thread count of numpy's OpenBLAS, set to 2 for the test and
+    restored after it."""
+    blas = linalg._numpy_openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread count found in numpy's package")
+    get, set_ = blas.get, blas.set
+    before = get()
+    set_(2)
+    if get() != 2:
+        set_(before)
+        pytest.skip("numpy's OpenBLAS does not take a thread count of 2")
+    yield get
+    set_(before)
+
+
+def recorder(monkeypatch, routine, get, fail=False):
+    """Replace numpy.linalg's ``routine`` with one that records the BLAS
+    thread count it runs on (and then raises LinAlgError if ``fail``)."""
+    seen, real = [], getattr(np.linalg, routine)
+
+    def record(*args, **kwargs):
+        seen.append(get())
+        if fail:
+            raise np.linalg.LinAlgError("recorded")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, routine, record)
+    return seen
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("call, routine", [
+        (lambda: thin_svd(np.ones((50, 20))), "svd"),
+        (lambda: qr_svd(np.ones((50, 20)), np.ones(50)), "qr"),
+        (lambda: top_eigenpairs(_gram(30), 3, "gram"), "eigh"),
+        (lambda: top_eigenpairs(_gram(4), 3, "gram"), "eigh"),
+    ], ids=["thin_svd", "qr_svd", "top_eigenpairs-lanczos", "top_eigenpairs-dense"])
+    def test_each_factorization_runs_on_one_thread_and_restores_the_count(
+            self, call, routine, blas_threads, monkeypatch):
+        seen = recorder(monkeypatch, routine, blas_threads)
+        call()
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_the_count_is_restored_after_a_convergence_error(self, blas_threads, monkeypatch):
+        seen = recorder(monkeypatch, "svd", blas_threads, fail=True)
+        with pytest.raises(ConvergenceError):
+            thin_svd(np.ones((50, 20)))
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_overlapping_callers_share_one_thread_until_the_last_leaves(
+            self, blas_threads, monkeypatch):
+        # Both calls are inside the one-thread region at the barrier; the
+        # second records its count only after the first has left.
+        inside, first_left = threading.Barrier(2, timeout=30), threading.Event()
+        seen, real = {}, np.linalg.svd
+
+        def svd(m, **kwargs):
+            inside.wait()
+            if threading.current_thread().name == "second":
+                assert first_left.wait(timeout=30)
+            seen[threading.current_thread().name] = blas_threads()
+            return real(m, **kwargs)
+
+        def first():
+            thin_svd(np.ones((30, 10)))
+            first_left.set()
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        threads = [threading.Thread(target=first, name="first"),
+                   threading.Thread(target=thin_svd, args=(np.ones((40, 10)),), name="second")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert seen == {"first": 1, "second": 1}
+        assert blas_threads() == 2
+
+    def test_many_callers_at_once_never_see_the_count_restored_early(
+            self, blas_threads, monkeypatch):
+        # More threads than cores and a short switch interval: a lost update
+        # to the shared depth would restore the count under a running call
+        # (seen as 2) or leave it at 1 after the last.
+        seen = recorder(monkeypatch, "svd", blas_threads)
+        rng = np.random.default_rng(6)
+        mats = [rng.standard_normal((20, 8)) for _ in range(8)]
+
+        def work(m):
+            for _ in range(400):
+                thin_svd(m)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(m,)) for m in mats]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 8 * 400 and set(seen) == {1}
+        assert blas_threads() == 2
+
+
+class FakeOpenBlas:
+    """A loaded library that exports the thread-count pair under one naming."""
+
+    def __init__(self, prefix, suffix):
+        setattr(self, f"{prefix}openblas_get_num_threads{suffix}", lambda: 4)
+        setattr(self, f"{prefix}openblas_set_num_threads{suffix}", lambda count: None)
+
+
+@pytest.mark.parametrize("prefix, suffix", [("scipy_", "64_"), ("", "64_"), ("", "")],
+                         ids=["numpy-2", "numpy-1-ilp64", "unsuffixed"])
+def test_the_binding_finds_each_openblas_naming(prefix, suffix, monkeypatch):
+    if linalg._numpy_openblas() is None:
+        pytest.skip("no OpenBLAS library found in numpy's package")
+    fake = FakeOpenBlas(prefix, suffix)
+    monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: fake)
+    linalg._numpy_openblas.cache_clear()
+    try:
+        blas = linalg._numpy_openblas()
+        assert blas is not None and blas.get is getattr(fake, f"{prefix}openblas_get_num_threads{suffix}")
+    finally:
+        linalg._numpy_openblas.cache_clear()
