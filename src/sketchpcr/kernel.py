@@ -5,13 +5,15 @@ The degree-q polynomial kernel K(x, z) = (x^T z + c)^q corresponds to an
 implicit feature matrix Phi with d^q columns. ``fit_exact`` never forms
 Phi: it solves on the n x n Gram matrix K and keeps dual coefficients.
 ``sketched_kernel_pcr`` compresses Phi's columns with TensorSketch, one
-batched call over all rows, and solves in the t-dimensional sketched
-feature space on the t x t Gram matrix (Phi R)^T (Phi R). Both end in one
-Gram rule, which rejects an overflowed Gram matrix and takes its top k
-eigenpairs and lambda_{k+1} with one rank floor and gap check
-(:func:`sketchpcr.linalg.top_eigenpairs`: numpy-only Lanczos, whose
-seeded restarts find every copy of a repeated eigenvalue, as a planted
-kernel's equal top eigenvalues are). A model keeps ``fitted``, its
+batched call over all rows, worked through in cache-sized row panels, and
+solves in the t-dimensional sketched feature space on the t x t Gram
+matrix (Phi R)^T (Phi R). Both end in one Gram rule, which rejects an
+overflowed Gram matrix and takes its top k eigenpairs and lambda_{k+1}
+with one rank floor and gap check (:func:`sketchpcr.linalg.top_eigenpairs`:
+numpy-only Lanczos, whose seeded restarts find every copy of a repeated
+eigenvalue, as a planted kernel's equal top eigenvalues are, and whose
+products read only the upper triangle of the Gram matrix). K and the
+sketch share one panel size, ``linalg.PANEL``. A model keeps ``fitted``, its
 predictions on the training rows. The non-homogeneous offset c is
 handled by appending a constant sqrt(c) feature to every data point.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, top_eigenpairs
+from .linalg import PANEL, as_matrix, as_vector, top_eigenpairs
 from .sketch import tensorsketch_apply
 
 
@@ -51,9 +53,6 @@ class KernelModel:
     gamma: np.ndarray | None = field(default=None, repr=False)  # sketched only
 
 
-PANEL = 2 ** 15   # entries of a row panel of K (256 KB), which stays in cache
-
-
 def _power(base, degree, out=None):
     """``base ** degree`` by degree - 1 multiplications, not one pow per
     entry, written to ``out`` when given."""
@@ -77,7 +76,7 @@ def kernel_matrix(a, spec: KernelSpec):
     a = np.ascontiguousarray(as_matrix(a, "a"))
     with np.errstate(over="ignore"):
         k_mat = a @ a.T
-        rows = max(1, PANEL // k_mat.shape[0])
+        rows = max(1, PANEL // max(1, k_mat.shape[0]))   # n = 0 gives a 0 x 0 K
         scratch = np.empty((rows, k_mat.shape[0]))
         for start in range(0, k_mat.shape[0], rows):
             panel = k_mat[start:start + rows]

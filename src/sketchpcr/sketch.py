@@ -8,9 +8,9 @@ polynomial feature maps. All generators are pure functions of
 Every batch sketch is the matrix it stands for: ``gen_subgaussian``
 returns a dense ndarray and ``gen_countsketch`` a scipy CSR matrix with
 one +-1 per column, so applying a sketch is ``op @ a``. A TensorSketch
-keeps its q hash tables; it sums each level's CountSketch image of a
-batch straight from them with one ``np.bincount``, and combines the q
-images by one length-t circular convolution.
+keeps its q hash tables; it sums the q levels' CountSketch images of a
+panel of rows straight from them with one ``np.bincount``, and combines
+them by one length-t circular convolution.
 
 Each plain kind has one column rule and one function for any range of
 columns of the seeded sketch, ``countsketch_columns`` and
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import as_matrix, spectral_norm
+from .linalg import PANEL, as_matrix, spectral_norm
 
 MERSENNE_P = (1 << 61) - 1
 HASH_DEGREE = 3
@@ -221,24 +221,34 @@ def tensorsketch_apply(op, z):
     Equal to the length-t circular convolution of the q CountSketch
     images S_j z, computed as irfft(prod_j rfft(S_j z)); degree 1 needs
     no convolution and is exactly a plain CountSketch.
+
+    The batch goes through in panels of rows whose image at each level
+    holds about ``PANEL`` entries, so the images and their spectra stay in
+    cache. Each panel takes all q images in one ``bincount`` and their
+    spectra in one ``rfft``; every point's sums, transforms and products
+    are those of a whole-batch pass, bit for bit.
     """
     zs = as_matrix(np.atleast_2d(z), "z")
     if zs.shape[1] != op.in_dim:
         raise ValueError(f"z has {zs.shape[1]} features, expected {op.in_dim}")
-    n, t = zs.shape[0], op.out_dim
-    offsets = np.arange(n)[:, None] * t
-    images = (  # (n, t) each, made one at a time: point i's buckets are i*t + rows
-        np.bincount((offsets + rows).ravel(), weights=(zs * signs).ravel(),
-                    minlength=n * t).reshape(n, t)
-        for rows, signs in zip(op.row_tables, op.sign_tables)
-    )
-    if op.degree == 1:
-        out = next(images)
-    else:
-        spectrum = np.fft.rfft(next(images))
-        for image in images:
-            spectrum *= np.fft.rfft(image)
-        out = np.fft.irfft(spectrum, n=t)
+    n, q, t = zs.shape[0], op.degree, op.out_dim
+    step = max(1, PANEL // t)   # points per panel
+    out = np.empty((n, t))
+    for start in range(0, n, step):
+        panel = zs[start:start + step]
+        r = len(panel)
+        # level j's image of point i sums into bins (j r + i) t + h_j(feature)
+        bins = np.arange(0, q * r * t, t).reshape(q, r, 1) + op.row_tables[:, None, :]
+        images = np.bincount(bins.ravel(), weights=(panel * op.sign_tables[:, None, :]).ravel(),
+                             minlength=q * r * t).reshape(q, r, t)
+        if q == 1:
+            out[start:start + r] = images[0]
+            continue
+        spectra = np.fft.rfft(images)
+        spectrum = spectra[0]
+        for level in spectra[1:]:
+            spectrum *= level
+        out[start:start + r] = np.fft.irfft(spectrum, n=t)
     return out[0] if np.ndim(z) == 1 else out
 
 

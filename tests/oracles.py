@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths under test: the SVD oracle is a
 one-sided Jacobi iteration rather than LAPACK, feature maps are built by
-explicit enumeration, CountSketch hash tables by evaluating the hash
+explicit enumeration, TensorSketch also by whole-batch levels,
+CountSketch hash tables by evaluating the hash
 polynomials one key at a time, Gaussian sketch columns one at a time
 from their whole generator block, and subspace distances come straight
 from projector differences. ``write_svmlight`` writes what
@@ -182,6 +183,23 @@ def tensorsketch_bruteforce(op, z):
             value *= z[idx]
         out[bucket % t] += sign * value
     return out
+
+
+def tensorsketch_whole_batch(op, z):
+    """Apply the TensorSketch to the (n, in_dim) batch ``z`` one level at a
+    time over the whole batch: level j's (n, t) image from one bincount, its
+    spectrum from one rfft, the product of the q spectra, one irfft."""
+    n, t = z.shape[0], op.out_dim
+    offsets = np.arange(n)[:, None] * t
+    images = [np.bincount((offsets + rows).ravel(), weights=(z * signs).ravel(),
+                          minlength=n * t).reshape(n, t)
+              for rows, signs in zip(op.row_tables, op.sign_tables)]
+    if op.degree == 1:
+        return images[0]
+    spectrum = np.fft.rfft(images[0])
+    for image in images[1:]:
+        spectrum *= np.fft.rfft(image)
+    return np.fft.irfft(spectrum, n=t)
 
 
 def tensorsketch_materialize(op):

@@ -277,9 +277,9 @@ def test_two_fits_are_bit_identical():
 def test_dense_eigh_only_when_lanczos_cannot_run(monkeypatch):
     lanczos, ran = linalg._lanczos, []
 
-    def record(gram, k, what):
-        ran.append(gram.shape)
-        return lanczos(gram, k, what)
+    def record(product, m, k, what):
+        ran.append(m)
+        return lanczos(product, m, k, what)
 
     def fail(*args, **kwargs):
         pytest.fail("Lanczos ran where k + 1 >= n")
@@ -288,7 +288,7 @@ def test_dense_eigh_only_when_lanczos_cannot_run(monkeypatch):
     monkeypatch.setattr(linalg, "_lanczos", record)
     fit_exact(phi, b, 5, LINEAR)
     features_gamma(phi, b, 5)
-    assert ran == [(300, 300), (40, 40)]
+    assert ran == [300, 40]
     monkeypatch.setattr(linalg, "_lanczos", fail)
     phi6 = phi[:6, :6]                     # n = 6: k = 5 has k + 1 = n, k = 6 has k = n
     fit_exact(phi6, b[:6], 5, LINEAR)
@@ -308,15 +308,21 @@ def test_lanczos_non_convergence_is_a_convergence_error(monkeypatch):
 
 
 class CountedProducts:
-    """A Gram matrix that counts its products ``gram @ q``, all that
-    ``_lanczos`` reads of it besides its shape."""
+    """Counts the products G q that ``_lanczos`` takes, all that it reads of
+    G, through the product function of ``linalg._gram_product``."""
 
-    def __init__(self, gram):
-        self.gram, self.shape, self.products = gram, gram.shape, 0
+    def __init__(self, monkeypatch):
+        self.products, real = 0, linalg._gram_product
 
-    def __matmul__(self, q):
-        self.products += 1
-        return self.gram @ q
+        def counted(gram):
+            product = real(gram)
+
+            def count(q):
+                self.products += 1
+                return product(q)
+            return count
+
+        monkeypatch.setattr(linalg, "_gram_product", counted)
 
 
 def planted_gram(lam, seed=76):
@@ -333,14 +339,14 @@ def tight_pair(k):
 
 
 @pytest.mark.parametrize("k", [5, 10])
-def test_lanczos_bounds_a_slow_k_plus_1st_pair_without_converging_it(k):
+def test_lanczos_bounds_a_slow_k_plus_1st_pair_without_converging_it(k, monkeypatch):
     # Converged to 1e-12, the (k+1)-th pair takes 52 (k = 5) and 54 (k = 10)
     # products; a restart rules on the gap from its Ritz value in 32 and 34.
-    lam = tight_pair(k)
-    gram = CountedProducts(planted_gram(lam))
+    lam, counted = tight_pair(k), CountedProducts(monkeypatch)
+    gram = planted_gram(lam)
     evals, evecs = top_eigenpairs(gram, k, "gram")
-    assert gram.products <= 36
-    assert np.abs(evals - np.linalg.eigvalsh(gram.gram)[::-1][:k]).max() <= 1e-12 * lam[0]
+    assert counted.products <= 36
+    assert np.abs(evals - np.linalg.eigvalsh(gram)[::-1][:k]).max() <= 1e-12 * lam[0]
     assert np.abs(evecs.T @ evecs - np.eye(k)).max() <= 1e-12
 
 
@@ -353,11 +359,42 @@ def test_a_tie_at_k_behind_a_slow_pair_is_still_a_gap_error(k):
 
 
 @pytest.mark.parametrize("mode", ["K", "Phi^T Phi"])
-def test_lanczos_takes_no_more_products_where_every_pair_converges_fast(mode):
+def test_lanczos_takes_no_more_products_where_every_pair_converges_fast(mode, monkeypatch):
     phi, _ = lanczos_case(SIGMA)
-    gram = CountedProducts(phi @ phi.T if mode == "K" else phi.T @ phi)
-    top_eigenpairs(gram, 5, "gram")
-    assert gram.products <= 44
+    counted = CountedProducts(monkeypatch)
+    top_eigenpairs(phi @ phi.T if mode == "K" else phi.T @ phi, 5, "gram")
+    assert counted.products <= 44
+
+
+def pinned_case(name):
+    """The Gram matrix and k of each case whose products the tests above bound."""
+    if name.startswith("tight"):
+        k = int(name[len("tight"):])
+        return planted_gram(tight_pair(k)), k
+    phi, _ = lanczos_case(SIGMA)
+    return (phi @ phi.T if name == "K" else phi.T @ phi), 5
+
+
+@pytest.mark.parametrize("case", ["tight5", "tight10", "K", "Phi^T Phi"])
+def test_lanczos_takes_as_many_products_without_the_dsymv_binding(case, monkeypatch):
+    blas = linalg._numpy_openblas()
+    if blas is None or blas.symv is None:
+        pytest.skip("no dsymv found in numpy's OpenBLAS")
+    gram, k = pinned_case(case)
+    runs = []
+    for binding in (blas, None):
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_numpy_openblas", lambda: binding)
+            counted = CountedProducts(patch)
+            evals, evecs = top_eigenpairs(gram, k, "gram")
+            runs.append((counted.products, evals, evecs))
+    (with_products, with_evals, with_evecs), (without_products, without_evals, without_evecs) = runs
+    assert with_products == without_products
+    lam1 = with_evals[0]
+    assert np.abs(with_evals - without_evals).max() <= 1e-13 * lam1
+    signs = np.sign(np.sum(with_evecs * without_evecs, axis=0))
+    residual = gram @ (with_evecs - without_evecs * signs)
+    assert np.abs(residual).max() <= 1e-13 * lam1
 
 
 @pytest.mark.xfail(strict=True, raises=ConvergenceError,
@@ -431,6 +468,14 @@ def test_kernel_matrix_is_symmetric_on_a_large_strided_view():
     x = _layout(np.random.default_rng(67).standard_normal((300, 4)), "strided")
     k_mat = kernel_matrix(x, KernelSpec(3, 0.5))
     assert np.array_equal(k_mat, k_mat.T)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_an_empty_input_has_an_empty_kernel_matrix_and_sketch(offset):
+    x = np.empty((0, 4))
+    assert kernel_matrix(x, KernelSpec(3, offset)).shape == (0, 0)
+    ts = gen_tensorsketch(3, 4 + (offset != 0.0), 16, seed=1)
+    assert sketched_feature_matrix(x, ts, offset).shape == (0, 16)
 
 
 rounded = st.floats(min_value=-2.0, max_value=2.0).map(lambda v: round(v, 6))

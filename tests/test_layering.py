@@ -15,12 +15,14 @@ two pools that contend for the same cores.
 
 ``linalg`` also decides the BLAS thread count of its own
 factorizations: it runs them on one thread of numpy's OpenBLAS, which it
-binds through ``ctypes``. The library it binds lies in numpy's own
-package (``numpy.libs`` beside it, or ``numpy/.dylibs``), never in
-scipy's.
+binds through ``ctypes``, and takes its Lanczos products from that
+library's ``dsymv``. The library it binds, and the one that ``dsymv``
+comes from, lie in numpy's own package (``numpy.libs`` beside it, or
+``numpy/.dylibs``), never in scipy's.
 """
 
 import ast
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -96,3 +98,24 @@ def test_linalg_binds_numpys_own_openblas_and_never_scipys():
     assert lib.parent in (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs")
     scipy_dir = Path(scipy.__file__).resolve().parent
     assert lib.parent not in (scipy_dir.parent / "scipy.libs", scipy_dir / ".dylibs")
+
+
+class DlInfo(ctypes.Structure):
+    _fields_ = [("dli_fname", ctypes.c_char_p), ("dli_fbase", ctypes.c_void_p),
+                ("dli_sname", ctypes.c_char_p), ("dli_saddr", ctypes.c_void_p)]
+
+
+def test_dsymv_comes_from_numpys_own_openblas():
+    blas = linalg._numpy_openblas()
+    if blas is None or blas.symv is None:
+        pytest.skip("no dsymv found in numpy's OpenBLAS")
+    dladdr = getattr(ctypes.CDLL(None), "dladdr", None)
+    if dladdr is None:
+        pytest.skip("no dladdr to name the library a symbol lies in")
+    dladdr.argtypes, dladdr.restype = [ctypes.c_void_p, ctypes.POINTER(DlInfo)], ctypes.c_int
+    info = DlInfo()
+    assert dladdr(ctypes.cast(blas.symv, ctypes.c_void_p), ctypes.byref(info))
+    assert info.dli_sname.decode().endswith(("cblas_dsymv64_", "cblas_dsymv"))
+    numpy_dir = Path(np.__file__).resolve().parent
+    assert Path(info.dli_fname.decode()).resolve().parent in (numpy_dir.parent / "numpy.libs",
+                                                              numpy_dir / ".dylibs")

@@ -1,7 +1,9 @@
+import ctypes
 import math
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -385,23 +387,90 @@ class TestBlasThreads:
 
 
 class FakeOpenBlas:
-    """A loaded library that exports the thread-count pair under one naming."""
+    """A loaded library that exports the thread-count pair, and dsymv if
+    ``symv``, under one naming."""
 
-    def __init__(self, prefix, suffix):
+    def __init__(self, prefix, suffix, symv=True):
         setattr(self, f"{prefix}openblas_get_num_threads{suffix}", lambda: 4)
         setattr(self, f"{prefix}openblas_set_num_threads{suffix}", lambda count: None)
+        if symv:
+            setattr(self, f"{prefix}cblas_dsymv{suffix}", lambda *args: None)
 
 
-@pytest.mark.parametrize("prefix, suffix", [("scipy_", "64_"), ("", "64_"), ("", "")],
-                         ids=["numpy-2", "numpy-1-ilp64", "unsuffixed"])
-def test_the_binding_finds_each_openblas_naming(prefix, suffix, monkeypatch):
+@pytest.mark.parametrize("prefix, suffix, symv", [("scipy_", "64_", True), ("", "64_", True),
+                                                  ("", "", True), ("", "", False)],
+                         ids=["numpy-2", "numpy-1-ilp64", "unsuffixed", "without-dsymv"])
+def test_the_binding_finds_each_openblas_naming(prefix, suffix, symv, monkeypatch):
     if linalg._numpy_openblas() is None:
         pytest.skip("no OpenBLAS library found in numpy's package")
-    fake = FakeOpenBlas(prefix, suffix)
+    fake = FakeOpenBlas(prefix, suffix, symv)
     monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: fake)
     linalg._numpy_openblas.cache_clear()
     try:
         blas = linalg._numpy_openblas()
         assert blas is not None and blas.get is getattr(fake, f"{prefix}openblas_get_num_threads{suffix}")
+        if not symv:
+            assert blas.symv is None
+            gram = _gram(30)
+            assert np.array_equal(linalg._gram_product(gram)(gram[0]), gram @ gram[0])
+        else:
+            assert blas.symv is getattr(fake, f"{prefix}cblas_dsymv{suffix}")
+            integer = ctypes.c_int64 if suffix else ctypes.c_int   # ILP64 or LP64
+            assert [blas.symv.argtypes[i] for i in (2, 5, 7, 10)] == [integer] * 4
     finally:
         linalg._numpy_openblas.cache_clear()
+
+
+def refusing_blas():
+    """An :class:`linalg._OpenBlas` whose dsymv fails the test if called."""
+    def symv(*args):
+        pytest.fail("dsymv was called")
+    return linalg._OpenBlas(Path("fake"), lambda: 1, lambda count: None, symv)
+
+
+class TestGramProducts:
+    """dsymv reads raw pointers: only a square C-ordered float64 matrix and
+    a contiguous vector of its length may reach it."""
+
+    @pytest.mark.parametrize("shape", [(30, 20), (30,), (2, 30, 30)])
+    def test_a_non_square_gram_is_refused_before_any_foreign_call(self, shape, monkeypatch):
+        monkeypatch.setattr(linalg, "_numpy_openblas", refusing_blas)
+        with pytest.raises(ValueError, match="square"):
+            top_eigenpairs(np.ones(shape), 3, "gram")
+        with pytest.raises(ValueError, match="square"):
+            linalg._gram_product(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(29,), (31,), (30, 1), (1, 30)])
+    def test_a_vector_of_another_length_is_refused_before_any_foreign_call(
+            self, shape, monkeypatch):
+        monkeypatch.setattr(linalg, "_numpy_openblas", refusing_blas)
+        product = linalg._gram_product(_gram(30))
+        with pytest.raises(ValueError, match="expected \\(30,\\)"):
+            product(np.ones(shape))
+
+    @pytest.mark.parametrize("layout", ["F", "strided", "reversed", "int"])
+    def test_any_layout_gives_the_eigenpairs_of_its_c_ordered_float_copy(self, layout):
+        gram = _gram(40)
+        if layout == "F":
+            view = np.asfortranarray(gram)
+        elif layout == "strided":
+            wide = np.zeros((80, 80))
+            wide[::2, ::2] = gram
+            view = wide[::2, ::2]
+        elif layout == "reversed":
+            view = np.ascontiguousarray(gram[::-1, ::-1])[::-1, ::-1]
+        else:
+            view = np.rint(50 * (gram + gram.T)).astype(np.int64)
+        want = top_eigenpairs(np.ascontiguousarray(view, dtype=float), 3, "gram")
+        got = top_eigenpairs(view, 3, "gram")
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    def test_products_read_only_the_upper_triangle(self):
+        blas = linalg._numpy_openblas()
+        if blas is None or blas.symv is None:
+            pytest.skip("no dsymv found in numpy's OpenBLAS")
+        gram = np.random.default_rng(8).standard_normal((50, 50))
+        upper = np.triu(gram) + np.triu(gram, 1).T
+        q = np.random.default_rng(9).standard_normal(50)
+        got = linalg._gram_product(gram)(q)
+        assert np.abs(got - upper @ q).max() <= 1e-14 * np.abs(upper).sum(axis=1).max()

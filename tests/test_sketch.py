@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchpcr.kernel import sketched_feature_matrix
+from sketchpcr.linalg import PANEL
 from sketchpcr.sketch import (
     HASH_DEGREE,
     MERSENNE_P,
@@ -31,6 +32,7 @@ from oracles import (
     sketch_columns,
     tensorsketch_bruteforce,
     tensorsketch_materialize,
+    tensorsketch_whole_batch,
 )
 
 
@@ -290,6 +292,21 @@ class TestTensorSketch:
             for i in range(7):
                 assert np.allclose(batch[i], tensorsketch_apply(op, z[i]),
                                    rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("t", [129, 1024])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_panels_equal_the_whole_batch_bit_for_bit(self, q, t):
+        # Row counts about the panel of PANEL // t points: none, one, one
+        # short of a panel, a panel, one over, and two panels and three rows.
+        op = gen_tensorsketch(q, 5, t, seed=29)
+        panel = PANEL // t
+        z = np.random.default_rng(30).standard_normal((2 * panel + 3, 5))
+        for n in (0, 1, panel - 1, panel, panel + 1, 2 * panel + 3):
+            got = tensorsketch_apply(op, z[:n])
+            assert got.shape == (n, t)
+            assert np.array_equal(got, tensorsketch_whole_batch(op, z[:n]))
+        for i, row in enumerate(got):
+            assert np.array_equal(tensorsketch_apply(op, z[i]), row)
 
     def test_feature_matrix_matches_explicit_features(self):
         rng = np.random.default_rng(27)
