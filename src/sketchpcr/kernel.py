@@ -5,17 +5,21 @@ The degree-q polynomial kernel K(x, z) = (x^T z + c)^q corresponds to an
 implicit feature matrix Phi with d^q columns. ``fit_exact`` never forms
 Phi: it solves on the n x n Gram matrix K and keeps dual coefficients.
 ``sketched_kernel_pcr`` compresses Phi's columns with TensorSketch, one
-batched call over all rows, worked through in cache-sized row panels, and
-solves in the t-dimensional sketched feature space on the t x t Gram
-matrix (Phi R)^T (Phi R). Both end in one Gram rule, which rejects an
-overflowed Gram matrix and takes its top k eigenpairs and lambda_{k+1}
-with one rank floor and gap check (:func:`sketchpcr.linalg.top_eigenpairs`:
-numpy-only Lanczos, whose seeded restarts find every copy of a repeated
-eigenvalue, as a planted kernel's equal top eigenvalues are, and whose
-products read only the upper triangle of the Gram matrix). K and the
-sketch share one panel size, ``linalg.PANEL``. A model keeps ``fitted``, its
-predictions on the training rows. The non-homogeneous offset c is
-handled by appending a constant sqrt(c) feature to every data point.
+batched call over all rows, and solves in the t-dimensional sketched
+feature space, on the t x t Gram matrix of Phi R written in an
+orthonormal real Fourier basis (:func:`sketchpcr.sketch.tensorsketch_fourier`):
+the eigenvalues of (Phi R)^T (Phi R), with no inverse FFT. Each fit
+builds only the upper triangle of its Gram matrix, all that is read of
+it: K in row panels of ``linalg.PANEL`` entries, each raised to its power
+and checked for overflow while it is in cache, and the sketched one by
+one ``dsyrk`` (:func:`sketchpcr.linalg.upper_gram`). Both end in one Gram
+rule, which takes the top k eigenpairs and lambda_{k+1} with one rank
+floor and gap check (:func:`sketchpcr.linalg.top_eigenpairs`: numpy-only
+Lanczos, whose seeded restarts find every copy of a repeated eigenvalue,
+as a planted kernel's equal top eigenvalues are). A model keeps
+``fitted``, its predictions on the training rows. The non-homogeneous
+offset c is handled by appending a constant sqrt(c) feature to every data
+point.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PANEL, as_matrix, as_vector, top_eigenpairs
-from .sketch import tensorsketch_apply
+from .linalg import (PANEL, _gram_product, as_matrix, as_vector, mirror_upper, top_eigenpairs,
+                     upper_gram)
+from .sketch import from_fourier, tensorsketch_apply, tensorsketch_fourier
 
 
 @dataclass(frozen=True)
@@ -44,13 +49,15 @@ class KernelSpec:
 @dataclass(frozen=True)
 class KernelModel:
     """A fitted kernel PCR model, exact or sketched by the coefficients it
-    holds: ``train`` and ``alpha``, or ``ts`` and ``gamma``."""
+    holds: ``train`` and ``alpha``, or ``ts``, ``gamma`` and ``gamma_hat``,
+    gamma in the Fourier basis that the sketched fit solves in."""
     spec: KernelSpec
     fitted: np.ndarray = field(repr=False)  # predictions on the training rows
-    train: np.ndarray | None = field(default=None, repr=False)  # exact only
-    alpha: np.ndarray | None = field(default=None, repr=False)  # exact only
-    ts: object | None = None                                    # sketched only
-    gamma: np.ndarray | None = field(default=None, repr=False)  # sketched only
+    train: np.ndarray | None = field(default=None, repr=False)      # exact only
+    alpha: np.ndarray | None = field(default=None, repr=False)      # exact only
+    ts: object | None = None                                        # sketched only
+    gamma: np.ndarray | None = field(default=None, repr=False)      # sketched only
+    gamma_hat: np.ndarray | None = field(default=None, repr=False)  # sketched only
 
 
 def _power(base, degree, out=None):
@@ -64,26 +71,45 @@ def _power(base, degree, out=None):
     return out
 
 
-def kernel_matrix(a, spec: KernelSpec):
-    """n x n matrix with entries (a_i^T a_j + c)^q; symmetric PSD.
+def _kernel_upper(a, spec: KernelSpec):
+    """K's upper triangle and whether all of it is finite. What lies below
+    the diagonal is not written, except inside the diagonal blocks.
 
-    On a contiguous ``a``, ``a @ a.T`` is one symmetric rank-update (syrk)
-    and comes out exactly symmetric, so the power is too. The offset and
-    the power then go in place over row panels of ``PANEL`` entries, each
-    read and written while it is in cache. An entry that overflows is
-    inf, which the fit rejects.
+    K is built in row panels of about ``PANEL`` entries, each the product
+    ``a[rows] @ a.T[:, start:]`` of its rows from the diagonal on, formed
+    in a contiguous block. While the block is in cache, the offset, the
+    power and the overflow check go over it in place (an entry that
+    overflows is inf or nan), and then it is copied into K: numpy's
+    elementwise loops run 2-3 times slower on the strided panel of K.
     """
     a = np.ascontiguousarray(as_matrix(a, "a"))
-    with np.errstate(over="ignore"):
-        k_mat = a @ a.T
-        rows = max(1, PANEL // max(1, k_mat.shape[0]))   # n = 0 gives a 0 x 0 K
-        scratch = np.empty((rows, k_mat.shape[0]))
-        for start in range(0, k_mat.shape[0], rows):
-            panel = k_mat[start:start + rows]
-            panel += spec.offset
+    n = a.shape[0]
+    k_mat = np.empty((n, n))
+    block, scratch = np.empty(max(PANEL, n)), np.empty(max(PANEL, n))
+    finite, start = True, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < n:
+            width = n - start
+            rows = min(width, max(1, PANEL // width))
+            panel = block[:rows * width].reshape(rows, width)
+            np.matmul(a[start:start + rows], a.T[:, start:], out=panel)
+            if spec.offset:
+                panel += spec.offset
             if spec.degree > 1:   # x (x^(q-1)) is x^q bit for bit: products commute
-                panel *= _power(panel, spec.degree - 1, out=scratch[:len(panel)])
-        return k_mat
+                panel *= _power(panel, spec.degree - 1,
+                                out=scratch[:rows * width].reshape(rows, width))
+            finite = finite and bool(np.isfinite(panel).all())
+            k_mat[start:start + rows, start:] = panel
+            start += rows
+    return k_mat, finite
+
+
+def kernel_matrix(a, spec: KernelSpec):
+    """n x n matrix with entries (a_i^T a_j + c)^q; symmetric PSD, the fit's
+    upper triangle (:func:`_kernel_upper`) mirrored below the diagonal, so
+    exactly symmetric. An entry that overflows is inf or nan, which the fit
+    rejects."""
+    return mirror_upper(_kernel_upper(a, spec)[0])
 
 
 def augment_offset(a, offset):
@@ -95,13 +121,15 @@ def augment_offset(a, offset):
     return np.hstack([a, col])
 
 
+def _overflowed(what):
+    """The error for a Gram matrix that overflowed float64 on finite data."""
+    return ValueError(f"{what}: the Gram matrix overflowed float64; lower the "
+                      "kernel degree, the offset or the scale of the data")
+
+
 def _gram_pcr(gram, rhs, k, what):
-    """U_k diag(lambda_i^-1) U_k^T rhs from the top k eigenpairs of a Gram
-    matrix. A non-finite Gram matrix of finite data has overflowed float64.
-    """
-    if not np.isfinite(gram).all():
-        raise ValueError(f"{what}: the Gram matrix overflowed float64; lower the "
-                         "kernel degree, the offset or the scale of the data")
+    """U_k diag(lambda_i^-1) U_k^T rhs from the top k eigenpairs of the
+    Gram matrix whose upper triangle is that of ``gram``."""
     lam_k, u_k = top_eigenpairs(gram, k, what)
     return u_k @ ((u_k.T @ rhs) / lam_k)
 
@@ -110,16 +138,19 @@ def fit_exact(a, b, k, spec: KernelSpec) -> KernelModel:
     """Dual rank-k PCR coefficients from the top-k eigenpairs of K.
 
     alpha = U_{K,k} diag(lambda_i^-1) U_{K,k}^T b, where K is
-    ``kernel_matrix(a, spec)``; the model keeps the training rows and
-    the spec to predict.
+    ``kernel_matrix(a, spec)``, of which the fit builds and reads only the
+    upper triangle; the model keeps the training rows and the spec to
+    predict.
     """
     a = as_matrix(a, "a")
     b = as_vector(b, length=a.shape[0], name="b")
     if not 1 <= k <= len(b):
         raise ValueError(f"rank k={k} out of range [1, {len(b)}]")
-    k_mat = kernel_matrix(a, spec)
-    alpha = _gram_pcr(k_mat, b, k, "kernel matrix")
-    return KernelModel(spec=spec, fitted=k_mat @ alpha, train=a, alpha=alpha)
+    k_upper, finite = _kernel_upper(a, spec)
+    if not finite:
+        raise _overflowed("kernel matrix")
+    alpha = _gram_pcr(k_upper, b, k, "kernel matrix")
+    return KernelModel(spec=spec, fitted=_gram_product(k_upper)(alpha), train=a, alpha=alpha)
 
 
 def _point(z, features):
@@ -140,15 +171,20 @@ def kernel_predict(model: KernelModel, z):
     return float(kvec @ model.alpha)
 
 
-def sketched_feature_matrix(a, ts, offset):
-    """Rows of Phi R: the TensorSketch images of all rows of ``a``."""
+def _sketched_rows(a, ts, offset, finish):
+    """``finish(ts, rows)`` on the rows of ``a`` with the offset's feature."""
     a = augment_offset(as_matrix(a, "a"), offset)
     if ts.in_dim != a.shape[1]:
         raise ValueError(
             f"TensorSketch expects {ts.in_dim} features, data has {a.shape[1]} "
             "(offset augmentation adds one)"
         )
-    return tensorsketch_apply(ts, a)
+    return finish(ts, a)
+
+
+def sketched_feature_matrix(a, ts, offset):
+    """Rows of Phi R: the TensorSketch images of all rows of ``a``."""
+    return _sketched_rows(a, ts, offset, tensorsketch_apply)
 
 
 def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:
@@ -160,23 +196,36 @@ def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:
     the V_k Sigma_k^-1 U_k^T b of the SVD of Phi R. The rank floor of every
     rank-k cut, sigma_k > ``linalg.RANK_FLOOR`` sigma_1, keeps the accuracy
     lost to squaring, of order eps lambda_1 / lambda_k, below 1e-6.
+
+    The fit never forms Phi R: it solves on S = Phi R Q^T, the rows of
+    :func:`~sketchpcr.sketch.tensorsketch_fourier` for an orthogonal Q,
+    whose Gram matrix Q (Phi R)^T (Phi R) Q^T has the same eigenvalues.
+    Its upper triangle comes from one ``dsyrk``. That gives gamma_hat =
+    Q gamma, the coefficients of predictions S(z) gamma_hat, and one
+    ``irfft`` gives gamma = Q^T gamma_hat
+    (:func:`~sketchpcr.sketch.from_fourier`).
     """
     spec = KernelSpec(ts.degree, offset)
     a = as_matrix(a, "a")
     b = as_vector(b, length=a.shape[0], name="b")
     if not 1 <= k <= min(a.shape[0], ts.out_dim):
         raise ValueError(f"rank k={k} out of range for the sketched features")
-    with np.errstate(over="ignore", invalid="ignore"):   # the Gram rule rejects inf or nan
-        phi_r = sketched_feature_matrix(a, ts, offset)
-        gram, rhs = phi_r.T @ phi_r, phi_r.T @ b
-    gamma = _gram_pcr(gram, rhs, k, "Phi R")
-    return KernelModel(spec=spec, fitted=phi_r @ gamma, ts=ts, gamma=gamma)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is inf or nan
+        s_hat = _sketched_rows(a, ts, offset, tensorsketch_fourier)
+        gram, rhs = upper_gram(s_hat), s_hat.T @ b
+    if not np.isfinite(gram).all():
+        raise _overflowed("Phi R")
+    gamma_hat = _gram_pcr(gram, rhs, k, "Phi R")
+    return KernelModel(spec=spec, fitted=s_hat @ gamma_hat, ts=ts,
+                       gamma=from_fourier(gamma_hat), gamma_hat=gamma_hat)
 
 
 def sketched_kernel_predict(model: KernelModel, z):
-    """f(z) = <TensorSketch(phi(z)), gamma> for a sketched model."""
+    """f(z) = <TensorSketch(phi(z)), gamma> for a sketched model, read in
+    the fit's Fourier basis as <S(z), gamma_hat>."""
     if model.gamma is None:
         raise ValueError("sketched_kernel_predict needs a sketched model")
     offset = model.spec.offset
     z = _point(z, model.ts.in_dim - (offset != 0.0))   # less the sqrt(c) feature
-    return float(tensorsketch_apply(model.ts, augment_offset(z[None], offset)[0]) @ model.gamma)
+    return float(tensorsketch_fourier(model.ts, augment_offset(z[None], offset)[0])
+                 @ model.gamma_hat)

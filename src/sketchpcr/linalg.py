@@ -21,11 +21,15 @@ only k >= m - 1 takes the dense ``eigh``. It reads the matrix only
 through a product function (:func:`_gram_product`): a BLAS ``dsymv`` from
 numpy's own OpenBLAS, which reads the upper triangle alone, half the
 memory traffic of ``gram @ q`` (0.39 against 0.65 ms on a 2000 x 2000
-kernel matrix, 2-vCPU Xeon), or ``gram @ q`` where no ``dsymv`` is
-bound. Nothing here calls scipy: ARPACK's ``eigsh`` runs its own BLAS
-calls on the OpenBLAS that the scipy wheel bundles, beside numpy's
-products on the one that the numpy wheel bundles, and the two thread
-pools contend for the same cores.
+kernel matrix, 2-vCPU Xeon), or ``G @ q`` on a copy mirrored from the
+upper triangle where no ``dsymv`` is bound. So every route of
+:func:`top_eigenpairs`, the dense ``eigh`` too, reads a Gram matrix
+through its upper triangle alone, and its callers need not write the
+lower one: :func:`upper_gram` forms the upper triangle of m^T m by that
+library's ``dsyrk``. Nothing here calls scipy: ARPACK's ``eigsh`` runs
+its own BLAS calls on the OpenBLAS that the scipy wheel bundles, beside
+numpy's products on the one that the numpy wheel bundles, and the two
+thread pools contend for the same cores.
 
 Every LAPACK call here goes through :func:`_lapack`, which turns numpy's
 ``LinAlgError`` into :class:`~sketchpcr.errors.ConvergenceError` and runs
@@ -84,14 +88,15 @@ class _OpenBlas(NamedTuple):
     get: Callable          # () -> its thread count
     set: Callable          # (count) -> None
     symv: Callable | None  # cblas_dsymv, if the library exports it
+    syrk: Callable | None = None  # cblas_dsyrk, if the library exports it
 
 
 @functools.cache
 def _numpy_openblas():
     """The OpenBLAS bundled in numpy's own package as an :class:`_OpenBlas`,
-    or None: its thread count and its ``cblas_dsymv``. numpy 2 wheels
-    export them as ``scipy_openblas_{get,set}_num_threads64_`` and
-    ``scipy_cblas_dsymv64_``, numpy 1 wheels (ILP64) as
+    or None: its thread count, its ``cblas_dsymv`` and its ``cblas_dsyrk``.
+    numpy 2 wheels export them as ``scipy_openblas_{get,set}_num_threads64_``
+    and ``scipy_cblas_dsymv64_``, numpy 1 wheels (ILP64) as
     ``openblas_{get,set}_num_threads64_`` and ``cblas_dsymv64_``, LP64
     builds without a suffix; the 64_ namings take 64-bit integers. scipy's
     copy, with its own pool, is never bound."""
@@ -110,17 +115,21 @@ def _numpy_openblas():
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
+            n = ctypes.c_int64 if suffix else ctypes.c_int
+            ptr, real, enum = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
             symv = getattr(dll, f"{prefix}cblas_dsymv{suffix}", None)
             if symv is not None:   # (order, uplo, n, alpha, a, lda, x, incx, beta, y, incy)
-                n = ctypes.c_int64 if suffix else ctypes.c_int
-                ptr, real = ctypes.c_void_p, ctypes.c_double
-                symv.argtypes = [ctypes.c_int, ctypes.c_int, n, real, ptr, n, ptr, n, real, ptr, n]
+                symv.argtypes = [enum, enum, n, real, ptr, n, ptr, n, real, ptr, n]
                 symv.restype = None
-            return _OpenBlas(lib, get, set_, symv)
+            syrk = getattr(dll, f"{prefix}cblas_dsyrk{suffix}", None)
+            if syrk is not None:   # (order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
+                syrk.argtypes = [enum, enum, enum, n, n, real, ptr, n, real, ptr, n]
+                syrk.restype = None
+            return _OpenBlas(lib, get, set_, symv, syrk)
     return None
 
 
-_ROW_MAJOR, _UPPER = 101, 121   # CBLAS_ORDER and CBLAS_UPLO
+_ROW_MAJOR, _UPPER, _TRANS = 101, 121, 112   # CBLAS_ORDER, CBLAS_UPLO, CBLAS_TRANSPOSE
 
 
 def _square(gram):
@@ -132,16 +141,23 @@ def _square(gram):
     return gram
 
 
+def mirror_upper(gram):
+    """The symmetric matrix whose upper triangle is that of the square
+    ``gram``, as a new array; what lies below the diagonal is not read."""
+    return np.triu(gram) + np.triu(gram, 1).T
+
+
 def _gram_product(gram):
-    """q -> G q for the symmetric ``gram``, read only through its upper
-    triangle by numpy's OpenBLAS ``dsymv``, or ``gram @ q`` where none is
-    bound. ``dsymv`` reads raw pointers, so it gets only the square
-    C-ordered float64 :func:`_square` of ``gram``, which the product keeps
-    alive, and a contiguous float64 vector of its length."""
+    """q -> G q for the symmetric G whose upper triangle is that of
+    ``gram``, read by numpy's OpenBLAS ``dsymv``, or ``G @ q`` on its
+    :func:`mirror_upper` copy where none is bound. ``dsymv`` reads raw
+    pointers, so it gets only the square C-ordered float64 :func:`_square`
+    of ``gram``, which the product keeps alive, and a contiguous float64
+    vector of its length."""
     gram = _square(gram)
     blas = _numpy_openblas()
     if blas is None or blas.symv is None:
-        return gram.__matmul__
+        return mirror_upper(gram).__matmul__
     m, data = gram.shape[0], gram.ctypes.data
 
     def product(q):
@@ -153,6 +169,25 @@ def _gram_product(gram):
         return out
 
     return product
+
+
+def upper_gram(m):
+    """The upper triangle of m^T m, zeros below the diagonal, from numpy's
+    OpenBLAS ``dsyrk``; ``m.T @ m``, whose upper triangle is the same, where
+    none is bound. ``dsyrk`` reads raw pointers, so it gets only a 2-D
+    C-ordered float64 ``m``, copied if ``m`` is not one."""
+    m = np.ascontiguousarray(_numeric_array(m, "m"))
+    if m.ndim != 2:
+        raise ValueError(f"m must be 2-D, got shape {m.shape}")
+    rows, cols = m.shape
+    blas = _numpy_openblas()
+    if blas is None or blas.syrk is None:
+        return m.T @ m
+    out = np.zeros((cols, cols))
+    if rows and cols:
+        blas.syrk(_ROW_MAJOR, _UPPER, _TRANS, cols, rows, 1.0, m.ctypes.data, cols,
+                  0.0, out.ctypes.data, cols)
+    return out
 
 
 # The thread count is global to the process, and so is its guard.
@@ -553,17 +588,19 @@ def top_eigenpairs(gram, k, what):
     the gap, or a lower bound on it certified to lie below the verdict's
     threshold; at k >= n - 1 the dense ``eigh`` computes all of them.
     Either reads ``gram`` as a square C-ordered float64 matrix, copied if
-    it is not one. :func:`require_gap` rules on those k+1 values as
-    singular values sqrt(lambda), negative rounding counted as zero. Every
-    copy of a repeated eigenvalue counts; Lanczos confirms its answer by a
-    restart, or raises ConvergenceError.
+    it is not one, and reads only its upper triangle: the matrix is the
+    symmetric one with that upper triangle, whatever lies below.
+    :func:`require_gap` rules on those k+1 values as singular values
+    sqrt(lambda), negative rounding counted as zero. Every copy of a
+    repeated eigenvalue counts; Lanczos confirms its answer by a restart,
+    or raises ConvergenceError.
     """
     gram = _square(gram)
     m = gram.shape[0]
     if k + 1 < m:
         evals, evecs = _lanczos(_gram_product(gram), m, k, what)
     else:
-        evals, evecs = _lapack(np.linalg.eigh, gram)   # k + 1 >= n: all n eigenpairs
+        evals, evecs = _lapack(np.linalg.eigh, gram, UPLO="U")   # k + 1 >= n: all n pairs
         evals, evecs = evals[::-1], evecs[:, ::-1]
     require_gap(np.sqrt(np.maximum(evals, 0.0)), k, what)
     return evals[:k], evecs[:, :k].copy()

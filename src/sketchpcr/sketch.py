@@ -10,7 +10,11 @@ returns a dense ndarray and ``gen_countsketch`` a scipy CSR matrix with
 one +-1 per column, so applying a sketch is ``op @ a``. A TensorSketch
 keeps its q hash tables; it sums the q levels' CountSketch images of a
 panel of rows straight from them with one ``np.bincount``, and combines
-them by one length-t circular convolution.
+them by one length-t circular convolution, a product of spectra. One
+panel loop (``_panel_spectra``) ends at each panel's product spectrum:
+``tensorsketch_apply`` finishes it with an inverse FFT,
+``tensorsketch_fourier`` by packing it into an orthonormal real Fourier
+basis, with none.
 
 Each plain kind has one column rule and one function for any range of
 columns of the seeded sketch, ``countsketch_columns`` and
@@ -32,6 +36,7 @@ keys, by Horner's rule in uint64 limbs with exact reduction modulo
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -213,43 +218,106 @@ def apply_left(op, a):
     return _dense(op @ a)
 
 
-def tensorsketch_apply(op, z):
-    """Image of the implicit feature vector phi(z) under the sketch.
+def _panel_spectra(op, z):
+    """(rows, spectrum) for each panel of rows of the (n, in_dim) batch
+    ``z``: the product of its q levels' spectra, or at degree 1 its plain
+    CountSketch image.
 
-    ``z`` is one vector of length in_dim or an (n, in_dim) batch, one
-    point per row; the result is a length-t vector or an (n, t) matrix.
-    Equal to the length-t circular convolution of the q CountSketch
-    images S_j z, computed as irfft(prod_j rfft(S_j z)); degree 1 needs
-    no convolution and is exactly a plain CountSketch.
-
-    The batch goes through in panels of rows whose image at each level
-    holds about ``PANEL`` entries, so the images and their spectra stay in
-    cache. Each panel takes all q images in one ``bincount`` and their
-    spectra in one ``rfft``; every point's sums, transforms and products
-    are those of a whole-batch pass, bit for bit.
+    A panel holds as many points as keep its image at each level near
+    ``PANEL`` entries, so the images and their spectra stay in cache. It
+    takes all q images in one ``bincount`` and their spectra in one
+    ``rfft``; every point's sums, transforms and products are those of a
+    whole-batch pass, bit for bit.
     """
-    zs = as_matrix(np.atleast_2d(z), "z")
-    if zs.shape[1] != op.in_dim:
-        raise ValueError(f"z has {zs.shape[1]} features, expected {op.in_dim}")
-    n, q, t = zs.shape[0], op.degree, op.out_dim
+    q, t = op.degree, op.out_dim
     step = max(1, PANEL // t)   # points per panel
-    out = np.empty((n, t))
-    for start in range(0, n, step):
-        panel = zs[start:start + step]
+    for start in range(0, z.shape[0], step):
+        panel = z[start:start + step]
         r = len(panel)
         # level j's image of point i sums into bins (j r + i) t + h_j(feature)
         bins = np.arange(0, q * r * t, t).reshape(q, r, 1) + op.row_tables[:, None, :]
         images = np.bincount(bins.ravel(), weights=(panel * op.sign_tables[:, None, :]).ravel(),
                              minlength=q * r * t).reshape(q, r, t)
         if q == 1:
-            out[start:start + r] = images[0]
+            yield slice(start, start + r), images[0]
             continue
         spectra = np.fft.rfft(images)
         spectrum = spectra[0]
         for level in spectra[1:]:
             spectrum *= level
-        out[start:start + r] = np.fft.irfft(spectrum, n=t)
+        yield slice(start, start + r), spectrum
+
+
+def _points(op, z):
+    """``z`` as a finite (n, in_dim) batch of points for ``op``."""
+    zs = as_matrix(np.atleast_2d(z), "z")
+    if zs.shape[1] != op.in_dim:
+        raise ValueError(f"z has {zs.shape[1]} features, expected {op.in_dim}")
+    return zs
+
+
+def tensorsketch_apply(op, z):
+    """Image of the implicit feature vector phi(z) under the sketch.
+
+    ``z`` is one vector of length in_dim or an (n, in_dim) batch, one
+    point per row; the result is a length-t vector or an (n, t) matrix.
+    Equal to the length-t circular convolution of the q CountSketch
+    images S_j z, computed as irfft(prod_j rfft(S_j z)) panel by panel
+    (:func:`_panel_spectra`); degree 1 needs no convolution and is
+    exactly a plain CountSketch.
+    """
+    zs = _points(op, z)
+    t = op.out_dim
+    out = np.empty((zs.shape[0], t))
+    for rows, spectrum in _panel_spectra(op, zs):
+        out[rows] = spectrum if op.degree == 1 else np.fft.irfft(spectrum, n=t)
     return out[0] if np.ndim(z) == 1 else out
+
+
+@functools.cache
+def _fourier_weights(t):
+    """The weight of each of the t real Fourier coordinates: sqrt(1/t) at
+    the constant term and, for even t, at the Nyquist term, sqrt(2/t) on the
+    real and imaginary part of every other frequency. So, by Parseval's
+    identity, they make the real DFT an orthogonal map Q of R^t. Read-only:
+    one array serves every call."""
+    w = np.full(t, math.sqrt(2.0 / t))
+    w[0] = math.sqrt(1.0 / t)
+    if t % 2 == 0:
+        w[-1] = w[0]
+    w.flags.writeable = False
+    return w
+
+
+def tensorsketch_fourier(op, z):
+    """The rows of :func:`tensorsketch_apply`'s image in an orthonormal real
+    Fourier basis: Phi R Q^T for the orthogonal Q of the real DFT, with no
+    inverse transform. Each row packs its spectrum s into t real numbers,
+    Re s_0, then Re s_f, Im s_f for 0 < f < t/2, then Re s_{t/2} when t is
+    even, each times its :func:`_fourier_weights`. So inner products of
+    rows, and all that the sketched fit reads, are those of Phi R up to
+    rounding; :func:`from_fourier` maps coefficients back by Q^T.
+    """
+    zs = _points(op, z)
+    t = op.out_dim
+    w = _fourier_weights(t)
+    out = np.empty((zs.shape[0], t))
+    for rows, spectrum in _panel_spectra(op, zs):
+        if op.degree == 1:
+            spectrum = np.fft.rfft(spectrum)
+        parts, block = spectrum.view(float), out[rows]   # Re s_0, Im s_0, Re s_1, ...
+        block[:, 0], block[:, 1:] = parts[:, 0], parts[:, 2:t + 1]
+        block *= w
+    return out[0] if np.ndim(z) == 1 else out
+
+
+def from_fourier(c):
+    """Q^T c for the orthogonal Q of :func:`tensorsketch_fourier`: the real
+    length-t vector whose Fourier coordinates are ``c``, one ``irfft``."""
+    t = len(c)
+    scaled, parts = c / _fourier_weights(t), np.zeros(2 * (t // 2 + 1))
+    parts[0], parts[2:t + 1] = scaled[0], scaled[1:]
+    return np.fft.irfft(parts.view(complex), n=t)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths under test: the SVD oracle is a
 one-sided Jacobi iteration rather than LAPACK, feature maps are built by
-explicit enumeration, TensorSketch also by whole-batch levels,
+explicit enumeration, TensorSketch also by whole-batch levels, the
+sketched kernel fit in the real domain rather than a Fourier basis,
 CountSketch hash tables by evaluating the hash
 polynomials one key at a time, Gaussian sketch columns one at a time
 from their whole generator block, and subspace distances come straight
@@ -22,7 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 import sketchpcr
-from sketchpcr.sketch import MERSENNE_P, _hash_pair
+from sketchpcr.kernel import augment_offset
+from sketchpcr.linalg import require_gap
+from sketchpcr.sketch import MERSENNE_P, _hash_pair, tensorsketch_apply
 
 
 def jacobi_svd(a, tol=1e-13, max_sweeps=60):
@@ -200,6 +203,20 @@ def tensorsketch_whole_batch(op, z):
     for image in images[1:]:
         spectrum *= np.fft.rfft(image)
     return np.fft.irfft(spectrum, n=t)
+
+
+def sketched_fit_real_domain(a, b, k, ts, offset):
+    """The sketched kernel fit solved in the real domain: Phi R from
+    ``tensorsketch_apply``, its whole Gram matrix ``m.T @ m``, all of its
+    eigenpairs from numpy's dense ``eigh`` rather than Lanczos, and the
+    library's one verdict on the rank-k cut (``require_gap``). Returns
+    (gamma, fitted), or raises that verdict."""
+    m = tensorsketch_apply(ts, augment_offset(a, offset))
+    lam, u = np.linalg.eigh(m.T @ m)
+    lam, u = lam[::-1], u[:, ::-1]
+    require_gap(np.sqrt(np.maximum(lam, 0.0)), k, "Phi R")
+    gamma = u[:, :k] @ ((u[:, :k].T @ (m.T @ b)) / lam[:k])
+    return gamma, m @ gamma
 
 
 def tensorsketch_materialize(op):

@@ -198,11 +198,10 @@ def test_sketched_kernel_features_computed_once(tmp_path, monkeypatch):
     a, b, _ = _parse_synthetic(synthetic, seed)
     ts = sketch.gen_tensorsketch(2, a.shape[1], width, seed)
     model = kernel.sketched_kernel_pcr(a, b, rank, ts)
-    preds = kernel.sketched_feature_matrix(a, ts, 0.0) @ model.gamma
-    want = float(np.linalg.norm(preds - b) / math.sqrt(len(b)))
+    want = float(np.linalg.norm(model.fitted - b) / math.sqrt(len(b)))
 
-    real, calls = sketch.tensorsketch_apply, []
-    monkeypatch.setattr(kernel, "tensorsketch_apply",
+    real, calls = sketch.tensorsketch_fourier, []
+    monkeypatch.setattr(kernel, "tensorsketch_fourier",
                         lambda *args: calls.append(1) or real(*args))
     out = tmp_path / "kernel.json"
     assert main(["kernel", "--synthetic", synthetic, "--seed0", str(seed), "--degree", "2",
@@ -215,11 +214,11 @@ def test_sketched_kernel_features_computed_once(tmp_path, monkeypatch):
 def test_exact_kernel_matrix_computed_once(tmp_path, monkeypatch):
     synthetic, rank, spec = "80,4,2,0.5", 2, kernel.KernelSpec(3, 0.5)
     a, b, _ = _parse_synthetic(synthetic, 0)
-    preds = kernel.kernel_matrix(a, spec) @ kernel.fit_exact(a, b, rank, spec).alpha
-    want = float(np.linalg.norm(preds - b) / math.sqrt(len(b)))
+    model = kernel.fit_exact(a, b, rank, spec)
+    want = float(np.linalg.norm(model.fitted - b) / math.sqrt(len(b)))
 
-    real, calls = kernel.kernel_matrix, []
-    monkeypatch.setattr(kernel, "kernel_matrix", lambda *args: calls.append(1) or real(*args))
+    real, calls = kernel._kernel_upper, []
+    monkeypatch.setattr(kernel, "_kernel_upper", lambda *args: calls.append(1) or real(*args))
     out = tmp_path / "kernel.json"
     assert main(["kernel", "--synthetic", synthetic, "--degree", "3", "--offset", "0.5",
                  "--k", str(rank), "--out", str(out)]) == 0

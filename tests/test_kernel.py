@@ -23,9 +23,9 @@ from sketchpcr.kernel import (
     sketched_kernel_predict,
 )
 from sketchpcr.linalg import RANK_FLOOR, top_eigenpairs
-from sketchpcr.sketch import gen_tensorsketch
+from sketchpcr.sketch import gen_tensorsketch, tensorsketch_apply
 from sketchpcr.solvers import PcrProblem, exact_pcr, sketched_pcr
-from oracles import jacobi_svd, poly_features, run_at_blas_threads
+from oracles import jacobi_svd, poly_features, run_at_blas_threads, sketched_fit_real_domain
 
 
 def relative_error(got, want):
@@ -84,6 +84,76 @@ def test_sketched_gamma_matches_full_svd():
     assert relative_error(model.fitted, u[:, :k] @ (u[:, :k].T @ b)) <= 1e-10
     pred = sketched_kernel_predict(model, a[0])
     assert abs(pred - phi_r[0] @ model.gamma) <= 1e-12 * np.linalg.norm(model.gamma)
+
+
+def _fit_or_verdict(fit):
+    try:
+        return fit()
+    except (GapError, RankDeficiencyError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("width", [7, 16, 129, 1024])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+@pytest.mark.parametrize("k", [3, 7])
+def test_the_fourier_basis_fit_is_the_real_domain_fit(degree, width, offset, k):
+    """gamma, the fitted values and the verdict of the fit in the Fourier
+    basis are those of the real-domain oracle; each one-point prediction is
+    that of Phi R(z) gamma. At degree 1 the 4 features (5 with the offset's)
+    give rank 4 or 5, so k = 7 is rank deficient."""
+    rng = np.random.default_rng(100 + degree)
+    a, b, z = rng.standard_normal((200, 4)), rng.standard_normal(200), rng.standard_normal((5, 4))
+    ts = gen_tensorsketch(degree, 4 + (offset != 0.0), width, seed=101)
+    got = _fit_or_verdict(lambda: sketched_kernel_pcr(a, b, k, ts, offset))
+    want = _fit_or_verdict(lambda: sketched_fit_real_domain(a, b, k, ts, offset))
+    if isinstance(want, str):
+        assert got == want
+        return
+    gamma, fitted = want
+    assert relative_error(got.gamma, gamma) <= 1e-12
+    assert relative_error(got.fitted, fitted) <= 1e-12
+    for zi in z:
+        phi_z = tensorsketch_apply(ts, augment_offset(zi[None], offset)[0])
+        scale = np.linalg.norm(phi_z) * np.linalg.norm(got.gamma)
+        assert abs(sketched_kernel_predict(got, zi) - phi_z @ got.gamma) <= 1e-13 * scale
+
+
+def test_the_fourier_basis_fit_sees_a_tie_at_k():
+    # Degree 1 at t = 1024: the 5 features land in distinct buckets, so Phi R
+    # is A with its columns moved and signed, and keeps sigma_2 = sigma_3.
+    a = with_spectrum(np.array([3.0, 2.0, 2.0, 1.0, 0.5]), 200, seed=102)
+    b = np.random.default_rng(103).standard_normal(200)
+    ts = gen_tensorsketch(1, 5, 1024, seed=104)
+    assert len(set(ts.row_tables[0])) == 5
+    for fit in (sketched_kernel_pcr, sketched_fit_real_domain):
+        with pytest.raises(GapError):
+            fit(a, b, 2, ts, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_exact_fitted_is_the_kernel_matrix_times_alpha(n, degree, offset):
+    # At n = 300 the upper triangle takes panels of 109, 171 and 20 rows.
+    rng = np.random.default_rng(105)
+    a, b = rng.standard_normal((n, 3)), rng.standard_normal(n)
+    model = fit_exact(a, b, 1, KernelSpec(degree, offset))
+    want = kernel_matrix(a, KernelSpec(degree, offset)) @ model.alpha
+    assert relative_error(model.fitted, want) <= 1e-12
+
+
+def test_an_overflow_in_the_last_panel_alone_is_caught():
+    # The last row is orthogonal to the others: only K's last diagonal
+    # entry, (1e80^2)^2, overflows, and only the last panel holds it.
+    a = np.zeros((300, 4))
+    a[:-1, :3] = np.random.default_rng(106).standard_normal((299, 3))
+    a[-1, 3] = 1e80
+    spec = KernelSpec(2)
+    k_mat = kernel_matrix(a, spec)
+    assert np.isinf(k_mat[-1, -1]) and np.isfinite(k_mat[:-1]).all()
+    with pytest.raises(ValueError, match="kernel matrix: the Gram matrix overflowed float64"):
+        fit_exact(a, np.ones(300), 2, spec)
 
 
 def test_each_predictor_rejects_the_other_modes_model():
@@ -251,6 +321,17 @@ def test_a_top_eigenvalue_repeated_past_k_is_a_gap_error(k):
         fit_exact(phi, b, k, LINEAR)
     with pytest.raises(GapError):
         features_gamma(phi, b, k)
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="each copy of a top value repeated far past k costs a restart chain")
+def test_a_top_eigenvalue_repeated_far_past_k_is_a_gap_error():
+    # lambda_1 = ... = lambda_40 = 2 at k = 20: the dense route's verdict is a
+    # GapError; Lanczos locks the copies one chain at a time and reaches its
+    # cap of 741 steps.
+    lam = np.concatenate([np.full(40, 2.0), np.geomspace(1.0, 1e-4, 260)])
+    with pytest.raises(GapError):
+        top_eigenpairs(planted_gram(lam, seed=5), 20, "gram")
 
 
 def test_a_tie_at_k_shared_by_most_eigenvalues_is_a_gap_error():

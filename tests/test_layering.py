@@ -16,8 +16,9 @@ two pools that contend for the same cores.
 ``linalg`` also decides the BLAS thread count of its own
 factorizations: it runs them on one thread of numpy's OpenBLAS, which it
 binds through ``ctypes``, and takes its Lanczos products from that
-library's ``dsymv``. The library it binds, and the one that ``dsymv``
-comes from, lie in numpy's own package (``numpy.libs`` beside it, or
+library's ``dsymv`` and the sketched kernel fit's Gram matrix from its
+``dsyrk``. The library it binds, and the one that ``dsymv`` and ``dsyrk``
+come from, lie in numpy's own package (``numpy.libs`` beside it, or
 ``numpy/.dylibs``), never in scipy's.
 """
 
@@ -105,17 +106,30 @@ class DlInfo(ctypes.Structure):
                 ("dli_sname", ctypes.c_char_p), ("dli_saddr", ctypes.c_void_p)]
 
 
-def test_dsymv_comes_from_numpys_own_openblas():
-    blas = linalg._numpy_openblas()
-    if blas is None or blas.symv is None:
-        pytest.skip("no dsymv found in numpy's OpenBLAS")
+def assert_from_numpys_own_openblas(routine, name):
+    """The bound ``routine`` is the symbol ``name`` (any naming) of a library
+    in numpy's own package."""
     dladdr = getattr(ctypes.CDLL(None), "dladdr", None)
     if dladdr is None:
         pytest.skip("no dladdr to name the library a symbol lies in")
     dladdr.argtypes, dladdr.restype = [ctypes.c_void_p, ctypes.POINTER(DlInfo)], ctypes.c_int
     info = DlInfo()
-    assert dladdr(ctypes.cast(blas.symv, ctypes.c_void_p), ctypes.byref(info))
-    assert info.dli_sname.decode().endswith(("cblas_dsymv64_", "cblas_dsymv"))
+    assert dladdr(ctypes.cast(routine, ctypes.c_void_p), ctypes.byref(info))
+    assert info.dli_sname.decode().endswith((f"{name}64_", name))
     numpy_dir = Path(np.__file__).resolve().parent
     assert Path(info.dli_fname.decode()).resolve().parent in (numpy_dir.parent / "numpy.libs",
                                                               numpy_dir / ".dylibs")
+
+
+def test_dsymv_comes_from_numpys_own_openblas():
+    blas = linalg._numpy_openblas()
+    if blas is None or blas.symv is None:
+        pytest.skip("no dsymv found in numpy's OpenBLAS")
+    assert_from_numpys_own_openblas(blas.symv, "cblas_dsymv")
+
+
+def test_dsyrk_comes_from_numpys_own_openblas():
+    blas = linalg._numpy_openblas()
+    if blas is None or blas.syrk is None:
+        pytest.skip("no dsyrk found in numpy's OpenBLAS")
+    assert_from_numpys_own_openblas(blas.syrk, "cblas_dsyrk")

@@ -387,45 +387,65 @@ class TestBlasThreads:
 
 
 class FakeOpenBlas:
-    """A loaded library that exports the thread-count pair, and dsymv if
-    ``symv``, under one naming."""
+    """A loaded library that exports the thread-count pair, and dsymv and
+    dsyrk if ``routines``, under one naming."""
 
-    def __init__(self, prefix, suffix, symv=True):
+    def __init__(self, prefix, suffix, routines=True):
         setattr(self, f"{prefix}openblas_get_num_threads{suffix}", lambda: 4)
         setattr(self, f"{prefix}openblas_set_num_threads{suffix}", lambda count: None)
-        if symv:
+        if routines:
             setattr(self, f"{prefix}cblas_dsymv{suffix}", lambda *args: None)
+            setattr(self, f"{prefix}cblas_dsyrk{suffix}", lambda *args: None)
 
 
-@pytest.mark.parametrize("prefix, suffix, symv", [("scipy_", "64_", True), ("", "64_", True),
-                                                  ("", "", True), ("", "", False)],
+@pytest.mark.parametrize("prefix, suffix, routines", [("scipy_", "64_", True), ("", "64_", True),
+                                                      ("", "", True), ("", "", False)],
                          ids=["numpy-2", "numpy-1-ilp64", "unsuffixed", "without-dsymv"])
-def test_the_binding_finds_each_openblas_naming(prefix, suffix, symv, monkeypatch):
+def test_the_binding_finds_each_openblas_naming(prefix, suffix, routines, monkeypatch):
     if linalg._numpy_openblas() is None:
         pytest.skip("no OpenBLAS library found in numpy's package")
-    fake = FakeOpenBlas(prefix, suffix, symv)
+    fake = FakeOpenBlas(prefix, suffix, routines)
     monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: fake)
     linalg._numpy_openblas.cache_clear()
     try:
         blas = linalg._numpy_openblas()
         assert blas is not None and blas.get is getattr(fake, f"{prefix}openblas_get_num_threads{suffix}")
-        if not symv:
-            assert blas.symv is None
-            gram = _gram(30)
-            assert np.array_equal(linalg._gram_product(gram)(gram[0]), gram @ gram[0])
+        if not routines:
+            assert blas.symv is None and blas.syrk is None
+            gram = _gram(30)   # symmetric only up to rounding: its upper triangle is read
+            assert np.array_equal(linalg._gram_product(gram)(gram[0]),
+                                  linalg.mirror_upper(gram) @ gram[0])
+            m = gram[:, :7]
+            assert np.array_equal(linalg.upper_gram(m), m.T @ m)
         else:
             assert blas.symv is getattr(fake, f"{prefix}cblas_dsymv{suffix}")
+            assert blas.syrk is getattr(fake, f"{prefix}cblas_dsyrk{suffix}")
             integer = ctypes.c_int64 if suffix else ctypes.c_int   # ILP64 or LP64
             assert [blas.symv.argtypes[i] for i in (2, 5, 7, 10)] == [integer] * 4
+            assert [blas.syrk.argtypes[i] for i in (3, 4, 7, 10)] == [integer] * 4
     finally:
         linalg._numpy_openblas.cache_clear()
 
 
 def refusing_blas():
-    """An :class:`linalg._OpenBlas` whose dsymv fails the test if called."""
-    def symv(*args):
-        pytest.fail("dsymv was called")
-    return linalg._OpenBlas(Path("fake"), lambda: 1, lambda count: None, symv)
+    """An :class:`linalg._OpenBlas` whose dsymv and dsyrk fail the test if
+    called."""
+    def refuse(*args):
+        pytest.fail("a BLAS routine was called")
+    return linalg._OpenBlas(Path("fake"), lambda: 1, lambda count: None, refuse, refuse)
+
+
+def raw_syrk(order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc):
+    """cblas_dsyrk's row-major upper A^T A for a k x n A, read and written
+    through the raw pointers as OpenBLAS would: a stand-in that shows what
+    a foreign call would see."""
+    assert (order, uplo, trans, alpha, beta, lda, ldc) == (101, 121, 112, 1.0, 0.0, n, n)
+
+    def view(ptr, rows):
+        return np.ctypeslib.as_array(ctypes.cast(ptr, ctypes.POINTER(ctypes.c_double)),
+                                     shape=(rows, n))
+    a_mat, c_mat = view(a, k), view(c, n)
+    c_mat[np.triu_indices(n)] = (a_mat.T @ a_mat)[np.triu_indices(n)]
 
 
 class TestGramProducts:
@@ -465,6 +485,45 @@ class TestGramProducts:
         got = top_eigenpairs(view, 3, "gram")
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
+    @pytest.mark.parametrize("route", ["dsymv", "no binding", "dense"])
+    def test_every_route_reads_only_the_upper_triangle(self, route, monkeypatch):
+        """A random lower triangle changes nothing: each route returns the
+        eigenpairs of the mirrored upper triangle, bit for bit, and the
+        fallback takes as many products as dsymv."""
+        blas = linalg._numpy_openblas()
+        if route == "dsymv" and (blas is None or blas.symv is None):
+            pytest.skip("no dsymv found in numpy's OpenBLAS")
+        if route == "no binding":
+            monkeypatch.setattr(linalg, "_numpy_openblas", lambda: None)
+        m, k = (6, 5) if route == "dense" else (40, 3)   # the dense route at k + 1 >= m
+        upper = _gram(m)
+        mirrored = linalg.mirror_upper(upper)
+        noisy = np.triu(upper) + np.tril(np.random.default_rng(10).standard_normal((m, m)), -1)
+        products, real = [], linalg._gram_product
+
+        def counted(gram):
+            product = real(gram)
+
+            def count(q):
+                products[-1] += 1
+                return product(q)
+            return count
+
+        monkeypatch.setattr(linalg, "_gram_product", counted)
+        runs = []
+        for gram in (noisy, mirrored):
+            products.append(0)
+            runs.append(top_eigenpairs(gram, k, "gram"))
+        (got, got_vecs), (want, want_vecs) = runs
+        assert np.array_equal(got, want) and np.array_equal(got_vecs, want_vecs)
+        assert products[0] == products[1]
+        assert np.abs(got - np.linalg.eigvalsh(mirrored)[::-1][:k]).max() <= 1e-12 * got[0]
+        if route == "no binding" and blas is not None and blas.symv is not None:
+            monkeypatch.setattr(linalg, "_numpy_openblas", lambda: blas)
+            products.append(0)
+            top_eigenpairs(noisy, k, "gram")
+            assert products[-1] == products[0]
+
     def test_products_read_only_the_upper_triangle(self):
         blas = linalg._numpy_openblas()
         if blas is None or blas.symv is None:
@@ -474,3 +533,49 @@ class TestGramProducts:
         q = np.random.default_rng(9).standard_normal(50)
         got = linalg._gram_product(gram)(q)
         assert np.abs(got - upper @ q).max() <= 1e-14 * np.abs(upper).sum(axis=1).max()
+
+
+class TestUpperGram:
+    """dsyrk reads raw pointers: only a 2-D C-ordered float64 matrix may
+    reach it, and it writes the upper triangle of m^T m alone."""
+
+    @pytest.mark.parametrize("shape", [(50, 12), (12, 50), (0, 5), (5, 0)])
+    def test_it_is_the_upper_triangle_of_the_gram_with_zeros_below(self, shape):
+        blas = linalg._numpy_openblas()
+        if blas is None or blas.syrk is None:
+            pytest.skip("no dsyrk found in numpy's OpenBLAS")
+        m = np.random.default_rng(11).standard_normal(shape)
+        got = linalg.upper_gram(m)
+        want = m.T @ m
+        assert got.shape == want.shape
+        assert not np.tril(got, -1).any()
+        scale = max(1.0, np.abs(want).max(initial=0.0))
+        assert np.abs(np.triu(got) - np.triu(want)).max(initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("layout", ["F", "strided", "reversed", "int"])
+    def test_any_layout_is_copied_to_c_ordered_float_before_the_foreign_call(
+            self, layout, monkeypatch):
+        m = np.random.default_rng(12).standard_normal((30, 8))
+        if layout == "F":
+            view = np.asfortranarray(m)
+        elif layout == "strided":
+            wide = np.zeros((60, 16))
+            wide[::2, ::2] = m
+            view = wide[::2, ::2]
+        elif layout == "reversed":
+            view = np.ascontiguousarray(m[::-1, ::-1])[::-1, ::-1]
+        else:
+            view = np.rint(50 * m).astype(np.int64)
+        copy = np.ascontiguousarray(view, dtype=float)
+        blas = linalg._numpy_openblas()
+        if blas is not None and blas.syrk is not None:
+            assert np.array_equal(linalg.upper_gram(view), linalg.upper_gram(copy))
+        monkeypatch.setattr(linalg, "_numpy_openblas", lambda: linalg._OpenBlas(
+            Path("fake"), lambda: 1, lambda count: None, None, raw_syrk))
+        assert np.array_equal(linalg.upper_gram(view), np.triu(copy.T @ copy))
+
+    @pytest.mark.parametrize("shape", [(30,), (2, 30, 4)])
+    def test_a_matrix_of_other_rank_is_refused_before_any_foreign_call(self, shape, monkeypatch):
+        monkeypatch.setattr(linalg, "_numpy_openblas", refusing_blas)
+        with pytest.raises(ValueError, match="2-D"):
+            linalg.upper_gram(np.ones(shape))
