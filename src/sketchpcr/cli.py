@@ -1,7 +1,9 @@
 """Command-line driver: sweep solver/size grids (``solve`` is a sweep over
 one seed), stream rows from disk, fit kernel models, and verify the
 library's deterministic and statistical guarantees on synthetic data.
-Every subcommand writes one versioned JSON report.
+Every subcommand writes one versioned JSON report. :mod:`sketchpcr.io`
+reads every --data file (svmlight unless named .csv): whole for
+``solve``, ``sweep`` and ``kernel``, a row at a time for ``stream``.
 
 ``SOLVERS`` gives each solver's sketch sizes, certify mode and callable;
 ``_cells`` turns --s/--t/--ratio into the (s, t) cells that ``solve`` and
@@ -386,17 +388,12 @@ def cmd_sweep(args):
 
 
 def _stream_rows(args):
-    """Yield (row, b_entry) pairs one at a time from the input file."""
+    """The (row of A, entry of b) pairs of --data, read one at a time."""
     if not _is_svmlight(args):
-        for values in data_io.csv_rows(args.data):
-            yield np.asarray(values[:-1]), values[-1]
-        return
+        return data_io.iter_dense_csv(args.data)
     if args.dims is None:
         raise CliError("streaming svmlight input needs --dims")
-    for label, cols, values in data_io.svmlight_rows(args.data, args.dims):
-        row = np.zeros(args.dims)
-        row[cols] = values
-        yield row, label
+    return data_io.iter_svmlight(args.data, args.dims)
 
 
 def cmd_stream(args):

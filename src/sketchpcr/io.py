@@ -1,20 +1,20 @@
 """Dataset ingestion: dense CSV and sparse svmlight files.
 
-One row iterator per format (:func:`csv_rows`, :func:`svmlight_rows`)
-defines what a valid line is and reads it with Python's ``float`` and
-``int``. The loaders parse a whole file with numpy instead (svmlight a
-block of lines at a time), and re-read it through the iterator only
-when that pass fails or sees anything the iterator would reject or
-read differently; so the loaded arrays are always the iterator's, and
-every malformed input is rejected by the iterator, with its
-``file:line[:col]`` in the message. The streaming CLI reads through
-the iterators row by row. Files are UTF-8; a leading byte-order mark
-is skipped.
+:func:`_chunks` frames both formats into runs of whole lines of about
+``_BLOCK`` characters. One reader per format (:func:`csv_blocks`,
+:func:`svmlight_blocks`) parses each run in one numpy pass, and a run
+that pass cannot take (it fails, or sees what the per-line rules would
+reject or read otherwise) by the per-line rules alone. Those rules
+define a valid line, read it with ``float`` and ``int`` and reject a
+malformed one with its ``file:line[:col]``. The loaders join the
+blocks; ``pcr stream`` takes their rows one at a time, so besides its
+sketch accumulators it holds one run and its block, whatever the row
+count. Files are UTF-8; a leading byte-order mark is skipped, and a
+byte that is not UTF-8 is rejected with its ``file:line``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import warnings
@@ -61,93 +61,70 @@ def _parse_row(fields, path, lineno):
         _parse_float(tok, f"{path}:{lineno}:col {j + 1}")  # raises at the bad field
 
 
-def csv_rows(path):
-    """Yield the values of each data row of a dense CSV.
+_BLOCK = 1 << 22  # characters per run of lines, which bound a pass's scratch memory
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as surrogateescape reads it
+
+
+def _chunks(path):
+    """Yield (lineno, lines): the file's lines in runs of about ``_BLOCK``
+    characters, each with the number of its first line. A line holding a
+    byte that is not UTF-8 is rejected before its run is yielded."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        lineno = 1
+        while lines := fh.readlines(_BLOCK):
+            if not all(map(str.isascii, lines)):
+                for n, line in enumerate(lines, start=lineno):
+                    if bad := _UNDECODED.search(line):
+                        raise DataFormatError(
+                            f"{path}:{n}: byte {ord(bad[0]) - 0xdc00:#04x} is not UTF-8")
+            yield lineno, lines
+            lineno += len(lines)
+
+
+def csv_blocks(path):
+    """Yield the data rows of a dense CSV as 2-D float arrays, one per run
+    of lines that holds any.
 
     A leading header row is skipped when none of its fields parses as a
     number. Blank lines are ignored. Ragged rows, rows of fewer than
     two fields and NaN/Inf entries are rejected with their location.
     """
-    first, width = True, None
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+    header, width = True, None  # header: no non-blank line seen yet
+    for lineno, lines in _chunks(path):
+        if header:
+            first = next((i for i, line in enumerate(lines) if not line.isspace()), None)
+            if first is None:
                 continue
-            fields = line.split(",")
-            if first:
-                first = False
-                if _is_header(fields):
-                    continue
-            if width is None:
-                width = len(fields)
-                if width < 2:
-                    raise DataFormatError(f"{path}:{lineno}: need at least two columns")
-            elif len(fields) != width:
-                raise DataFormatError(
-                    f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {width})"
-                )
-            yield _parse_row(fields, path, lineno)
+            header = False
+            if _is_header(lines[first].strip().split(",")):
+                lineno, lines = lineno + first + 1, lines[first + 1:]
+        block = _bulk_csv(lines, width)
+        if block is None:
+            block = _csv_rows(lines, lineno, path, width)
+        if len(block):
+            width = block.shape[1]
+            yield block
 
 
-def svmlight_rows(path, n_features=None):
-    """Yield (label, columns, values) per svmlight line.
-
-    Lines read ``label idx:val idx:val ...``; ``#`` starts a comment.
-    Indices are 1-based, strictly increasing within a line and, when
-    ``n_features`` is given, at most ``n_features``; the yielded columns
-    are 0-based.
-    """
-    _check_feature_count(n_features)
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            label = _parse_float(parts[0], f"{path}:{lineno}:label")
-            cols, values = [], []
-            prev = 0
-            for tok in parts[1:]:
-                where = f"{path}:{lineno}: pair {tok!r}"
-                try:
-                    idx_s, value_s = tok.split(":")
-                    idx = int(idx_s)
-                except ValueError:
-                    raise DataFormatError(f"{where}: expected index:value") from None
-                if idx < 1:
-                    raise DataFormatError(f"{where}: indices are 1-based")
-                if idx <= prev:
-                    raise DataFormatError(
-                        f"{where}: index {idx} not greater than previous {prev}"
-                    )
-                prev = idx
-                values.append(_parse_float(value_s, where))
-                cols.append(idx - 1)
-            if n_features is not None and prev > n_features:
-                raise DataFormatError(
-                    f"{path}:{lineno}: index {prev} exceeds the feature count {n_features}"
-                )
-            yield label, cols, values
-
-
-def load_dense_csv(path):
-    """Read a dense CSV whose last column is the response.
-
-    Returns (A, b): the rows :func:`csv_rows` yields, parsed in one
-    numpy pass by :func:`_bulk_csv` wherever that reads the same.
-    """
-    arr = _bulk_csv(path)
-    if arr is None:
-        arr = _iterated_csv(path)
-    return arr[:, :-1], arr[:, -1]
-
-
-def _iterated_csv(path):
-    """The data rows of a dense CSV as one array, from :func:`csv_rows`."""
-    rows = list(csv_rows(path))
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
+def _csv_rows(lines, lineno, path, width):
+    """The data rows of CSV lines past the header, the first numbered
+    ``lineno``, by the per-line rules; ``width`` is the row width set by
+    earlier lines, if any."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+            if width < 2:
+                raise DataFormatError(f"{path}:{lineno}: need at least two columns")
+        elif len(fields) != width:
+            raise DataFormatError(
+                f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {width})"
+            )
+        rows.append(_parse_row(fields, path, lineno))
     return np.asarray(rows, dtype=float)
 
 
@@ -157,7 +134,7 @@ _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _loadtxt_lines(lines):
-    """The lines for np.loadtxt: blank ones are skipped, as :func:`csv_rows`
+    """The lines for np.loadtxt: blank ones are skipped, as :func:`_csv_rows`
     skips them, and one holding an ASCII separator stops the pass."""
     for line in lines:
         if any(c in line for c in _SEPARATORS):
@@ -166,116 +143,113 @@ def _loadtxt_lines(lines):
             yield line
 
 
-def _bulk_csv(path):
-    """The data rows of a dense CSV as one array, read by one np.loadtxt
-    call, or None when that call fails or reads what :func:`csv_rows`
-    would reject: then only the iterator can tell where the file is wrong.
+def _bulk_csv(lines, width):
+    """The data rows of CSV lines past the header, read by one np.loadtxt
+    call, or None when that call fails or reads what :func:`_csv_rows`
+    would reject: then only the rules can tell where the lines are wrong.
 
-    The header and blank lines are found by the iterator's rules. The
-    other checks cover what np.loadtxt accepts and the iterator does not:
-    a single column, non-finite values and (in :func:`_loadtxt_lines`)
-    ASCII separators; anything else either parses the same or fails both.
+    The other checks cover what np.loadtxt accepts and the rules do not:
+    a single column, a width other than ``width`` (set by earlier lines),
+    non-finite values and (in :func:`_loadtxt_lines`) ASCII separators;
+    anything else either parses the same or fails both.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("error")  # np.loadtxt only warns on an input without rows
-        lines = _loadtxt_lines(fh)
         try:
-            first = next(lines, None)
-            if first is None:
-                return None
-            if not _is_header(first.strip().split(",")):
-                lines = itertools.chain([first], lines)
-            arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            arr = np.loadtxt(_loadtxt_lines(lines), delimiter=",", comments=None, ndmin=2)
         except (ValueError, Warning):
             return None
-    if not len(arr) or arr.shape[1] < 2 or not np.isfinite(arr).all():
+    if arr.shape[1] < 2 or width not in (None, arr.shape[1]) or not np.isfinite(arr).all():
         return None
     return arr
 
 
-def _check_feature_count(n_features):
+def load_dense_csv(path):
+    """Read a dense CSV whose last column is the response: (A, b), views
+    of the joined :func:`csv_blocks`."""
+    blocks = list(csv_blocks(path))
+    if not blocks:
+        raise DataFormatError(f"{path}: no data rows")
+    arr = np.concatenate(blocks)
+    return arr[:, :-1], arr[:, -1]
+
+
+def iter_dense_csv(path):
+    """Yield (row of A, entry of b) per data row of a dense CSV, by block."""
+    for block in csv_blocks(path):
+        for row in block:
+            yield row[:-1], row[-1]
+
+
+def svmlight_blocks(path, n_features=None):
+    """Yield (labels, data, columns, pairs per line) of the lines of an
+    svmlight file, one tuple of arrays per run of lines that holds any.
+
+    Lines read ``label idx:val idx:val ...``; ``#`` starts a comment.
+    Indices are 1-based, strictly increasing within a line and, when
+    ``n_features`` is given, at most ``n_features``; the yielded columns
+    are 0-based.
+    """
     if n_features is not None and n_features < 1:
         raise ValueError(f"feature count must be at least 1, got {n_features}")
+    for lineno, lines in _chunks(path):
+        block = _svmlight_block("".join(lines), n_features)
+        if block is None:
+            block = _svmlight_rows(lines, lineno, path, n_features)
+        if len(block[0]):
+            yield block
 
 
-def load_svmlight(path, n_features=None):
-    """Read an svmlight/libsvm file: the lines :func:`svmlight_rows`
-    yields, parsed with numpy by :func:`_bulk_svmlight` wherever that
-    reads the same.
-
-    Returns (csr_matrix, labels), the labels as read. The column count is
-    ``n_features`` when given (a larger index is an error), else the
-    largest index seen, so trailing all-zero columns need ``n_features``
-    to survive a round trip.
-    """
-    _check_feature_count(n_features)
-    parts = _bulk_svmlight(path, n_features)
-    if parts is None:
-        parts = _iterated_svmlight(path, n_features)
-    labels, data, indices, indptr, largest = parts
-    x = sp.csr_matrix((data, indices, indptr),
-                      shape=(len(labels), largest if n_features is None else n_features))
-    return x, labels
-
-
-def _iterated_svmlight(path, n_features):
-    """(labels, data, indices, indptr, largest index) from :func:`svmlight_rows`."""
-    labels = []
-    data, indices, indptr = [], [], [0]
-    largest = 0
-    for label, cols, values in svmlight_rows(path, n_features):
-        labels.append(label)
-        data.extend(values)
-        indices.extend(cols)
-        indptr.append(len(data))
-        if cols:
-            largest = max(largest, cols[-1] + 1)
-    if not labels:
-        raise DataFormatError(f"{path}: file is empty")
-    return (np.asarray(labels), np.asarray(data), np.asarray(indices, dtype=np.int64),
-            np.asarray(indptr, dtype=np.int64), largest)
+def _svmlight_rows(lines, lineno, path, n_features):
+    """(labels, data, columns, pairs per line) of svmlight lines, the first
+    numbered ``lineno``, by the per-line rules."""
+    labels, data, cols, counts = [], [], [], []
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        labels.append(_parse_float(parts[0], f"{path}:{lineno}:label"))
+        prev = 0
+        for tok in parts[1:]:
+            where = f"{path}:{lineno}: pair {tok!r}"
+            try:
+                idx_s, value_s = tok.split(":")
+                idx = int(idx_s)
+            except ValueError:
+                raise DataFormatError(f"{where}: expected index:value") from None
+            if idx < 1:
+                raise DataFormatError(f"{where}: indices are 1-based")
+            if idx <= prev:
+                raise DataFormatError(
+                    f"{where}: index {idx} not greater than previous {prev}"
+                )
+            prev = idx
+            data.append(_parse_float(value_s, where))
+            cols.append(idx - 1)
+        if n_features is not None and prev > n_features:
+            raise DataFormatError(
+                f"{path}:{lineno}: index {prev} exceeds the feature count {n_features}"
+            )
+        counts.append(len(parts) - 1)
+    return (np.asarray(labels, dtype=float), np.asarray(data, dtype=float),
+            np.asarray(cols, dtype=np.int64), np.asarray(counts, dtype=np.int64))
 
 
-_SVM_CHARS = b"0123456789+-.eE: \t\n"  # all a file may hold in the bulk pass
-_SVM_BLOCK = 1 << 22  # characters per step of the bulk pass, which bound its scratch memory
+_SVM_CHARS = b"0123456789+-.eE: \t\n"  # all a run may hold in the bulk pass
 _EXACT = 2.0 ** 53  # every integer below it is exact as a float
 
 
-def _bulk_svmlight(path, n_features):
-    """(labels, data, indices, indptr, largest index) of an svmlight file
-    from np.fromstring passes over its numbers, a block of whole lines at
-    a time, or None where only :func:`svmlight_rows` can tell how the file
-    is wrong (see :func:`_svmlight_block`).
-    """
-    blocks = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            while text := fh.read(_SVM_BLOCK):
-                block = _svmlight_block(text + fh.readline(), n_features)
-                if block is None:
-                    return None
-                blocks.append(block)
-        except UnicodeDecodeError:
-            return None  # the iterator reports it as it reads
-    if not blocks:
-        return None
-    labels, data, idx, counts = (np.concatenate(arrays) for arrays in zip(*blocks))
-    if not len(labels):
-        return None
-    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return labels, data, (idx - 1).astype(np.int64), indptr, int(idx.max(initial=0.0))
-
-
 def _svmlight_block(text, n_features):
-    """(labels, data, indices as floats, pairs per line) of whole svmlight
-    lines, or None if the iterator might read them otherwise.
+    """(labels, data, columns, pairs per line) of whole svmlight lines
+    from one np.fromstring pass over their numbers, or None if the rules
+    might read them otherwise.
 
     Comments are cut first. The pass takes digits, signs, '.', 'e', 'E',
     ':' and blanks only; it checks in bulk that each line is a colon-free
     label followed by ``digits:value`` pairs, that every token is one
     whole number to np.fromstring (so ``1e1:2`` or ``1.5.3`` fall back),
-    and every rule of the iterator on the numbers it read.
+    and every rule of :func:`_svmlight_rows` on the numbers it read.
     """
     if not text.isascii():
         return None
@@ -287,7 +261,7 @@ def _svmlight_block(text, n_features):
     u = np.frombuffer(raw, dtype=np.uint8)
     starts = np.flatnonzero(np.diff(u > ord(" "), prepend=False, append=False))[::2]
     if not len(starts):  # blank lines only, from which np.fromstring would read a -1
-        return np.empty(0), np.empty(0), np.empty(0), np.zeros(0, dtype=np.int64)
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     line = np.searchsorted(np.flatnonzero(u == ord("\n")), starts)
     first = np.ones(len(starts), dtype=bool)  # the label token of its line
     first[1:] = line[1:] != line[:-1]
@@ -319,4 +293,32 @@ def _svmlight_block(text, n_features):
             or (n_features is not None and largest > n_features)
             or (np.diff(idx)[row[1:] == row[:-1]] <= 0).any()):
         return None
-    return labels, data, idx, np.bincount(row, minlength=len(labels))
+    return labels, data, (idx - 1).astype(np.int64), np.bincount(row, minlength=len(labels))
+
+
+def load_svmlight(path, n_features=None):
+    """Read an svmlight/libsvm file: the joined :func:`svmlight_blocks`.
+
+    Returns (csr_matrix, labels), the labels as read. The column count is
+    ``n_features`` when given (a larger index is an error), else the
+    largest index seen, so trailing all-zero columns need ``n_features``
+    to survive a round trip.
+    """
+    blocks = list(svmlight_blocks(path, n_features))
+    if not blocks:
+        raise DataFormatError(f"{path}: file is empty")
+    labels, data, cols, counts = (np.concatenate(arrays) for arrays in zip(*blocks))
+    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    width = int(cols.max(initial=-1)) + 1 if n_features is None else n_features
+    return sp.csr_matrix((data, cols, indptr), shape=(len(labels), width)), labels
+
+
+def iter_svmlight(path, n_features):
+    """Yield (row of A as n_features floats, label) per svmlight line, by block."""
+    for labels, data, cols, counts in svmlight_blocks(path, n_features):
+        ends = np.cumsum(counts)
+        for label, lo, hi in zip(labels, ends - counts, ends):
+            row = np.zeros(n_features)
+            row[cols[lo:hi]] = data[lo:hi]
+            yield row, label

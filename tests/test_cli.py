@@ -8,8 +8,9 @@ import pytest
 
 from sketchpcr import evaluation as ev
 from sketchpcr import io as data_io
-from sketchpcr import cli, kernel, linalg, sketch, solvers
+from sketchpcr import cli, kernel, linalg, sketch, solvers, streaming
 from sketchpcr.cli import SOLVERS, _parse_synthetic, main
+from oracles import write_svmlight
 
 STREAM = ["stream", "--k", "1", "--s", "2", "--t", "2"]
 
@@ -86,6 +87,54 @@ def test_csv_stream(tmp_path, capsys):
     bad.write_text("1,2,3\n2,1\n")
     assert main(STREAM + ["--data", str(bad)]) == 1
     assert f"{bad}:2: ragged row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, bad_line, said", [
+    ("csv", b"1,2\r\n", "ragged row"),
+    ("csv", b"1,2,3,4,5,\xff6\r\n", "byte 0xff is not UTF-8"),
+    ("svmlight", b"1 0:2\n", "indices are 1-based"),
+    ("svmlight", b"1 1:\xff\n", "byte 0xff is not UTF-8"),
+], ids=["csv-ragged", "csv-utf8", "svmlight-index", "svmlight-utf8"])
+def test_stream_reads_what_the_loaders_read(kind, bad_line, said, tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(8)
+    ab = rng.standard_normal((300, 6))
+    ab[rng.random(ab.shape) < 0.3] = 0.0
+    path = tmp_path / f"ab.{kind}"
+    if kind == "csv":  # a header, CRLF line ends and blank lines
+        lines = [",".join(map(repr, row)) for row in ab.tolist()]
+        lines[100:100] = ["", "  "]
+        path.write_bytes(("x1,x2,x3,x4,x5,y\r\n" + "\r\n".join(lines) + "\r\n").encode())
+        a, b = data_io.load_dense_csv(path)
+        flags = []
+    else:
+        write_svmlight(path, ab[:, :-1], ab[:, -1])
+        a, b = data_io.load_svmlight(path, n_features=5)
+        a = a.toarray()
+        flags = ["--dims", "5"]
+    want = streaming.stream_init(5, 8, 16, 0)
+    for row, b_entry in zip(a, b):
+        streaming.stream_update(want, row, b_entry)
+    want = streaming.stream_finalize(want, 2).x
+
+    real, got = streaming.stream_finalize, []
+    monkeypatch.setattr(streaming, "stream_finalize", lambda st, k: got.append(real(st, k)) or got[-1])
+    monkeypatch.setattr(data_io, "_BLOCK", 256)  # many runs of lines per file
+    assert len(list(data_io._chunks(path))) > 10
+    argv = ["stream", "--data", str(path), *flags, "--k", "2", "--s", "8", "--t", "16"]
+    assert main(argv) == 0
+    assert got[0].x.tobytes() == want.tobytes()
+
+    lineno = path.read_bytes().count(b"\n") + 1
+    with open(path, "ab") as fh:
+        fh.write(bad_line)
+    capsys.readouterr()
+    assert main(argv) == 1
+    where = f"{path}:{lineno}"
+    err = capsys.readouterr().err
+    assert where in err and said in err and len(got) == 1
+    for load in ("solve", "kernel"):  # the loaders report it alike
+        assert main([load, "--data", str(path), *flags, "--k", "2"]) == 1
+        assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("suffix", ["CSV", "Csv"])
@@ -186,7 +235,7 @@ def test_a_zero_response_exits_1_before_any_cell(response, flags, said, tmp_path
 def test_dims_is_rejected_for_input_other_than_svmlight(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ab.csv").write_text("1,2,3\n2,1,0\n0,1,1\n")
-    for module, name in ((data_io, "load_dense_csv"), (data_io, "csv_rows"),
+    for module, name in ((data_io, "load_dense_csv"), (data_io, "csv_blocks"),
                          (ev, "planted_matrix")):
         monkeypatch.setattr(module, name, lambda *args, **kw: pytest.fail("data was loaded"))
     assert main(argv + ["--dims", "3"]) == 1
@@ -404,7 +453,7 @@ def test_one_cell_subcommands_reject_a_comma_list(argv, flag, tmp_path, capsys, 
 @pytest.mark.parametrize("sizes, flag", [(["--s", "2", "--t", "8"], "--s 2"),
                                          (["--s", "8", "--t", "2"], "--t 2")])
 def test_stream_rejects_a_sketch_below_k_before_reading_a_row(sizes, flag, capsys, monkeypatch):
-    monkeypatch.setattr(data_io, "csv_rows", lambda path: pytest.fail("a row was read"))
+    monkeypatch.setattr(data_io, "csv_blocks", lambda path: pytest.fail("a row was read"))
     assert main(STREAM_CSV + ["--k", "3"] + sizes) == 1
     assert f"{flag} is below --k 3" in capsys.readouterr().err
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchpcr import io as data_io
-from sketchpcr.io import DataFormatError, csv_rows, load_dense_csv, load_svmlight, svmlight_rows
+from sketchpcr.io import (DataFormatError, iter_dense_csv, iter_svmlight, load_dense_csv,
+                         load_svmlight)
 from oracles import write_svmlight
 
 
@@ -73,7 +74,7 @@ class TestSvmlight:
 def test_csv_byte_order_mark_is_skipped(tmp_path, text):
     path = tmp_path / "d.csv"
     path.write_bytes(("\ufeff" + text).encode("utf-8"))
-    assert list(csv_rows(path)) == [[1.5, 2.0], [3.0, 4.0]]
+    assert [(a.tolist(), b) for a, b in iter_dense_csv(path)] == [([1.5], 2.0), ([3.0], 4.0)]
     a, b = load_dense_csv(path)
     assert a.tolist() == [[1.5], [3.0]] and b.tolist() == [2.0, 4.0]
 
@@ -81,17 +82,19 @@ def test_csv_byte_order_mark_is_skipped(tmp_path, text):
 def test_svmlight_byte_order_mark_is_skipped(tmp_path):
     path = tmp_path / "d.svm"
     path.write_bytes("\ufeff1 1:2.5\r\n-1 2:3\r\n".encode("utf-8"))
-    assert list(svmlight_rows(path)) == [(1.0, [0], [2.5]), (-1.0, [1], [3.0])]
+    assert [(a.tolist(), b) for a, b in iter_svmlight(path, 2)] == [([2.5, 0.0], 1.0),
+                                                                     ([0.0, 3.0], -1.0)]
     x, b = load_svmlight(path)
     assert x.toarray().tolist() == [[2.5, 0.0], [0.0, 3.0]] and b.tolist() == [1.0, -1.0]
 
 
-# Differential tests of the bulk pass. The loaders parse a file in one numpy
-# pass and fall back to the row iterators; with the pass disabled they are
-# the row-iterator path, which defines the result. Every outcome, arrays or
-# error text, must be the same both ways, and a clean file must take the
-# bulk pass. The pitfalls are malformed inputs, and inputs that numpy reads
-# otherwise than float() and int() do.
+# Differential tests of the bulk pass. The readers parse each run of lines
+# in one numpy pass and fall back to the per-line rules for that run; with
+# the pass disabled they are the rules alone, which define the result.
+# Every outcome, arrays or error text, must be the same both ways, whatever
+# the runs, and a clean file's data lines must all take the bulk pass. The
+# pitfalls are malformed inputs, and inputs that numpy reads otherwise than
+# float() and int() do.
 
 def _outcome(load, *args):
     try:
@@ -102,8 +105,19 @@ def _outcome(load, *args):
 
 def _by_rows(load, *args):
     with mock.patch.object(data_io, "_bulk_csv", return_value=None), \
-            mock.patch.object(data_io, "_bulk_svmlight", return_value=None):
+            mock.patch.object(data_io, "_svmlight_block", return_value=None):
         return _outcome(load, *args)
+
+
+def _with_rule_lines(load, *args):
+    """The loader's outcome, and the lines it handed to the per-line rules."""
+    seen = []
+    csv_rules, svmlight_rules = data_io._csv_rows, data_io._svmlight_rows
+    with mock.patch.object(data_io, "_csv_rows",
+                           lambda lines, *rest: seen.extend(lines) or csv_rules(lines, *rest)), \
+            mock.patch.object(data_io, "_svmlight_rows",
+                              lambda lines, *rest: seen.extend(lines) or svmlight_rules(lines, *rest)):
+        return _outcome(load, *args), seen
 
 
 def _same(x, y):
@@ -220,29 +234,32 @@ def test_svmlight_pitfalls_read_as_the_row_iterator_reads(text, n_features, scra
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=csv_texts())
-def test_csv_bulk_pass_reads_what_the_row_iterator_reads(case, scratch):
+@given(case=csv_texts(), block=st.sampled_from([1, 16, data_io._BLOCK]))
+def test_csv_bulk_pass_reads_what_the_row_iterator_reads(case, block, scratch):
     text, clean = case
     path = scratch / "d.csv"
     path.write_bytes(text.encode("utf-8"))
     want = _by_rows(load_dense_csv, path)
-    assert _same(_outcome(load_dense_csv, path), want)
+    with mock.patch.object(data_io, "_BLOCK", block):  # several runs of lines per file
+        got, rule_lines = _with_rule_lines(load_dense_csv, path)
+    assert _same(got, want)
     if clean and not isinstance(want, str):
-        assert data_io._bulk_csv(path) is not None
+        assert not any(map(str.strip, rule_lines))  # only blank lines left to the rules
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=svmlight_texts(), n_features=st.one_of(st.none(), st.integers(0, 14)),
-       block=st.sampled_from([1, 16, data_io._SVM_BLOCK]))
+       block=st.sampled_from([1, 16, data_io._BLOCK]))
 def test_svmlight_bulk_pass_reads_what_the_row_iterator_reads(case, n_features, block, scratch):
     text, clean = case
     path = scratch / "d.svm"
     path.write_bytes(text.encode("utf-8"))
     want = _by_rows(load_svmlight, path, n_features)
-    with mock.patch.object(data_io, "_SVM_BLOCK", block):  # several blocks per file
-        assert _same(_outcome(load_svmlight, path, n_features), want)
-        if clean and not isinstance(want, str):
-            assert data_io._bulk_svmlight(path, n_features) is not None
+    with mock.patch.object(data_io, "_BLOCK", block):  # several runs of lines per file
+        got, rule_lines = _with_rule_lines(load_svmlight, path, n_features)
+    assert _same(got, want)
+    if clean and not isinstance(want, str):
+        assert rule_lines == []
 
 
 @pytest.mark.parametrize("load, row", [(load_dense_csv, b"1,2\n"), (load_svmlight, b"1 1:2\n")],
@@ -250,5 +267,25 @@ def test_svmlight_bulk_pass_reads_what_the_row_iterator_reads(case, n_features, 
 def test_bad_utf8_reported_as_the_row_iterator_reports(load, row, scratch):
     path = scratch / "utf8"
     path.write_bytes(row * 5000 + b"\xff" + row)  # past the text layer's first chunk
-    want = _by_rows(load, path)
-    assert want.startswith("UnicodeDecodeError") and _same(_outcome(load, path), want)
+    want = f"DataFormatError: {path}:5001: byte 0xff is not UTF-8"
+    assert _by_rows(load, path) == want and _outcome(load, path) == want
+
+
+@pytest.mark.parametrize("load, line, odd", [
+    (load_dense_csv, "{i}.5,{i},-{i}\n", "1_0,2,3\n"),
+    (load_svmlight, "{i} 1:{i}.5 3:-{i}\n", "1 1:1_0\n"),
+], ids=["csv", "svmlight"])
+def test_a_run_the_bulk_pass_cannot_take_alone_goes_to_the_rules(load, line, odd, scratch):
+    # A valid line that numpy reads otherwise than float() and int() (a
+    # digit separator) sends its own run of lines to the per-line rules,
+    # and no other line: the file is not read a second time.
+    path = scratch / "odd"
+    lines = [line.format(i=i) for i in range(200)]
+    lines[150] = odd
+    path.write_text("x,y,z\n" * (load is load_dense_csv) + "".join(lines))
+    with mock.patch.object(data_io, "_BLOCK", 256):
+        runs = [run for _, run in data_io._chunks(path)]
+        got, rule_lines = _with_rule_lines(load, path)
+    assert len(runs) > 3 and got[0].shape[0] == 200
+    assert rule_lines == next(run for run in runs if odd in run)
+    assert _same(got, _by_rows(load, path))
