@@ -161,14 +161,19 @@ def _point(z, features):
 
 
 def kernel_predict(model: KernelModel, z):
-    """f(z) = sum_i K(z, a_i) alpha_i for an exact model."""
+    """f(z) = sum_i K(z, a_i) alpha_i for an exact model; the fit's
+    ValueError if a K(z, a_i) or the sum overflows float64."""
     if model.alpha is None:
         raise ValueError("kernel_predict needs an exact model")
     z = _point(z, model.train.shape[1])
-    kvec = model.train @ z
-    kvec += model.spec.offset
-    kvec = _power(kvec, model.spec.degree)
-    return float(kvec @ model.alpha)
+    with np.errstate(all="ignore"):   # an overflow is inf or nan
+        kvec = model.train @ z
+        kvec += model.spec.offset
+        kvec = _power(kvec, model.spec.degree)
+        value = float(kvec @ model.alpha)
+    if not math.isfinite(value):
+        raise _overflowed("kernel matrix")
+    return value
 
 
 def _sketched_rows(a, ts, offset, finish):
@@ -222,10 +227,15 @@ def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:
 
 def sketched_kernel_predict(model: KernelModel, z):
     """f(z) = <TensorSketch(phi(z)), gamma> for a sketched model, read in
-    the fit's Fourier basis as <S(z), gamma_hat>."""
+    the fit's Fourier basis as <S(z), gamma_hat>; the fit's ValueError if
+    S(z) or the sum overflows float64."""
     if model.gamma is None:
         raise ValueError("sketched_kernel_predict needs a sketched model")
     offset = model.spec.offset
     z = _point(z, model.ts.in_dim - (offset != 0.0))   # less the sqrt(c) feature
-    return float(tensorsketch_fourier(model.ts, augment_offset(z[None], offset)[0])
-                 @ model.gamma_hat)
+    with np.errstate(all="ignore"):   # an overflow is inf or nan
+        value = float(tensorsketch_fourier(model.ts, augment_offset(z[None], offset)[0])
+                      @ model.gamma_hat)
+    if not math.isfinite(value):
+        raise _overflowed("Phi R")
+    return value

@@ -16,8 +16,11 @@ reorthogonalization, locking and seeded restarts, in numpy alone: one
 product with the m x m matrix a step, against the O(m^3) of a dense
 tridiagonal reduction. Its restarts find every copy of a repeated
 eigenvalue, which one Krylov chain cannot, and its random vectors come
-from a fixed seed, so a result is bit-reproducible. It needs k+1 < m;
-only k >= m - 1 takes the dense ``eigh``. It reads the matrix only
+from a fixed seed, so a result is bit-reproducible. It needs k+1 < m
+and takes at most m products: a spectrum it has not confirmed by then (a
+tight cluster near lambda_{k+1}, or a top value repeated far past k)
+goes to the dense ``eigh`` of :func:`top_eigenpairs`, as k >= m - 1
+does, so only LAPACK can fail to converge. It reads the matrix only
 through a product function (:func:`_gram_product`): a BLAS ``dsymv`` from
 numpy's own OpenBLAS, which reads the upper triangle alone, half the
 memory traffic of ``gram @ q`` (0.39 against 0.65 ms on a 2000 x 2000
@@ -79,7 +82,6 @@ RITZ_EVERY = 4            # least steps between Rayleigh-Ritz checks
 MISSED_PROB = 1e-6        # a restart chain's chance to miss an eigenvalue that matters
 TIE_MARGIN = 1e-2         # a tie at k stands unless a missed eigenvalue lies this
                           # far above it, relative to lambda_1
-LANCZOS_MAX_STEPS = 300   # steps allowed beyond the (k+1)^2 of k+1 restart chains
 PANEL = 2 ** 15           # entries of a row panel (256 KB), which stays in cache
 
 
@@ -158,7 +160,7 @@ def _gram_product(gram):
     blas = _numpy_openblas()
     if blas is None or blas.symv is None:
         return mirror_upper(gram).__matmul__
-    m, data = gram.shape[0], gram.ctypes.data
+    m, data = gram.shape[0], gram.ctypes.data_as(ctypes.c_void_p)   # keeps gram alive
 
     def product(q):
         q = np.ascontiguousarray(q, dtype=float)
@@ -403,14 +405,15 @@ def require_gap(sigma, k, what):
         raise GapError(f"{what} has a vanishing eigengap at k={k}")
 
 
-def _lanczos(product, m, k, what):
+def _lanczos(product, m, k):
     """The k largest eigenpairs of the symmetric PSD m x m matrix G whose
     products G q ``product`` returns, k+1 < m, largest first, and
     lambda_{k+1} or a lower bound on it (returned as a (k+1)-th value, with
     a vector that may not have converged): Lanczos with full
-    reorthogonalization, locking and seeded restarts. The products are all
-    it reads of G; :func:`_gram_product` forms them from the upper
-    triangle through numpy's OpenBLAS.
+    reorthogonalization, locking and seeded restarts. None if m products
+    have not confirmed them. The products are all it reads of G;
+    :func:`_gram_product` forms them from the upper triangle through
+    numpy's OpenBLAS.
 
     Each step takes one product G q_j and orthogonalizes it twice against
     the locked eigenvectors and the current chain; the chain coefficients
@@ -449,24 +452,33 @@ def _lanczos(product, m, k, what):
     locks them. If a restart chain's top pair converges at or above tau (a
     missed eigenvalue), or so near tau that k+1 more steps would not rule
     it out, it is locked too and a new chain starts. A chain that runs out
-    continues from a random vector. ConvergenceError after
-    LANCZOS_MAX_STEPS + (k+1)^2 steps.
+    continues from a random vector.
+
+    After m products without a confirmed answer it returns None: its
+    products alone have then cost 2 m^3 flops, more than the 4/3 m^3 of
+    the dense tridiagonal reduction that :func:`top_eigenpairs` runs
+    instead. Its buffers start at 4(k+1) rows and double when full, up to
+    m, so they grow with the rows a run fills.
     """
     p = k + 1
-    budget = LANCZOS_MAX_STEPS + p * p
-    rows = min(m, budget)
     log_bound = np.log(1.648 * np.sqrt(m) / MISSED_PROB)
     rng = np.random.default_rng(0)
-    basis = np.empty((rows, m))      # the locked eigenvectors, then the chain
-    products = np.empty((rows, m))   # G q for the chain's rows
-    proj = np.empty((rows, rows))    # the chain's Q^T G Q
+    size = min(m, 4 * p)             # rows of the buffers, doubled when full
+    basis = np.empty((size, m))      # the locked eigenvectors, then the chain
+    products = np.empty((size, m))   # G q for the chain's rows
+    proj = np.empty((size, size))    # the chain's Q^T G Q
     locked = 0                       # basis[:locked] are eigenvectors ...
     values = np.empty(0)             # ... with these eigenvalues
     row, check_at = 0, p             # the chain is basis[locked:row]
     ran_out = False                  # whether the chain's Krylov space ran out
     g_norm = 0.0                     # the largest |G q| so far
     nxt = rng.standard_normal(m)
-    for _ in range(budget):
+    for _ in range(m):
+        if row == size:
+            size = min(m, 2 * size)
+            basis, products = (np.concatenate([x, np.empty((size - row, m))])
+                               for x in (basis, products))
+            proj = np.pad(proj, (0, size - row))
         basis[row] = nxt / np.linalg.norm(nxt)
         products[row] = product(basis[row])
         g_norm = max(g_norm, np.linalg.norm(products[row]))
@@ -530,9 +542,7 @@ def _lanczos(product, m, k, what):
                 row, check_at, ran_out, fresh = locked, p, False, True
         if fresh:
             nxt = _orthogonal(rng.standard_normal(m), basis[:row])
-    raise ConvergenceError(
-        f"{what}: Lanczos reached its cap of {budget} steps before a restart confirmed "
-        f"the top {p} eigenpairs ({min(locked, p)} converged)")
+    return None
 
 
 def _next_check(length):
@@ -586,21 +596,22 @@ def top_eigenpairs(gram, k, what):
 
     Lanczos computes the top k pairs and lambda_{k+1}, the value that sets
     the gap, or a lower bound on it certified to lie below the verdict's
-    threshold; at k >= n - 1 the dense ``eigh`` computes all of them.
+    threshold; at k >= n - 1, or where Lanczos has not confirmed them
+    within n products, the dense ``eigh`` computes all n pairs.
     Either reads ``gram`` as a square C-ordered float64 matrix, copied if
     it is not one, and reads only its upper triangle: the matrix is the
     symmetric one with that upper triangle, whatever lies below.
     :func:`require_gap` rules on those k+1 values as singular values
     sqrt(lambda), negative rounding counted as zero. Every copy of a
-    repeated eigenvalue counts; Lanczos confirms its answer by a restart,
-    or raises ConvergenceError.
+    repeated eigenvalue counts; Lanczos confirms its answer by a restart.
+    ConvergenceError comes only from LAPACK (:func:`_lapack`).
     """
     gram = _square(gram)
     m = gram.shape[0]
-    if k + 1 < m:
-        evals, evecs = _lanczos(_gram_product(gram), m, k, what)
-    else:
-        evals, evecs = _lapack(np.linalg.eigh, gram, UPLO="U")   # k + 1 >= n: all n pairs
-        evals, evecs = evals[::-1], evecs[:, ::-1]
+    pairs = _lanczos(_gram_product(gram), m, k) if k + 1 < m else None
+    if pairs is None:   # all n pairs
+        evals, evecs = _lapack(np.linalg.eigh, gram, UPLO="U")
+        pairs = evals[::-1], evecs[:, ::-1]
+    evals, evecs = pairs
     require_gap(np.sqrt(np.maximum(evals, 0.0)), k, what)
     return evals[:k], evecs[:, :k].copy()

@@ -217,7 +217,7 @@ def build_r_twosided(p: PcrProblem, s_op, g_op) -> np.ndarray:
     directly instead of A G^T a second time.
     """
     g_t = build_r_right(g_op)
-    return g_t @ _top_right_basis(apply_left(s_op, _dense(p.a @ g_t)), p.k, "S A G^T")
+    return g_t @ _top_right_basis(apply_left(s_op, p.a @ g_t), p.k, "S A G^T")
 
 
 def _solve_on_ar(p: PcrProblem, r, method, k) -> PcrSolution:
@@ -379,7 +379,7 @@ def input_sparsity_pcp(p: PcrProblem, s, t, seed, eps=1e-3):
     # Drop the zero rows of G so that G^T has no zero columns and
     # sigma_min(G^T) >= 1.
     g_t = g_op[np.diff(g_op.indptr) > 0].T
-    c = _dense(p.a @ g_t)
+    c = p.a @ g_t   # sparse for a sparse A: CGLS reads its nonzeros only
     v_k = _top_right_basis(apply_left(s_op, c), p.k, "S A G^T")
 
     gamma = precond_iterative_ls((c, v_k), p.b, eps / d, seed=seed_ls)

@@ -8,7 +8,7 @@ import pytest
 
 from sketchpcr import evaluation as ev
 from sketchpcr import io as data_io
-from sketchpcr import cli, kernel, linalg, sketch, solvers, streaming
+from sketchpcr import cli, kernel, sketch, solvers, streaming
 from sketchpcr.cli import SOLVERS, _parse_synthetic, main
 from oracles import write_svmlight
 
@@ -482,10 +482,13 @@ def test_only_grid_subcommands_offer_a_comma_list(task, lists, capsys):
     assert ("comma list" in capsys.readouterr().out) == lists
 
 
-def test_kernel_non_convergence_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(linalg, "LANCZOS_MAX_STEPS", 0)   # a cap of (k + 1)^2 = 9 steps
+def test_kernel_lapack_non_convergence_exits_1(monkeypatch, capsys):
+    def eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     assert main(["kernel"] + SYNTH + ["--k", "2"]) == 1
-    assert "kernel matrix: Lanczos reached its cap of 9 steps" in capsys.readouterr().err
+    assert "error: eigh failed to converge: Eigenvalues did not converge" in capsys.readouterr().err
 
 
 def test_degree_1_kernel_pcr_on_ten_equal_singular_values_is_exact_pcr(tmp_path):

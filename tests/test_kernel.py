@@ -3,6 +3,8 @@ features for the exact mode, a full SVD of the sketched features for
 the sketched mode, and a Jacobi SVD and numpy's ``eigvalsh`` for the
 Lanczos eigensolver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sketchpcr import linalg
-from sketchpcr.errors import ConvergenceError, GapError, RankDeficiencyError
+from sketchpcr.errors import GapError, RankDeficiencyError
 from sketchpcr.kernel import (
     KernelSpec,
     _gram_pcr,
@@ -22,7 +24,7 @@ from sketchpcr.kernel import (
     sketched_kernel_pcr,
     sketched_kernel_predict,
 )
-from sketchpcr.linalg import RANK_FLOOR, top_eigenpairs
+from sketchpcr.linalg import GAP_TOL, RANK_FLOOR, top_eigenpairs
 from sketchpcr.sketch import gen_tensorsketch, tensorsketch_apply
 from sketchpcr.solvers import PcrProblem, exact_pcr, sketched_pcr
 from oracles import jacobi_svd, poly_features, run_at_blas_threads, sketched_fit_real_domain
@@ -192,6 +194,16 @@ def test_both_predictors_reject_a_bad_point_alike(mode, offset, z, message):
         PREDICTORS[mode](fitted_models(offset)[mode], z)
 
 
+@pytest.mark.parametrize("mode, what", [("exact", "kernel matrix"), ("sketched", "Phi R")])
+def test_a_prediction_that_overflows_is_the_fits_overflow_error(mode, what):
+    # (1e200 x_i^T z)^2 overflows float64 on finite data; a warning is an error
+    # here, so neither predictor may warn before it raises.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{what}: the Gram matrix overflowed float64"):
+            PREDICTORS[mode](fitted_models(0.5)[mode], np.full(4, 1e200))
+
+
 # Singular values of the sketched features; k = 2 throughout. The exact
 # mode sees their squares as the eigenvalues of K.
 DEGENERATE = [
@@ -323,20 +335,18 @@ def test_a_top_eigenvalue_repeated_past_k_is_a_gap_error(k):
         features_gamma(phi, b, k)
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="each copy of a top value repeated far past k costs a restart chain")
 def test_a_top_eigenvalue_repeated_far_past_k_is_a_gap_error():
-    # lambda_1 = ... = lambda_40 = 2 at k = 20: the dense route's verdict is a
-    # GapError; Lanczos locks the copies one chain at a time and reaches its
-    # cap of 741 steps.
+    # lambda_1 = ... = lambda_40 = 2 at k = 20: Lanczos locks the copies one
+    # restart chain at a time, and after m = 300 products hands the matrix
+    # to the dense route, whose verdict is a GapError.
     lam = np.concatenate([np.full(40, 2.0), np.geomspace(1.0, 1e-4, 260)])
     with pytest.raises(GapError):
         top_eigenpairs(planted_gram(lam, seed=5), 20, "gram")
 
 
 def test_a_tie_at_k_shared_by_most_eigenvalues_is_a_gap_error():
-    # lambda_3 = lambda_4 = ... = 1 has 298 copies: a restart chain cannot
-    # lock them one by one within its cap, and need not.
+    # lambda_3 = lambda_4 = ... = 1 has 298 copies: a restart chain need not
+    # lock them one by one.
     q, _ = np.linalg.qr(np.random.default_rng(73).standard_normal((300, 300)))
     lam = np.concatenate([[3.0, 2.0], np.ones(298)])
     with pytest.raises(GapError):
@@ -358,9 +368,9 @@ def test_two_fits_are_bit_identical():
 def test_dense_eigh_only_when_lanczos_cannot_run(monkeypatch):
     lanczos, ran = linalg._lanczos, []
 
-    def record(product, m, k, what):
+    def record(product, m, k):
         ran.append(m)
-        return lanczos(product, m, k, what)
+        return lanczos(product, m, k)
 
     def fail(*args, **kwargs):
         pytest.fail("Lanczos ran where k + 1 >= n")
@@ -375,17 +385,6 @@ def test_dense_eigh_only_when_lanczos_cannot_run(monkeypatch):
     fit_exact(phi6, b[:6], 5, LINEAR)
     alpha = fit_exact(phi6, b[:6], 6, LINEAR).alpha
     assert relative_error(alpha, np.linalg.solve(phi6 @ phi6.T, b[:6])) <= 1e-10
-
-
-def test_lanczos_non_convergence_is_a_convergence_error(monkeypatch):
-    # Both fits take 44 steps here; with no steps beyond (k+1)^2 the cap is 36.
-    phi, b = lanczos_case(SIGMA)
-    monkeypatch.setattr(linalg, "LANCZOS_MAX_STEPS", 0)
-    with pytest.raises(ConvergenceError, match="kernel matrix: Lanczos reached its cap of 36 "
-                                               "steps before a restart confirmed the top 6"):
-        fit_exact(phi, b, 5, LINEAR)
-    with pytest.raises(ConvergenceError, match="Phi R: Lanczos reached its cap"):
-        features_gamma(phi, b, 5)
 
 
 class CountedProducts:
@@ -478,16 +477,106 @@ def test_lanczos_takes_as_many_products_without_the_dsymv_binding(case, monkeypa
     assert np.abs(residual).max() <= 1e-13 * lam1
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="a tight cluster under lambda_{k+1} exhausts the step cap")
+def tight_cluster():
+    """300 eigenvalues: 3, 2, 1, then 20 within 1e-3 to 1e-6 of each other
+    just under 1, then a tail from 0.5 to 1e-3."""
+    cluster = 1.0 - np.cumsum(np.geomspace(1e-3, 1e-6, 20))
+    return np.concatenate([[3.0, 2.0, 1.0], cluster, np.geomspace(0.5, 1e-3, 277)])
+
+
 @pytest.mark.parametrize("k", [3, 10])
 def test_lanczos_resolves_a_tight_cluster_below_the_top(k):
     # 20 eigenvalues 1e-3 to 1e-6 apart just under lambda_3 = 1: at k = 3 the
     # cluster starts at lambda_{k+1}, at k = 10 it holds lambda_k.
-    cluster = 1.0 - np.cumsum(np.geomspace(1e-3, 1e-6, 20))
-    lam = np.concatenate([[3.0, 2.0, 1.0], cluster, np.geomspace(0.5, 1e-3, 277)])
+    lam = tight_cluster()
     evals, _ = top_eigenpairs(planted_gram(lam, seed=77), k, "gram")
     assert np.abs(evals - lam[:k]).max() <= 1e-12 * lam[0]
+
+
+def test_lanczos_stalled_at_m_products_hands_over_to_the_dense_eigh(monkeypatch):
+    # Confirming the tight cluster's top 4 pairs would take Lanczos more
+    # than m = 300 products, which cost more than the dense tridiagonal
+    # reduction: the dense eigh answers instead.
+    gram = planted_gram(tight_cluster(), seed=77)
+    counted = CountedProducts(monkeypatch)
+    evals, evecs = top_eigenpairs(gram, 3, "gram")
+    assert counted.products == 300
+    dense_evals, dense_evecs = linalg._lapack(np.linalg.eigh, gram, UPLO="U")
+    assert np.array_equal(evals, dense_evals[::-1][:3])
+    assert np.array_equal(evecs, dense_evecs[:, ::-1][:, :3])
+    assert linalg._lanczos(linalg._gram_product(gram), 300, 3) is None
+
+
+def generated_spectrum(kind, rng):
+    """(eigenvalues, k) of one seeded spectrum of ``kind`` on m = 30-400
+    eigenvalues, k = 1-24."""
+    m, k = int(rng.integers(30, 401)), int(rng.integers(1, 25))
+    if kind == "geometric":
+        lam = np.geomspace(1.0, 10.0 ** -rng.uniform(1.0, 8.0), m)
+    elif kind == "power-law":
+        lam = np.arange(1.0, m + 1) ** -rng.uniform(0.5, 3.0)
+    elif kind == "cluster":        # values 1e-3 to 1e-4..1e-6 apart under lambda_{k+1} = 1
+        c = int(rng.integers(2, min(30, m - k - 1)))
+        cluster = 1.0 - np.cumsum(np.geomspace(1e-3, 10.0 ** -rng.uniform(4.0, 6.0), c))
+        lam = np.concatenate([np.geomspace(3.0, 1.5, k), [1.0], cluster,
+                              np.geomspace(0.5, 1e-4, m - k - 1 - c)])
+    elif kind == "repeated-top":   # lambda_1 repeated up to 3(k+1) times
+        r = int(rng.integers(1, min(3 * (k + 1), m) + 1))
+        lam = np.concatenate([np.full(r, 2.0), np.geomspace(1.0, 1e-4, m - r)])
+    elif kind == "near-gap-tol":
+        lam = np.geomspace(1.0, 1e-4, m)
+        lam[k] = lam[k - 1] - rng.choice([0.0, 0.75, 5.0, 50.0]) * GAP_TOL
+    else:                          # rank r up to 2k+1, lambda_k near the floor in half
+        r = int(rng.integers(1, min(2 * k + 1, m) + 1))
+        lam = np.zeros(m)
+        lam[:r] = np.geomspace(1.0, 1e-4, r)
+        if r >= k and rng.random() < 0.5:
+            near = rng.choice([0.5, 0.99, 0.9999, 1.0001, 1.01, 2.0])
+            lam[k - 1:r] = RANK_FLOOR ** 2 * near * np.geomspace(1.0, 0.1, r - k + 1)
+    return lam, k
+
+
+def ruled(lam, k):
+    """The top k of the nonincreasing eigenvalues ``lam``, once
+    require_gap has accepted their rank-k cut."""
+    linalg.require_gap(np.sqrt(np.maximum(lam, 0.0)), k, "gram")
+    return lam[:k]
+
+
+def outcome(run):
+    """("ok", the eigenvalues ``run`` returns) or (its error's name, None)."""
+    try:
+        return "ok", run()
+    except (GapError, RankDeficiencyError) as exc:
+        return type(exc).__name__, None
+
+
+# Where the two routes may differ: a gap (lambda_k - lambda_{k+1}) / lambda_1,
+# or a lambda_k / lambda_1, within VERDICT_BAND of GAP_TOL or of RANK_FLOOR^2.
+# There either verdict of that threshold stands; outside, both must agree.
+VERDICT_BAND = GAP_TOL / 2
+
+
+@pytest.mark.parametrize("kind", ["geometric", "power-law", "cluster", "repeated-top",
+                                  "near-gap-tol", "low-rank"])
+def test_top_eigenpairs_gives_the_dense_verdict_on_generated_spectra(kind):
+    """Against numpy's dense eigh of the upper triangle, ruled on by
+    require_gap."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(30):
+        lam, k = generated_spectrum(kind, rng)
+        gram = planted_gram(lam, seed=int(rng.integers(2 ** 32)))
+        dense = np.linalg.eigh(gram, UPLO="U")[0][::-1][:k + 1]
+        want, want_lam = outcome(lambda: ruled(dense, k))
+        got, got_lam = outcome(lambda: top_eigenpairs(gram, k, "gram")[0])
+        if got == want == "ok":
+            assert np.abs(got_lam - want_lam).max() <= 1e-12 * dense[0]
+        accepted = {want}
+        if abs((dense[k - 1] - dense[k]) / dense[0] - GAP_TOL) <= VERDICT_BAND:
+            accepted |= {"ok", "GapError"}
+        if abs(dense[k - 1] / dense[0] - RANK_FLOOR ** 2) <= VERDICT_BAND:
+            accepted |= {"ok", "RankDeficiencyError"}
+        assert got in accepted, (len(lam), k)
 
 
 KERNEL_SCRIPT = """

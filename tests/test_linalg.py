@@ -1,8 +1,10 @@
 import ctypes
+import gc
 import math
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -523,6 +525,32 @@ class TestGramProducts:
             products.append(0)
             top_eigenpairs(noisy, k, "gram")
             assert products[-1] == products[0]
+
+    @pytest.mark.parametrize("layout", ["F", "float32"])
+    def test_a_product_keeps_its_copy_of_gram_alive(self, layout, monkeypatch):
+        """dsymv reads the copy that ``_square`` makes of an F-ordered or a
+        float32 gram through a raw pointer: the product must hold it."""
+        blas = linalg._numpy_openblas()
+        if blas is None or blas.symv is None:
+            pytest.skip("no dsymv found in numpy's OpenBLAS")
+        gram = np.random.default_rng(13).standard_normal((200, 200))
+        view = np.asfortranarray(gram) if layout == "F" else gram.astype(np.float32)
+        copies, square = [], linalg._square
+
+        def recorded(g):
+            copy = square(g)
+            copies.append(weakref.ref(copy))
+            return copy
+
+        monkeypatch.setattr(linalg, "_square", recorded)
+        product = linalg._gram_product(view)
+        gc.collect()
+        assert copies[0]() is not None
+        junk = [np.full((200, 200), 1e300) for _ in range(4)]   # would reuse freed memory
+        q = np.random.default_rng(14).standard_normal(200)
+        want = linalg.mirror_upper(view.astype(float)) @ q
+        assert np.abs(product(q) - want).max() <= 1e-12 * np.abs(want).max()
+        del junk
 
     def test_products_read_only_the_upper_triangle(self):
         blas = linalg._numpy_openblas()

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -593,6 +594,39 @@ class TestInputSparsityPcp:
         _draws_sketches(monkeypatch, sp.identity(30, format="csr"), g_perm)
         y = input_sparsity_pcp(p, 30, 12, eps=1e-12, seed=53)
         assert np.allclose(y, exact_pcr(p).x, atol=1e-8)
+
+    @staticmethod
+    def sparse_problem(n, d, nnz, k, seed):
+        rng = np.random.default_rng(seed)
+        a = sp.csr_matrix((rng.standard_normal(nnz), (rng.integers(0, n, nnz),
+                                                      rng.integers(0, d, nnz))), shape=(n, d))
+        a.sum_duplicates()
+        return PcrProblem(a=a, b=rng.standard_normal(n), k=k)
+
+    def test_csr_and_dense_copies_of_a_give_the_same_y(self):
+        p = self.sparse_problem(3000, 200, 20000, 4, seed=54)
+        dense = PcrProblem(a=p.a.toarray(), b=p.b, k=p.k)
+        y_csr, y_dense = (input_sparsity_pcp(q, 40, 60, seed=55) for q in (p, dense))
+        assert np.linalg.norm(y_csr - y_dense) <= 1e-12 * np.linalg.norm(y_dense)
+        r_csr, r_dense = (build_r_twosided(q, gen_countsketch(40, 3000, seed=56),
+                                           gen_countsketch(60, 200, seed=57)) for q in (p, dense))
+        assert np.abs(r_csr - r_dense).max() <= 1e-12
+
+    def test_memory_does_not_grow_with_n_times_t_at_fixed_nnz(self):
+        # The solve keeps a few n-vectors (b, CGLS's residual and products),
+        # so its peak grows with n, but far from tenfold: a dense n x t copy
+        # of A G^T, 32 MB at n = 20000, made it grow about eightfold.
+        peaks = []
+        for n in (2000, 20000):
+            p = self.sparse_problem(n, 400, 100000, 5, seed=58)
+            input_sparsity_pcp(p, 40, 200, seed=59)
+            tracemalloc.start()
+            try:
+                input_sparsity_pcp(p, 40, 200, seed=59)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 4 * peaks[0]
 
     # The contract |y - x_R|^2 <= eps |x_R|^2, for x_R the exact minimizer over
     # the range of R, holds with constant probability. Each draw takes a fresh
