@@ -17,9 +17,10 @@ rule, which takes the top k eigenpairs and lambda_{k+1} with one rank
 floor and gap check (:func:`sketchpcr.linalg.top_eigenpairs`: numpy-only
 Lanczos, whose seeded restarts find every copy of a repeated eigenvalue,
 as a planted kernel's equal top eigenvalues are). A model keeps
-``fitted``, its predictions on the training rows. The non-homogeneous
-offset c is handled by appending a constant sqrt(c) feature to every data
-point.
+``fitted``, its predictions on the training rows; one rule,
+:func:`kernel_predict`, predicts with either model at one point or an
+(m, d) batch. The non-homogeneous offset c is handled by appending a
+constant sqrt(c) feature to every data point.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class KernelSpec:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("kernel degree must be at least 1")
+        if not isinstance(self.degree, (int, np.integer)) or self.degree < 1:
+            raise ValueError(f"kernel degree must be an integer of at least 1, got {self.degree!r}")
         if not (math.isfinite(self.offset) and self.offset >= 0):
             raise ValueError(f"kernel offset must be finite and nonnegative, got {self.offset}")
 
@@ -50,7 +51,8 @@ class KernelSpec:
 class KernelModel:
     """A fitted kernel PCR model, exact or sketched by the coefficients it
     holds: ``train`` and ``alpha``, or ``ts``, ``gamma`` and ``gamma_hat``,
-    gamma in the Fourier basis that the sketched fit solves in."""
+    gamma in the Fourier basis that the sketched fit solves in. Either is a
+    linear predictor in its own feature map, for :func:`kernel_predict`."""
     spec: KernelSpec
     fitted: np.ndarray = field(repr=False)  # predictions on the training rows
     train: np.ndarray | None = field(default=None, repr=False)      # exact only
@@ -112,13 +114,17 @@ def kernel_matrix(a, spec: KernelSpec):
     return mirror_upper(_kernel_upper(a, spec)[0])
 
 
-def augment_offset(a, offset):
-    """Append the constant sqrt(c) feature that linearizes the offset."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+def _with_offset(a, offset):
+    """The checked matrix ``a`` with the offset's sqrt(c) feature appended."""
     if offset == 0.0:
         return a
-    col = np.full((a.shape[0], 1), math.sqrt(offset))
-    return np.hstack([a, col])
+    return np.hstack([a, np.full((a.shape[0], 1), math.sqrt(offset))])
+
+
+def augment_offset(a, offset):
+    """Append the constant sqrt(c) feature that linearizes the offset to the
+    rows of ``a``, a finite numeric matrix (one row if 1-D)."""
+    return _with_offset(as_matrix(np.atleast_2d(a), "a"), offset)
 
 
 def _overflowed(what):
@@ -153,38 +159,19 @@ def fit_exact(a, b, k, spec: KernelSpec) -> KernelModel:
     return KernelModel(spec=spec, fitted=_gram_product(k_upper)(alpha), train=a, alpha=alpha)
 
 
-def _point(z, features):
-    """One data point ``z`` of ``features`` numbers, as a flat float64 vector."""
-    if np.ndim(z) > 1:
-        raise ValueError(f"z must be one point, got shape {np.shape(z)}")
-    return as_vector(z, length=features, name="z")
-
-
-def kernel_predict(model: KernelModel, z):
-    """f(z) = sum_i K(z, a_i) alpha_i for an exact model; the fit's
-    ValueError if a K(z, a_i) or the sum overflows float64."""
-    if model.alpha is None:
-        raise ValueError("kernel_predict needs an exact model")
-    z = _point(z, model.train.shape[1])
-    with np.errstate(all="ignore"):   # an overflow is inf or nan
-        kvec = model.train @ z
-        kvec += model.spec.offset
-        kvec = _power(kvec, model.spec.degree)
-        value = float(kvec @ model.alpha)
-    if not math.isfinite(value):
-        raise _overflowed("kernel matrix")
-    return value
+def _rows(a, features, name):
+    """``a`` as a finite float64 matrix of ``features`` columns, the offset's
+    not counted: the width rule of the sketched fit and the predictor."""
+    a = as_matrix(a, name)
+    if a.shape[1] != features:
+        raise ValueError(f"{name} has {a.shape[1]} features, expected {features} "
+                         "(the offset's feature not counted)")
+    return a
 
 
 def _sketched_rows(a, ts, offset, finish):
     """``finish(ts, rows)`` on the rows of ``a`` with the offset's feature."""
-    a = augment_offset(as_matrix(a, "a"), offset)
-    if ts.in_dim != a.shape[1]:
-        raise ValueError(
-            f"TensorSketch expects {ts.in_dim} features, data has {a.shape[1]} "
-            "(offset augmentation adds one)"
-        )
-    return finish(ts, a)
+    return finish(ts, _with_offset(_rows(a, ts.in_dim - (offset != 0.0), "a"), offset))
 
 
 def sketched_feature_matrix(a, ts, offset):
@@ -225,17 +212,28 @@ def sketched_kernel_pcr(a, b, k, ts, offset=0.0) -> KernelModel:
                        gamma=from_fourier(gamma_hat), gamma_hat=gamma_hat)
 
 
-def sketched_kernel_predict(model: KernelModel, z):
-    """f(z) = <TensorSketch(phi(z)), gamma> for a sketched model, read in
-    the fit's Fourier basis as <S(z), gamma_hat>; the fit's ValueError if
-    S(z) or the sum overflows float64."""
-    if model.gamma is None:
-        raise ValueError("sketched_kernel_predict needs a sketched model")
-    offset = model.spec.offset
-    z = _point(z, model.ts.in_dim - (offset != 0.0))   # less the sqrt(c) feature
+def kernel_predict(model: KernelModel, z):
+    """f(z) for one point ``z`` (0-D or 1-D), a float, or for each row of an
+    (m, d) batch: sum_i K(z, a_i) alpha_i for an exact model, <S(z),
+    gamma_hat> for a sketched one, S the fit's own rows of
+    :func:`~sketchpcr.sketch.tensorsketch_fourier`; the fit's ValueError
+    if a value overflows float64."""
+    zs = np.asarray(z)
+    if zs.ndim > 2:
+        raise ValueError(f"z must be one point or an (m, d) batch, got shape {zs.shape}")
+    one, spec, exact = zs.ndim < 2, model.spec, model.ts is None
+    features = model.train.shape[1] if exact else model.ts.in_dim - (spec.offset != 0.0)
+    zs = _rows(zs.reshape(1, -1) if one else zs, features, "z")
     with np.errstate(all="ignore"):   # an overflow is inf or nan
-        value = float(tensorsketch_fourier(model.ts, augment_offset(z[None], offset)[0])
-                      @ model.gamma_hat)
-    if not math.isfinite(value):
-        raise _overflowed("Phi R")
-    return value
+        if exact:
+            kz = model.train @ zs.T   # oriented so that one point takes one gemv
+            kz += spec.offset
+            values = model.alpha @ _power(kz, spec.degree)
+        else:
+            values = tensorsketch_fourier(model.ts, _with_offset(zs, spec.offset)) @ model.gamma_hat
+    if np.count_nonzero(np.isfinite(values)) != len(values):
+        raise _overflowed("kernel matrix" if exact else "Phi R")
+    return float(values[0]) if one else values
+
+
+sketched_kernel_predict = kernel_predict   # the name perfbench's kernel-poly op calls

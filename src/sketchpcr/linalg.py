@@ -290,7 +290,8 @@ def check_orthonormal(q, name="basis"):
 
 
 def spectral_norm(a):
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    """Largest singular value of the finite numeric matrix ``a`` (1-D: a row)."""
+    a = as_matrix(np.atleast_2d(a), "a")
     if a.size == 0:
         return 0.0
     return float(_lapack(np.linalg.svd, a, compute_uv=False).max())

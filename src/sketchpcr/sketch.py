@@ -188,8 +188,8 @@ def gen_tensorsketch(q, in_dim, out_dim, seed):
     sketch maps the monomial indexed by (i_1, ..., i_q) to bucket
     (h_1(i_1) + ... + h_q(i_q)) mod out_dim with sign g_1(i_1)...g_q(i_q).
     """
-    if q < 1:
-        raise ValueError("degree must be at least 1")
+    if not isinstance(q, (int, np.integer)) or q < 1:
+        raise ValueError(f"degree must be an integer of at least 1, got {q!r}")
     if out_dim < 1 or in_dim < 1:
         raise ValueError("sketch dimensions must be positive")
     rng = np.random.default_rng(seed)   # each level's hash pair continues this stream

@@ -510,6 +510,25 @@ def test_kernel_rank_is_not_held_to_the_planted_rank(tmp_path):
     assert main(["kernel"] + SYNTH + ["--k", "2", "--out", str(tmp_path / "k.json")]) == 0
 
 
+@pytest.mark.parametrize("offset", [[], ["--offset", "0.5"]], ids=["no-offset", "offset"])
+@pytest.mark.parametrize("mode", [[], ["--sketch-cols", "64"]], ids=["exact", "sketched"])
+def test_kernel_reports_on_svmlight_equal_those_on_the_same_csv(tmp_path, mode, offset):
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((60, 5)), rng.standard_normal(60)
+    a[a < -1.0] = 0.0   # entries the svmlight file leaves out
+    np.savetxt(tmp_path / "ab.csv", np.column_stack([a, b]), delimiter=",")
+    write_svmlight(tmp_path / "ab.svm", a, b)
+    reports = []
+    for data in (["ab.csv"], ["ab.svm", "--dims", "5"]):
+        out = tmp_path / "k.json"
+        assert main(["kernel", "--data", str(tmp_path / data[0]), *data[1:], "--k", "2",
+                     *mode, *offset, "--out", str(out)]) == 0
+        report, = json.loads(out.read_text())["aggregates"]
+        del report["wall_time"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_kernel_takes_its_rank_from_k_on_a_data_file(tmp_path):
     path = tmp_path / "f.csv"
     np.savetxt(path, np.random.default_rng(6).standard_normal((40, 5)), delimiter=",")

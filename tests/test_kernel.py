@@ -70,6 +70,7 @@ def test_exact_predictions_match_pcr_on_explicit_features(degree, offset):
     x = v[:, :k] @ ((u[:, :k].T @ b) / s[:k])
     want = poly_features(augment_offset(z, offset), degree) @ x
     assert relative_error([kernel_predict(model, zi) for zi in z], want) <= 1e-9
+    assert relative_error(kernel_predict(model, z), want) <= 1e-9
     assert relative_error(model.fitted, phi @ x) <= 1e-9
 
 
@@ -84,7 +85,7 @@ def test_sketched_gamma_matches_full_svd():
     model = sketched_kernel_pcr(a, b, k, ts, 0.5)
     assert relative_error(model.gamma, svd_gamma(phi_r, b, k)) <= 1e-10
     assert relative_error(model.fitted, u[:, :k] @ (u[:, :k].T @ b)) <= 1e-10
-    pred = sketched_kernel_predict(model, a[0])
+    pred = kernel_predict(model, a[0])
     assert abs(pred - phi_r[0] @ model.gamma) <= 1e-12 * np.linalg.norm(model.gamma)
 
 
@@ -101,9 +102,9 @@ def _fit_or_verdict(fit):
 @pytest.mark.parametrize("k", [3, 7])
 def test_the_fourier_basis_fit_is_the_real_domain_fit(degree, width, offset, k):
     """gamma, the fitted values and the verdict of the fit in the Fourier
-    basis are those of the real-domain oracle; each one-point prediction is
-    that of Phi R(z) gamma. At degree 1 the 4 features (5 with the offset's)
-    give rank 4 or 5, so k = 7 is rank deficient."""
+    basis are those of the real-domain oracle; each prediction, of one point
+    or of the batch, is that of Phi R(z) gamma. At degree 1 the 4 features
+    (5 with the offset's) give rank 4 or 5, so k = 7 is rank deficient."""
     rng = np.random.default_rng(100 + degree)
     a, b, z = rng.standard_normal((200, 4)), rng.standard_normal(200), rng.standard_normal((5, 4))
     ts = gen_tensorsketch(degree, 4 + (offset != 0.0), width, seed=101)
@@ -115,10 +116,11 @@ def test_the_fourier_basis_fit_is_the_real_domain_fit(degree, width, offset, k):
     gamma, fitted = want
     assert relative_error(got.gamma, gamma) <= 1e-12
     assert relative_error(got.fitted, fitted) <= 1e-12
-    for zi in z:
-        phi_z = tensorsketch_apply(ts, augment_offset(zi[None], offset)[0])
-        scale = np.linalg.norm(phi_z) * np.linalg.norm(got.gamma)
-        assert abs(sketched_kernel_predict(got, zi) - phi_z @ got.gamma) <= 1e-13 * scale
+    phi_z = tensorsketch_apply(ts, augment_offset(z, offset))
+    scale = np.linalg.norm(phi_z, axis=1) * np.linalg.norm(got.gamma)
+    single = [kernel_predict(got, zi) for zi in z]
+    assert (abs(single - phi_z @ got.gamma) <= 1e-13 * scale).all()
+    assert (abs(kernel_predict(got, z) - phi_z @ got.gamma) <= 1e-13 * scale).all()
 
 
 def test_the_fourier_basis_fit_sees_a_tie_at_k():
@@ -158,19 +160,8 @@ def test_an_overflow_in_the_last_panel_alone_is_caught():
         fit_exact(a, np.ones(300), 2, spec)
 
 
-def test_each_predictor_rejects_the_other_modes_model():
-    rng = np.random.default_rng(65)
-    a, b = rng.standard_normal((40, 3)), rng.standard_normal(40)
-    exact = fit_exact(a, b, 2, KernelSpec(2))
-    sketched = sketched_kernel_pcr(a, b, 2, gen_tensorsketch(2, 3, 16, seed=66))
-    with pytest.raises(ValueError, match="kernel_predict needs an exact model"):
-        kernel_predict(sketched, a[0])
-    with pytest.raises(ValueError, match="sketched_kernel_predict needs a sketched model"):
-        sketched_kernel_predict(exact, a[0])
-
-
 def fitted_models(offset):
-    """An exact and a sketched degree-2 model of 4-feature data, by predictor."""
+    """An exact and a sketched degree-2 model of 4-feature data, by mode."""
     rng = np.random.default_rng(90)
     a, b = rng.standard_normal((40, 4)), rng.standard_normal(40)
     ts = gen_tensorsketch(2, 4 if offset == 0.0 else 5, 16, seed=91)
@@ -178,30 +169,74 @@ def fitted_models(offset):
             "sketched": sketched_kernel_pcr(a, b, 2, ts, offset)}
 
 
-PREDICTORS = {"exact": kernel_predict, "sketched": sketched_kernel_predict}
+MODES = ["exact", "sketched"]
 
 
-@pytest.mark.parametrize("mode", PREDICTORS)
+def test_each_name_predicts_either_model():
+    assert sketched_kernel_predict is kernel_predict
+    z = np.random.default_rng(92).standard_normal(4)
+    for model in fitted_models(0.5).values():
+        assert sketched_kernel_predict(model, z) == kernel_predict(model, z)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_a_batch_is_its_rows_single_predictions(mode, offset):
+    model = fitted_models(offset)[mode]
+    z = np.random.default_rng(93).standard_normal((50, 4))
+    batch = kernel_predict(model, z)
+    assert batch.shape == (50,)
+    assert relative_error(batch, [kernel_predict(model, zi) for zi in z]) <= 1e-15
+    assert kernel_predict(model, np.empty((0, 4))).shape == (0,)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_0d_point_is_one_point_of_one_feature(mode):
+    rng = np.random.default_rng(94)
+    a, b = rng.standard_normal((30, 1)), rng.standard_normal(30)
+    if mode == "exact":
+        model = fit_exact(a, b, 1, KernelSpec(2))
+    else:
+        model = sketched_kernel_pcr(a, b, 1, gen_tensorsketch(2, 1, 8, seed=95))
+    got = kernel_predict(model, np.float64(0.7))
+    assert isinstance(got, float) and got == kernel_predict(model, [0.7])
+
+
+@pytest.mark.parametrize("degree", [0, 3.0, 2.5, 2.0, np.float64(3)])
+def test_a_kernel_degree_that_is_not_a_positive_integer_is_rejected(degree):
+    # 2.0 too, though the exact fit's power, which stops at degree 1, would take it
+    with pytest.raises(ValueError, match="kernel degree must be an integer of at least 1"):
+        KernelSpec(degree)
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("offset", [0.0, 0.5])
 @pytest.mark.parametrize("z, message", [
     (["1", "2", "3", "4"], "z is not numeric"),
-    (np.ones((2, 2)), r"z must be one point, got shape \(2, 2\)"),
-    (np.ones(3), "z has length 3, expected 4"),   # the offset's feature not counted
+    # a batch of two rows of 2 features each
+    (np.ones((2, 2)), r"z has 2 features, expected 4 \(the offset's feature not counted\)"),
+    (np.ones((2, 2, 4)), r"z must be one point or an \(m, d\) batch, got shape \(2, 2, 4\)"),
+    (np.ones(3), r"z has 3 features, expected 4 \(the offset's feature not counted\)"),
     ([1.0, np.nan, 0.0, 0.0], "z contains NaN or Inf entries"),
-], ids=["strings", "2x2", "short", "nan"])
+], ids=["strings", "2x2", "3d", "short", "nan"])
 def test_both_predictors_reject_a_bad_point_alike(mode, offset, z, message):
     with pytest.raises(ValueError, match=message):
-        PREDICTORS[mode](fitted_models(offset)[mode], z)
+        kernel_predict(fitted_models(offset)[mode], z)
 
 
 @pytest.mark.parametrize("mode, what", [("exact", "kernel matrix"), ("sketched", "Phi R")])
 def test_a_prediction_that_overflows_is_the_fits_overflow_error(mode, what):
     # (1e200 x_i^T z)^2 overflows float64 on finite data; a warning is an error
-    # here, so neither predictor may warn before it raises.
+    # here, so the predictor may not warn before it raises, for one point or
+    # for a batch with one such row.
+    model = fitted_models(0.5)[mode]
+    batch = np.ones((3, 4))
+    batch[1] = 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"{what}: the Gram matrix overflowed float64"):
-            PREDICTORS[mode](fitted_models(0.5)[mode], np.full(4, 1e200))
+        for z in (batch[1], batch):
+            with pytest.raises(ValueError, match=f"{what}: the Gram matrix overflowed float64"):
+                kernel_predict(model, z)
 
 
 # Singular values of the sketched features; k = 2 throughout. The exact

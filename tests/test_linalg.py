@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from sketchpcr import linalg
 from sketchpcr.errors import ConvergenceError
+from sketchpcr.kernel import augment_offset
 from sketchpcr.linalg import (
     as_matrix,
     as_vector,
@@ -237,8 +238,15 @@ class TestFiniteness:
     def test_non_numbers_are_rejected_not_parsed(self, value):
         with pytest.raises(ValueError, match=r"^a_row is not numeric \(dtype "):
             as_vector(value, name="a_row")
-        with pytest.raises(ValueError, match=r"^a is not numeric \(dtype "):
-            as_matrix([value, value], "a")
+        for call in (lambda m: as_matrix(m, "a"), spectral_norm, lambda m: augment_offset(m, 0.5)):
+            with pytest.raises(ValueError, match=r"^a is not numeric \(dtype "):
+                call([value, value])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_spectral_norm_and_augment_offset_reject_non_finite_entries(self, entry):
+        for call in (spectral_norm, lambda m: augment_offset(m, 0.5)):
+            with pytest.raises(ValueError, match="^a contains NaN or Inf entries$"):
+                call([[1.0, entry]])
 
     def test_numbers_of_any_real_dtype_are_read(self):
         for value in ([True, False], np.array([1, 2], dtype=np.uint8), [3, -4], [0.5, 2.0]):

@@ -237,6 +237,11 @@ class TestSketchSizing:
 
 
 class TestTensorSketch:
+    @pytest.mark.parametrize("q", [0, 3.0, 2.5, np.float64(3)])
+    def test_a_degree_that_is_not_a_positive_integer_is_rejected(self, q):
+        with pytest.raises(ValueError, match="degree must be an integer of at least 1"):
+            gen_tensorsketch(q, 4, 16, seed=1)
+
     def test_seed_determinism(self):
         a = gen_tensorsketch(2, 6, 16, seed=16)
         b = gen_tensorsketch(2, 6, 16, seed=16)
