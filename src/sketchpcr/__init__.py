@@ -65,6 +65,7 @@ from .solvers import (
 )
 from .streaming import (
     StreamState,
+    stream_block,
     stream_finalize,
     stream_init,
     stream_update,

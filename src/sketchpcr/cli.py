@@ -3,7 +3,8 @@ one seed), stream rows from disk, fit kernel models, and verify the
 library's deterministic and statistical guarantees on synthetic data.
 Every subcommand writes one versioned JSON report. :mod:`sketchpcr.io`
 reads every --data file (svmlight unless named .csv): whole for
-``solve``, ``sweep`` and ``kernel``, a row at a time for ``stream``.
+``solve``, ``sweep`` and ``kernel``, a block of rows at a time for
+``stream``.
 
 ``SOLVERS`` gives each solver's sketch sizes, certify mode and callable;
 ``_cells`` turns --s/--t/--ratio into the (s, t) cells that ``solve`` and
@@ -387,15 +388,6 @@ def cmd_sweep(args):
     return 2 if any(r.error is not None for r in report.records) else 0
 
 
-def _stream_rows(args):
-    """The (row of A, entry of b) pairs of --data, read one at a time."""
-    if not _is_svmlight(args):
-        return data_io.iter_dense_csv(args.data)
-    if args.dims is None:
-        raise CliError("streaming svmlight input needs --dims")
-    return data_io.iter_svmlight(args.data, args.dims)
-
-
 def cmd_stream(args):
     if not args.data:
         raise CliError("stream mode requires --data")
@@ -408,11 +400,18 @@ def cmd_stream(args):
         if rows < k:
             raise CliError(f"--{flag} {rows} is below --k {k}: a sketch of fewer than "
                            "k rows cannot keep a rank-k fit")
+    if not _is_svmlight(args):
+        blocks = ((ab[:, :-1], ab[:, -1]) for ab in data_io.csv_blocks(args.data))
+    elif args.dims is None:
+        raise CliError("streaming svmlight input needs --dims")
+    else:
+        blocks = (data_io.svmlight_csr(arrays, args.dims)
+                  for arrays in data_io.svmlight_blocks(args.data, args.dims))
     state = None
-    for row, b_entry in _stream_rows(args):
+    for a_blk, b_blk in blocks:
         if state is None:
-            state = streaming.stream_init(len(row), s_rows, t_rows, args.seed0)
-        streaming.stream_update(state, row, b_entry)
+            state = streaming.stream_init(a_blk.shape[1], s_rows, t_rows, args.seed0)
+        streaming.stream_block(state, a_blk, b_blk)
     if state is None:
         raise CliError(f"{args.data}: no data rows")
     sol = streaming.stream_finalize(state, k)

@@ -7,7 +7,8 @@ that pass cannot take (it fails, or sees what the per-line rules would
 reject or read otherwise) by the per-line rules alone. Those rules
 define a valid line, read it with ``float`` and ``int`` and reject a
 malformed one with its ``file:line[:col]``. The loaders join the
-blocks; ``pcr stream`` takes their rows one at a time, so besides its
+blocks; ``pcr stream`` takes each block as it comes (an svmlight one as
+the CSR matrix of :func:`svmlight_csr`), so besides its
 sketch accumulators it holds one run and its block, whatever the row
 count. Files are UTF-8; a leading byte-order mark is skipped, and a
 byte that is not UTF-8 is rejected with its ``file:line``.
@@ -174,13 +175,6 @@ def load_dense_csv(path):
     return arr[:, :-1], arr[:, -1]
 
 
-def iter_dense_csv(path):
-    """Yield (row of A, entry of b) per data row of a dense CSV, by block."""
-    for block in csv_blocks(path):
-        for row in block:
-            yield row[:-1], row[-1]
-
-
 def svmlight_blocks(path, n_features=None):
     """Yield (labels, data, columns, pairs per line) of the lines of an
     svmlight file, one tuple of arrays per run of lines that holds any.
@@ -307,18 +301,15 @@ def load_svmlight(path, n_features=None):
     blocks = list(svmlight_blocks(path, n_features))
     if not blocks:
         raise DataFormatError(f"{path}: file is empty")
-    labels, data, cols, counts = (np.concatenate(arrays) for arrays in zip(*blocks))
+    return svmlight_csr([np.concatenate(arrays) for arrays in zip(*blocks)], n_features)
+
+
+def svmlight_csr(block, n_features=None):
+    """(csr_matrix, labels) of one (labels, data, columns, pairs per line)
+    tuple of :func:`svmlight_blocks`, ``n_features`` columns wide when
+    given, else as wide as its largest index."""
+    labels, data, cols, counts = block
     indptr = np.zeros(len(labels) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     width = int(cols.max(initial=-1)) + 1 if n_features is None else n_features
     return sp.csr_matrix((data, cols, indptr), shape=(len(labels), width)), labels
-
-
-def iter_svmlight(path, n_features):
-    """Yield (row of A as n_features floats, label) per svmlight line, by block."""
-    for labels, data, cols, counts in svmlight_blocks(path, n_features):
-        ends = np.cumsum(counts)
-        for label, lo, hi in zip(labels, ends - counts, ends):
-            row = np.zeros(n_features)
-            row[cols[lo:hi]] = data[lo:hi]
-            yield row, label

@@ -1,12 +1,17 @@
 """One-pass row-insertion streaming approximate PCR.
 
-Rows of A (and entries of b) arrive one at a time. Two sketch
-accumulators are maintained: S A (to extract the compression basis R)
-and T A together with T b (to solve the compressed regression without
-storing A). Each checked row and its b entry go into a buffer of
-``fold`` rows; when it fills, and when the stream is finalized, the
+Rows of A (and entries of b) arrive one at a time, by
+:func:`stream_update`, or as blocks of rows, by :func:`stream_block`.
+Two sketch accumulators are maintained: S A (to extract the compression
+basis R) and T A together with T b (to solve the compressed regression
+without storing A). Each checked row and its b entry go into a buffer
+of ``fold`` rows; when it fills, and when the stream is finalized, the
 whole block is folded in with one product per sketch, so the
-accumulators are complete once the stream is finalized.
+accumulators are complete once the stream is finalized. A checked block
+is copied into the buffer up to each fold boundary in turn, so its
+rows fold in the groups, and sum in the order, of the same rows fed one
+at a time; a CSR block is densified into the buffer that way, fold by
+fold, and never whole.
 
 ``fold`` is set once, by :func:`fold_rows`, from d and the sketch specs:
 the most whole ``SKETCH_BLOCK``s of rows, at least one, whose row buffer
@@ -18,9 +23,9 @@ starting the generators) is paid a few times per stream rather than
 every 256 rows; rows wider than the budget allows fold 256 at a time.
 Memory is the accumulators plus a buffer of at most
 max(``FOLD_BUDGET``, 256 (d + 1)) floats, a function of the sketch sizes
-and d only, never of the number of rows seen. The final solve is the
-solvers' one rule, :func:`sketchpcr.solvers.compressed_solve`, on T A R
-and T b.
+and d only, never of the number of rows seen; a caller feeding blocks
+holds one block besides. The final solve is the solvers' one rule,
+:func:`sketchpcr.solvers.compressed_solve`, on T A R and T b.
 
 The stream's S and T are the batch sketches themselves: a spec's
 ``block(start, count)`` is columns start..start+count-1 of
@@ -39,8 +44,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .linalg import _numeric_array, as_vector, require_gap, thin_svd
+from .linalg import _numeric_array, _require_finite, as_matrix, as_vector, require_gap, thin_svd
 from .sketch import (
     SKETCH_BLOCK,
     _hash_pair,
@@ -164,6 +170,53 @@ def stream_update(st: StreamState, a_row, b_entry) -> StreamState:
     st.rows_seen += 1
     if pos + 1 == st.fold:
         _fold(st, st.fold)
+    return st
+
+
+def _block_rows(a_blk, d):
+    """``a_blk`` as an (m, d) float64 array or CSR matrix of finite
+    entries; strings and other non-numeric values raise ValueError."""
+    if sp.issparse(a_blk):
+        a = a_blk.tocsr()
+        _require_finite(_numeric_array(a.data, "a_block"), "a_block")
+        a = a.astype(float, copy=False)
+    else:
+        a = as_matrix(a_blk, "a_block")
+    if a.shape[1] != d:
+        raise ValueError(f"a_block must have {d} columns, got shape {a.shape}")
+    return a
+
+
+def stream_block(st: StreamState, a_blk, b_blk) -> StreamState:
+    """Take m rows of A, an (m, d) array or CSR matrix, and their m entries
+    ``b_blk`` of b into the stream.
+
+    The same checks as :func:`stream_update`'s apply to every entry, and a
+    rejected block raises ValueError and leaves the state as it was. The
+    rows are copied into the buffer up to each fold boundary in turn, and
+    the buffer is folded whenever it fills, so the result is that of
+    feeding the rows one at a time. Mutates and returns the state.
+    """
+    if st.finalized:
+        raise RuntimeError("stream state was already finalized")
+    a = _block_rows(a_blk, st.d)
+    b = _numeric_array(b_blk, "b_block")
+    if b.shape != (a.shape[0],):
+        raise ValueError(f"b_block must have shape ({a.shape[0]},), got {b.shape}")
+    _require_finite(b, "b_block")
+    i = 0
+    while i < len(b):
+        pos = st.rows_seen % st.fold
+        n = min(st.fold - pos, len(b) - i)   # rows up to the next fold boundary
+        if sp.issparse(a):
+            a[i:i + n].toarray(out=st.buf_a[pos:pos + n])
+        else:
+            st.buf_a[pos:pos + n] = a[i:i + n]
+        st.buf_b[pos:pos + n] = b[i:i + n]
+        st.rows_seen += n
+        i += n
+        if pos + n == st.fold:
+            _fold(st, st.fold)
     return st
 
 

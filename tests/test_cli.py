@@ -89,13 +89,17 @@ def test_csv_stream(tmp_path, capsys):
     assert f"{bad}:2: ragged row" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, bad_line, said", [
-    ("csv", b"1,2\r\n", "ragged row"),
-    ("csv", b"1,2,3,4,5,\xff6\r\n", "byte 0xff is not UTF-8"),
-    ("svmlight", b"1 0:2\n", "indices are 1-based"),
-    ("svmlight", b"1 1:\xff\n", "byte 0xff is not UTF-8"),
-], ids=["csv-ragged", "csv-utf8", "svmlight-index", "svmlight-utf8"])
-def test_stream_reads_what_the_loaders_read(kind, bad_line, said, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("kind, dims, bad_line, said", [
+    ("csv", 5, b"1,2\r\n", "ragged row"),
+    ("csv", 5, b"1,2,3,4,5,\xff6\r\n", "byte 0xff is not UTF-8"),
+    ("svmlight", 5, b"1 0:2\n", "indices are 1-based"),
+    ("svmlight", 5, b"1 1:\xff\n", "byte 0xff is not UTF-8"),
+    ("svmlight", 8, b"1 0:2\n", "indices are 1-based"),
+], ids=["csv-ragged", "csv-utf8", "svmlight-index", "svmlight-utf8", "svmlight-wide"])
+def test_stream_reads_what_the_loaders_read(kind, dims, bad_line, said, tmp_path, monkeypatch,
+                                           capsys):
+    # svmlight-wide: --dims 8 is wider than the largest index, 5, so three
+    # trailing zero columns are streamed.
     rng = np.random.default_rng(8)
     ab = rng.standard_normal((300, 6))
     ab[rng.random(ab.shape) < 0.3] = 0.0
@@ -108,10 +112,10 @@ def test_stream_reads_what_the_loaders_read(kind, bad_line, said, tmp_path, monk
         flags = []
     else:
         write_svmlight(path, ab[:, :-1], ab[:, -1])
-        a, b = data_io.load_svmlight(path, n_features=5)
+        a, b = data_io.load_svmlight(path, n_features=dims)
         a = a.toarray()
-        flags = ["--dims", "5"]
-    want = streaming.stream_init(5, 8, 16, 0)
+        flags = ["--dims", str(dims)]
+    want = streaming.stream_init(dims, 8, 16, 0)
     for row, b_entry in zip(a, b):
         streaming.stream_update(want, row, b_entry)
     want = streaming.stream_finalize(want, 2).x

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchpcr import io as data_io
-from sketchpcr.io import (DataFormatError, iter_dense_csv, iter_svmlight, load_dense_csv,
-                         load_svmlight)
+from sketchpcr.io import (DataFormatError, csv_blocks, load_dense_csv, load_svmlight,
+                         svmlight_blocks)
 from oracles import write_svmlight
 
 
@@ -74,7 +74,7 @@ class TestSvmlight:
 def test_csv_byte_order_mark_is_skipped(tmp_path, text):
     path = tmp_path / "d.csv"
     path.write_bytes(("\ufeff" + text).encode("utf-8"))
-    assert [(a.tolist(), b) for a, b in iter_dense_csv(path)] == [([1.5], 2.0), ([3.0], 4.0)]
+    assert [block.tolist() for block in csv_blocks(path)] == [[[1.5, 2.0], [3.0, 4.0]]]
     a, b = load_dense_csv(path)
     assert a.tolist() == [[1.5], [3.0]] and b.tolist() == [2.0, 4.0]
 
@@ -82,8 +82,8 @@ def test_csv_byte_order_mark_is_skipped(tmp_path, text):
 def test_svmlight_byte_order_mark_is_skipped(tmp_path):
     path = tmp_path / "d.svm"
     path.write_bytes("\ufeff1 1:2.5\r\n-1 2:3\r\n".encode("utf-8"))
-    assert [(a.tolist(), b) for a, b in iter_svmlight(path, 2)] == [([2.5, 0.0], 1.0),
-                                                                     ([0.0, 3.0], -1.0)]
+    assert [[part.tolist() for part in block] for block in svmlight_blocks(path, 2)] == [
+        [[1.0, -1.0], [2.5, 3.0], [0, 1], [1, 1]]]
     x, b = load_svmlight(path)
     assert x.toarray().tolist() == [[2.5, 0.0], [0.0, 3.0]] and b.tolist() == [1.0, -1.0]
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,6 +20,7 @@ from sketchpcr.solvers import PcrProblem, build_r_left
 from sketchpcr.streaming import (
     FOLD_BUDGET,
     SketchSpec,
+    stream_block,
     stream_finalize,
     stream_init,
     stream_update,
@@ -94,6 +97,33 @@ class TestStreaming:
             stream_update(st, row, b_entry)
             sizes.append(st.memory_bytes())
         assert set(sizes) == {(24 * D + 60 * D + 60 + st.fold * (D + 1)) * 8}
+
+    @pytest.mark.parametrize("s_kind, t_kind", SPEC_ORDERS)
+    def test_a_csr_block_is_densified_only_into_the_fold_buffer(self, s_kind, t_kind):
+        # d = 2000 keeps 256-row folds; a 4 fold + 7-row block after one row
+        # fills the buffer four times and leaves 8 rows in it. The buffer is
+        # the state's own, so the block's dense rows never take new memory:
+        # the peak stays below one fold of them, let alone the whole block.
+        d, per_row = 2000, 20
+        st = stream_init(d, 24, 60, 78, s_kind=s_kind, t_kind=t_kind)
+        m = 4 * st.fold + 7
+        rng = np.random.default_rng(79)
+        cols = np.sort(np.argsort(rng.random((m, d)), axis=1)[:, :per_row], axis=1)
+        blk = sp.csr_matrix((rng.standard_normal(m * per_row), cols.ravel(),
+                             np.arange(0, m * per_row + 1, per_row)), shape=(m, d))
+        b = rng.standard_normal(m)
+        size = st.memory_bytes()
+        stream_block(st, blk[:1], b[:1])
+        assert st.memory_bytes() == size
+        tracemalloc.start()
+        try:
+            stream_block(st, blk, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert st.rows_seen == m + 1
+        assert peak < st.fold * d * 8
+        assert st.memory_bytes() == size
 
     @pytest.mark.parametrize("d, s_kind, t_kind, fold", [
         (300, "countsketch", "countsketch", SKETCH_BLOCK),    # 301 floats a row: too wide for 2
@@ -178,6 +208,13 @@ def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
+def uneven_blocks(n, fold):
+    """Row ranges of n rows in blocks of 1, fold-5 and fold+300 rows and
+    the rest, cut short (some empty) when n is smaller."""
+    cuts = np.minimum(np.cumsum([0, 1, fold - 5, fold + 300]), n).tolist() + [n]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 class TestBlockFold:
     @pytest.mark.parametrize("s_kind, t_kind", SPEC_ORDERS)
     @pytest.mark.parametrize("edge", BLOCK_EDGES, ids=EDGE_IDS)
@@ -200,6 +237,38 @@ class TestBlockFold:
         assert rel_err(st.sa, sa) <= 1e-12
         assert rel_err(st.ta, ta) <= 1e-12
         assert rel_err(st.tb, tb) <= 1e-12
+
+    @pytest.mark.parametrize("s_kind, t_kind", SPEC_ORDERS)
+    @pytest.mark.parametrize("edge", BLOCK_EDGES, ids=EDGE_IDS)
+    def test_blocks_fold_as_the_rows_one_at_a_time(self, edge, s_kind, t_kind):
+        # Dense blocks, CSR blocks, blocks mixed with rows on one state, and
+        # the whole stream as one dense block all fill the buffer that the
+        # rows fill one at a time, so they fold the same groups bit for bit.
+        def stream(feed):
+            st = stream_init(D, 24, 60, 70, s_kind=s_kind, t_kind=t_kind)
+            blocks = [(0, n)] if feed == "one" else uneven_blocks(n, st.fold)
+            for j, (lo, hi) in enumerate(blocks):
+                how = {"one": "dense", "mixed": ("rows", "dense", "csr")[j % 3]}.get(feed, feed)
+                if how == "rows":
+                    for i in range(lo, hi):
+                        stream_update(st, a[i], b[i])
+                else:
+                    stream_block(st, a[lo:hi] if how == "dense" else sp.csr_matrix(a[lo:hi]),
+                                 b[lo:hi])
+            assert st.rows_seen == n
+            return st, stream_finalize(st, 1).x
+
+        fold = stream_init(D, 24, 60, 70, s_kind=s_kind, t_kind=t_kind).fold
+        n = edge[0] * fold + edge[1]
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal((n, D)), rng.standard_normal(n)
+        a[rng.random(a.shape) < 0.6] = 0.0
+        want, want_x = stream("rows")
+        for feed in ("dense", "one", "csr", "mixed"):
+            got, x = stream(feed)
+            for name in ("sa", "ta", "tb"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert x.tobytes() == want_x.tobytes()
 
     @pytest.mark.parametrize("bad", ["wrong-length", "nan-row", "inf-row", "inf-b", "str-row",
                                      "str-b", "array-b", "huge-row"])
@@ -244,6 +313,53 @@ class TestBlockFold:
         with pytest.raises(RuntimeError, match="already finalized"):
             stream_update(st, a[0], b[0])
 
+    @pytest.mark.parametrize("bad", ["wrong-width", "nan-dense", "inf-dense", "nan-csr",
+                                     "inf-csr", "str-dense", "str-csr", "object-dense",
+                                     "object-csr", "b-length", "nan-b", "inf-b"])
+    def test_rejected_block_leaves_the_stream_as_it_was(self, bad):
+        # Every entry is checked before anything moves: the bad entry is in
+        # the block's last row, after two whole folds.
+        st = stream_init(D, 24, 60, 73, s_kind="subgaussian")
+        a = planted_matrix(3 * st.fold, D, K, 0.4, seed=71)
+        b = a @ np.random.default_rng(72).standard_normal(D)
+        stream_block(st, a[:100], b[:100])
+        blk_a, blk_b = a[100:], b[100:]
+        csr = sp.csr_matrix(blk_a)
+
+        def last_is(v, value):
+            v = v.copy()
+            v.flat[-1] = value
+            return v
+
+        def csr_of(data):
+            return sp.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
+
+        rows, entries = {
+            "wrong-width": (np.hstack([blk_a, blk_a[:, :1]]), blk_b),
+            "nan-dense": (last_is(blk_a, np.nan), blk_b),
+            "inf-dense": (last_is(blk_a, -np.inf), blk_b),
+            "nan-csr": (csr_of(last_is(csr.data, np.nan)), blk_b),
+            "inf-csr": (csr_of(last_is(csr.data, np.inf)), blk_b),
+            "str-dense": (blk_a.astype(str), blk_b),
+            "str-csr": (csr_of(csr.data.astype(str)), blk_b),
+            "object-dense": (blk_a.astype(object), blk_b),
+            "object-csr": (csr_of(csr.data.astype(object)), blk_b),
+            "b-length": (blk_a, blk_b[1:]),
+            "nan-b": (blk_a, last_is(blk_b, np.nan)),
+            "inf-b": (blk_a, last_is(blk_b, np.inf)),
+        }[bad]
+        before = [st.rows_seen] + [getattr(st, m).tobytes()
+                                   for m in ("sa", "ta", "tb", "buf_a", "buf_b")]
+        with pytest.raises(ValueError, match="^(a_block|b_block) "):
+            stream_block(st, rows, entries)
+        assert before == [st.rows_seen] + [getattr(st, m).tobytes()
+                                           for m in ("sa", "ta", "tb", "buf_a", "buf_b")]
+        stream_block(st, blk_a, blk_b)
+        clean = stream_block(stream_init(D, 24, 60, 73, s_kind="subgaussian"), a, b)
+        assert np.array_equal(stream_finalize(st, K).x, stream_finalize(clean, K).x)
+        with pytest.raises(RuntimeError, match="already finalized"):
+            stream_block(st, a[:1], b[:1])
+
     def test_b_entries_of_any_real_type_are_read_as_floats(self):
         values = [2, True, np.int32(-3), np.float32(0.5), np.array(1.25), -0.0, 7.0]
         st, ref = (stream_init(D, 24, 60, 77) for _ in range(2))
@@ -260,13 +376,19 @@ class TestBlockFold:
         hashed, real = [], PolyHash.values
         monkeypatch.setattr(PolyHash, "values",
                             lambda self, keys: hashed.append(len(keys)) or real(self, keys))
-        st = stream_init(D, 24, 60, 75, s_kind=s_kind, t_kind=t_kind)
-        n = 2 * st.fold + 7
-        a = planted_matrix(n, D, K, 0.4, seed=74)
-        for row in a:
-            stream_update(st, row, 1.0)
-        stream_finalize(st, K)
-        assert sum(hashed) == per_row * n
+        for feed in ("rows", "blocks"):
+            hashed.clear()
+            st = stream_init(D, 24, 60, 75, s_kind=s_kind, t_kind=t_kind)
+            n = 2 * st.fold + 7
+            a = planted_matrix(n, D, K, 0.4, seed=74)
+            if feed == "rows":
+                for row in a:
+                    stream_update(st, row, 1.0)
+            else:   # a row, then a block with whole folds in it
+                stream_block(st, a[:1], np.ones(1))
+                stream_block(st, sp.csr_matrix(a[1:]), np.ones(n - 1))
+            stream_finalize(st, K)
+            assert sum(hashed) == per_row * n
 
 
 STREAM_SCRIPT = """
